@@ -67,6 +67,15 @@ def _emit(obj, pretty: bool):
         print(json.dumps(obj, separators=(",", ":")))
 
 
+def _exists(path: Path) -> bool:
+    """Path.exists, reading a name the OS rejects (too long, say) as no
+    file: inline JSON specs are often longer than a file name may be."""
+    try:
+        return path.exists()
+    except OSError:
+        return False
+
+
 def _load_group(spec: str, limit: int):
     """Resolve a builtin name, a JSON file path, or inline JSON."""
     try:
@@ -76,7 +85,7 @@ def _load_group(spec: str, limit: int):
     except OrderLimitExceeded:
         raise
     path = Path(spec)
-    if path.exists():
+    if _exists(path):
         obj = json.loads(path.read_text())
     else:
         try:
@@ -101,19 +110,19 @@ def _group_from_json(obj, limit: int):
 
 def _load_tensor(spec: str, G, fixture_dir):
     path = Path(spec)
-    if not path.exists() and fixture_dir is not None:
+    if not _exists(path) and fixture_dir is not None:
         alt = Path(fixture_dir) / spec
-        if alt.exists():
+        if _exists(alt):
             path = alt
-        elif (Path(fixture_dir) / f"{spec}.json").exists():
+        elif _exists(Path(fixture_dir) / f"{spec}.json"):
             path = Path(fixture_dir) / f"{spec}.json"
-    if not path.exists():
+    if not _exists(path):
         try:
             text = resources.files("lazytwist.data").joinpath(
                 f"{spec}.json").read_text()
             obj = json.loads(text)
             return GTensor.from_json(obj, G), obj.get("group")
-        except FileNotFoundError:
+        except OSError:
             raise ValueError(f"tensor file {spec!r} not found")
     obj = json.loads(path.read_text())
     return GTensor.from_json(obj, G), obj.get("group")

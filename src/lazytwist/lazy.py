@@ -4,10 +4,18 @@ bg_enumerate lists the socle-form pairs (abelian normal subgroup with a
 conjugation-invariant non-degenerate alternating form on its dual);
 h2_compute assembles certified rules into an exact order/structure verdict,
 bounds, or an honest "undetermined".
+
+Pairs are compared by (socle elements, form matrix): the map
+(A, b) -> R(A, b) is injective, so this is the same equality as comparing
+bicharacter tensors.  Since R(A, b)^k = R(A, b^k), the order of a pair is
+the order of its form.  The tensor R(A, b) is built only where the group
+algebra is needed: the partial product `bg_product` and the Aut(G) orbit
+transport of rule R5.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +47,7 @@ from .hopf import GTensor, form_from_r, r_from_form, socle
 __all__ = [
     "BGElement",
     "H2Report",
+    "VerdictInconsistent",
     "bg_enumerate",
     "bg_product",
     "bg_element_order",
@@ -49,25 +58,33 @@ __all__ = [
 ]
 
 
+class VerdictInconsistent(RuntimeError):
+    """Two certified computations disagree; the verdict cannot be trusted."""
+
+
 @dataclass(frozen=True)
 class BGElement:
-    """A socle-form pair with its bicharacter tensor as equality certificate."""
+    """A socle-form pair, compared by (socle elements, form matrix).
+
+    The form's matrix is written on the socle's own invariant-factor basis,
+    which depends only on the socle's elements, so the key is canonical.
+    """
 
     subgroup: Subgroup
     form: AltForm
-    canonical_r: GTensor
-
-    @staticmethod
-    def make(A: Subgroup, b: AltForm) -> "BGElement":
-        return BGElement(A, b, r_from_form(A, b))
 
     @staticmethod
     def trivial(G: FiniteGroup) -> "BGElement":
         A = Subgroup(G, [0])
-        return BGElement.make(A, AltForm.trivial(A))
+        return BGElement(A, AltForm.trivial(A))
+
+    @functools.cached_property
+    def canonical_r(self) -> GTensor:
+        """The bicharacter tensor R(A, b), built on first use."""
+        return r_from_form(self.subgroup, self.form)
 
     def key(self):
-        return self.canonical_r.key()
+        return (self.subgroup.elements, self.form.matrix)
 
     def is_trivial(self) -> bool:
         return self.subgroup.order == 1
@@ -81,7 +98,7 @@ class BGElement:
 
 def bg_enumerate(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
                  nas=None) -> list[BGElement]:
-    """All socle-form pairs, deduplicated by bicharacter tensor.
+    """All socle-form pairs, deduplicated by (socle, form).
 
     Only subgroups of symmetric type can carry a non-degenerate alternating
     form, so the rest are pruned before form enumeration.
@@ -97,7 +114,7 @@ def bg_enumerate(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
             continue
         action = DualAction(G, A)
         for b in invariant_forms(A, action, only_nondegenerate=True):
-            el = BGElement.make(A, b)
+            el = BGElement(A, b)
             if el.key() not in seen:
                 seen.add(el.key())
                 out.append(el)
@@ -114,21 +131,17 @@ def bg_product(x: BGElement, y: BGElement, nas) -> Optional[BGElement]:
         return None
     R = x.canonical_r.mul(y.canonical_r)
     D = socle(R)
-    b = form_from_r(D, R)
-    assert r_from_form(D, b) == R, "product tensor is not the bicharacter of its socle form"
-    return BGElement(D, b, R)
+    out = BGElement(D, form_from_r(D, R))
+    if out.canonical_r != R:
+        raise VerdictInconsistent(
+            "product tensor is not the bicharacter of its socle form")
+    return out
 
 
 def bg_element_order(x: BGElement, nas) -> int:
-    acc = x
-    k = 1
-    while not acc.is_trivial():
-        nxt = bg_product(acc, x, nas)
-        assert nxt is not None, "powers on a fixed socle are always defined"
-        acc = nxt
-        k += 1
-        assert k <= x.subgroup.order ** 2, "runaway element order"
-    return k
+    """Order of x under the partial product: R(A, b)^k = R(A, b^k), so it
+    is the order of the form b."""
+    return x.form.order()
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +397,15 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
     def conclude(order, struct, rule, ref):
         nonlocal exact, structure
         certs.append({"rule": rule, "ref": ref})
-        if exact is not None:
-            assert exact == order, f"rule {rule} disagrees with earlier verdict"
+        if exact is not None and exact != order:
+            raise VerdictInconsistent(
+                f"rule {rule} gives order {order}, earlier rules {exact}")
         exact = order
         if struct is not None:
-            if structure is not None:
-                assert structure == struct
+            if structure is not None and structure != struct:
+                raise VerdictInconsistent(
+                    f"rule {rule} gives structure {struct}, earlier rules "
+                    f"{structure}")
             structure = struct
 
     # R0: abelian groups are answered by the full group of alternating forms
@@ -410,11 +426,11 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
                  "outer automorphisms")
 
     element_orders = None
-    if G.order % 2 == 1 and int_mod_inn == 1:
+    if exact is None and G.order % 2 == 1 and int_mod_inn == 1:
         element_orders = sorted(bg_element_order(x, nas) for x in bg)
 
     # R2: odd order with trivial class-preserving outer part
-    if exact is None and element_orders is not None:
+    if element_orders is not None:
         struct = _structure_from_order_and_exponent(len(bg), element_orders)
         conclude(len(bg), struct, "R2",
                  "odd order and class-preserving outer part trivial: the "
@@ -505,8 +521,10 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
         n_fact = _symmetric_degree(G.order)
         if n_fact is not None and G.order <= 64 and \
                 find_isomorphism(G, symmetric(n_fact), limit) is not None:
-            assert int_mod_inn == 1, "symmetric groups have no outer " \
-                "class-preserving automorphisms"
+            if int_mod_inn != 1:
+                raise VerdictInconsistent(
+                    "symmetric groups have no outer class-preserving "
+                    "automorphisms")
             conclude(1, [], "RT",
                      f"isomorphic to the symmetric group on {n_fact} letters, "
                      "whose twist class group is trivial")
@@ -521,7 +539,10 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
     else:
         status = "bounded" if excluded_any else "undetermined"
 
-    assert lower <= upper and lower % int_mod_inn == 0
+    if not (lower <= upper and lower % int_mod_inn == 0):
+        raise VerdictInconsistent(
+            f"bounds [{lower}, {upper}] are not ordered multiples of "
+            f"|Int/Inn| = {int_mod_inn}")
     return H2Report(group=name, int_mod_inn=int_mod_inn, bg_size=len(bg),
                     order_lower=lower, order_upper=upper, exact_order=exact,
                     structure=structure, status=status, certificates=certs)
@@ -557,6 +578,9 @@ def _candidate_image_sizes(G, bg, nas, witness_keys, limit):
         return None
     by_key = {x.key(): i for i, x in enumerate(bg)}
     nontrivial = [i for i, x in enumerate(bg) if not x.is_trivial()]
+    # an automorphism carries a socle's basis to another basis of its image,
+    # so transported pairs are matched by tensor, not by form matrix
+    by_r = {bg[i].canonical_r.key(): i for i in nontrivial}
 
     # orbits of Aut(G) on the non-trivial pairs, via transported tensors
     orbit_of = {}
@@ -573,8 +597,9 @@ def _candidate_image_sizes(G, bg, nas, witness_keys, limit):
             orbit.add(j)
             for phi in auts:
                 moved = bg[j].canonical_r.apply_map(phi)
-                k = by_key.get(moved.key())
-                assert k is not None, "automorphism left the pair set"
+                k = by_r.get(moved.key())
+                if k is None:
+                    raise VerdictInconsistent("automorphism left the pair set")
                 if k not in orbit:
                     stack.append(k)
         for j in orbit:
@@ -584,8 +609,10 @@ def _candidate_image_sizes(G, bg, nas, witness_keys, limit):
     inverse_of = {}
     order_of = {}
     for i in nontrivial:
-        inv_el = BGElement.make(bg[i].subgroup, bg[i].form.inv())
-        inverse_of[i] = by_key[inv_el.key()]
+        inv_key = BGElement(bg[i].subgroup, bg[i].form.inv()).key()
+        if inv_key not in by_key:
+            raise VerdictInconsistent("inverse left the pair set")
+        inverse_of[i] = by_key[inv_key]
         order_of[i] = bg_element_order(bg[i], nas)
 
     abelian_multisets = {}
@@ -605,7 +632,9 @@ def _candidate_image_sizes(G, bg, nas, witness_keys, limit):
                 if p is None:
                     continue
                 k = by_key.get(p.key())
-                assert k is not None
+                if k is None:
+                    raise VerdictInconsistent(
+                        "partial product left the pair set")
                 if k != 0 and k not in chosen:
                     ok = False
                     break

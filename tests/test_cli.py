@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import lazytwist
 from lazytwist.cli import main
 
 
@@ -60,6 +65,34 @@ def test_inline_and_file_groups(tmp_path, capsys):
     perms = {"name": "S3", "perm_generators": [[2, 1, 3], [2, 3, 1]]}
     code, out, _ = run_cli(capsys, "h2", json.dumps(perms))
     assert code == 0 and json.loads(out)["exact_order"] == 1
+
+
+def test_inline_json_longer_than_a_file_name(capsys):
+    # a spec longer than the OS allows for a file name is still inline JSON
+    cyclic12 = {"name": "C12",
+                "table": [[(i + j) % 12 for j in range(12)]
+                          for i in range(12)]}
+    spec = json.dumps(cyclic12)
+    assert len(spec) > 255
+    code, out, _ = run_cli(capsys, "h2", spec)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["group"] == "C12" and rep["exact_order"] == 1
+    code, _, err = run_cli(capsys, "twist-verify", "A4", "x" * 300)
+    assert code == 2 and "not found" in err
+
+
+def test_paper_suite_survives_optimize():
+    # python -O strips asserts; the verdict checks must not depend on them
+    src = Path(lazytwist.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "lazytwist.cli", "paper-suite"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["summary"]["failed"] == []
 
 
 def test_error_exits(tmp_path, capsys):

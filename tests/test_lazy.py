@@ -1,3 +1,6 @@
+import itertools
+from math import gcd
+
 import pytest
 
 from lazytwist.groups import OrderLimitExceeded, normal_abelian_subgroups
@@ -12,6 +15,7 @@ from lazytwist.lazy import (
     invariant_orbit_dimension,
     lie_complex_check,
 )
+from tests_helpers import product_group
 
 
 def test_bg_sizes(groups):
@@ -32,15 +36,39 @@ def test_bg_trivial_element_first(groups):
         assert bg[0].canonical_r == GTensor.unit(groups(name), 2)
 
 
+def tensor_power_order(x, nas):
+    """Order of x by taking tensor powers R(A, b)^k until the unit: the
+    reference for bg_element_order, which reads it off the form."""
+    acc, k = x, 1
+    while not acc.is_trivial():
+        acc = bg_product(acc, x, nas)
+        assert acc is not None, "powers on a fixed socle are always defined"
+        k += 1
+        assert k <= x.subgroup.order ** 2, "runaway element order"
+    return k
+
+
+def test_bg_element_order_matches_tensor_powers(groups):
+    for name in ["A4", "D8", "V4", "S4", "Wr_3", "C27sd", "Wall32", "C3xC9"]:
+        G = product_group((3, 9)) if name == "C3xC9" else groups(name)
+        nas = normal_abelian_subgroups(G)
+        for x in bg_enumerate(G, nas=nas):
+            assert bg_element_order(x, nas) == tensor_power_order(x, nas)
+
+
 def test_bg_equality_by_canonical_r(groups):
-    # tensor equality agrees with componentwise (subgroup, form) comparison:
-    # nondegenerate forms are minimal, so distinct pairs give distinct tensors
+    # the (socle, form) key is injective exactly when the bicharacter
+    # tensors are: R(A, b) determines A as its socle and b on A's dual
     for name in ["A4", "D8", "C27sd", "Wall32", "Wr_3", "V4"]:
-        bg = bg_enumerate(groups(name))
-        for x in bg:
-            for y in bg:
-                same_pair = (x.subgroup == y.subgroup and x.form == y.form)
-                assert (x.key() == y.key()) == same_pair
+        G = groups(name)
+        nas = normal_abelian_subgroups(G)
+        pairs = bg_enumerate(G, nas=nas)
+        if name == "C27sd":
+            pairs += [p for x in pairs for y in pairs
+                      if (p := bg_product(x, y, nas)) is not None]
+        for x in pairs:
+            for y in pairs:
+                assert (x.key() == y.key()) == (x.canonical_r == y.canonical_r)
 
 
 def test_bg_product_identity_and_square(groups):
@@ -177,6 +205,19 @@ def test_h2_reports(groups):
         assert rep.structure == struct
         assert rep.order_lower == rep.order_upper == order
         assert rep.order_lower % rep.int_mod_inn == 0
+
+
+def test_h2_abelian_closed_form():
+    # for abelian G every twist is invariant and the classes are the
+    # alternating forms on the character group: prod_{i<j} gcd(d_i, d_j)
+    for ds in [(2, 2, 2, 2), (2, 4, 4), (6, 6), (3, 9), (3, 3, 3)]:
+        rep = h2_compute(product_group(ds))
+        expected = 1
+        for i, j in itertools.combinations(range(len(ds)), 2):
+            expected *= gcd(ds[i], ds[j])
+        assert rep.bg_size == rep.exact_order == expected, ds
+        assert rep.status == "exact"
+        assert "R0" in [c["rule"] for c in rep.certificates]
 
 
 def test_h2_cyclic_trivial(groups):
