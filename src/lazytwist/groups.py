@@ -3,6 +3,11 @@
 Groups are multiplication tables over element indices 0..n-1 with the
 identity at index 0.  Everything here is exact and desk-scale; exponential
 searches are guarded by an order bound.
+
+Class-preserving automorphisms, Aut(G) and the isomorphism test share one
+pruned backtrack over generator images (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005).  Certifying checks raise
+`VerdictInconsistent`, so they hold under `python -O`.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ __all__ = [
     "NotAGroup",
     "NotAbelian",
     "OrderLimitExceeded",
+    "VerdictInconsistent",
     "FiniteGroup",
     "Subgroup",
     "GroupMap",
@@ -44,6 +50,10 @@ class NotAbelian(ValueError):
 
 class OrderLimitExceeded(RuntimeError):
     pass
+
+
+class VerdictInconsistent(RuntimeError):
+    """Two certified computations disagree; the verdict cannot be trusted."""
 
 
 class FiniteGroup:
@@ -312,7 +322,8 @@ class Subgroup:
                     for _ in range(e):
                         x = G.table[x][g]
                 coords.setdefault(x, tup)
-            assert len(coords) == self.order, "generators do not span the subgroup"
+            if len(coords) != self.order:
+                raise VerdictInconsistent("generators do not span the subgroup")
             self._coords = coords
         return self._coords
 
@@ -348,12 +359,14 @@ def abelian_structure(A: Subgroup):
                     break
             if found is not None:
                 break
-        assert found is not None, "no direct lift exists (not abelian?)"
+        if found is None:
+            raise VerdictInconsistent("no direct lift exists (not abelian?)")
         picked.append((found, m))
         span = G.closure(span | {found}) & set(A.elements)
     picked.reverse()
     for (_, d1), (_, d2) in zip(picked, picked[1:]):
-        assert d2 % d1 == 0, "invariant factor chain broken"
+        if d2 % d1:
+            raise VerdictInconsistent("invariant factor chain broken")
     return picked
 
 
@@ -481,98 +494,96 @@ class GroupMap:
         return f"GroupMap({self.images})"
 
 
-def _word_decomposition(G: FiniteGroup, gens):
-    """parent[x] = (prev, gen_position) reaching every element from 0."""
-    parent = {0: None}
-    queue = [0]
-    while queue:
-        cur = queue.pop(0)
-        for pos, g in enumerate(gens):
-            nxt = G.table[cur][g]
-            if nxt not in parent:
-                parent[nxt] = (cur, pos)
-                queue.append(nxt)
-    assert len(parent) == G.order
-    return parent
+def _hom_search(G: FiniteGroup, H: FiniteGroup, candidates, first=False):
+    """Sorted image tuples of the injective homomorphisms G -> H sending
+    the i-th generator of G into candidates[i]; with `first`, at most one.
 
+    A map compatible on every edge x -> x*g of a set closed under right
+    multiplication by the generators is a homomorphism on their span, so
+    each branch extends over the span and is cut at the first edge with
+    im[x*g] != im[x]*im[g], or at an image already taken.
+    """
+    gens, tG, tH = G.generating_set(), G.table, H.table
+    im = [0] + [None] * (G.order - 1)
+    used = [True] + [False] * (H.order - 1)
+    span, found = [0], []
 
-def _maps_from_gen_images(G: FiniteGroup, H: FiniteGroup, gens, parent,
-                          images):
-    im = [None] * G.order
-    im[0] = 0
-    pending = [x for x in range(G.order) if x != 0]
-    while pending:
-        progressed = False
-        rest = []
-        for x in pending:
-            prev, pos = parent[x]
-            if im[prev] is not None:
-                im[x] = H.table[im[prev]][images[pos]]
-                progressed = True
-            else:
-                rest.append(x)
-        pending = rest
-        assert progressed
-    return im
+    def edge(x, h):
+        # check, or extend along, x -> x*h; False on a conflict
+        y, want = tG[x][h], tH[im[x]][im[h]]
+        if im[y] is None:
+            if used[want]:
+                return False
+            im[y], used[want] = want, True
+            span.append(y)
+            return True
+        return im[y] == want
+
+    def extend(k):
+        if k == len(gens):
+            found.append(tuple(im))
+            return
+        g, fixed, start = gens[k], gens[:k + 1], len(span)
+        for c in candidates[k]:
+            if used[c]:
+                continue
+            im[g], used[c] = c, True
+            span.append(g)
+            # unchecked edges: old elements times g, then each new element
+            # (those added here included) times every fixed generator
+            i, ok = start, all(edge(x, g) for x in span[:start])
+            while ok and i < len(span):
+                ok, i = all(edge(span[i], h) for h in fixed), i + 1
+            if ok:
+                extend(k + 1)
+            for y in span[start:]:
+                used[im[y]], im[y] = False, None
+            del span[start:]
+            if first and found:
+                return
+
+    extend(0)
+    return sorted(found)
 
 
 def _inner_automorphisms(G: FiniteGroup):
-    maps = {tuple(G.conjugate(g, x) for x in range(G.order))
+    return {tuple(G.conjugate(g, x) for x in range(G.order))
             for g in range(G.order)}
-    return {m for m in maps}
 
 
 def class_preserving_auts(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT):
     """All automorphisms preserving every conjugacy class, and [Aut_c : Inn].
 
-    Backtracking over images of a greedy generating set, candidates drawn
-    from each generator's own class.
+    The search draws each generator's image from its own class.
     """
     if G.order > limit:
         raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
     classes = G.conjugacy_classes()
-    class_of = {}
-    for ci, c in enumerate(classes):
-        for x in c:
-            class_of[x] = ci
-    gens = G.generating_set()
-    parent = _word_decomposition(G, gens)
-    auts = []
-    for images in itertools.product(*(classes[class_of[g]] for g in gens)):
-        im = _maps_from_gen_images(G, G, gens, parent, images)
-        if sorted(im) != list(range(G.order)):
-            continue
-        phi = GroupMap(G, G, im)
-        if not phi.is_homomorphism():
-            continue
-        if all(class_of[im[x]] == class_of[x] for x in range(G.order)):
-            auts.append(phi)
+    class_of = {x: ci for ci, c in enumerate(classes) for x in c}
+    found = _hom_search(G, G, [classes[class_of[g]]
+                               for g in G.generating_set()])
+    auts = [GroupMap(G, G, im) for im in found
+            if all(class_of[im[x]] == class_of[x] for x in range(G.order))]
     inner = _inner_automorphisms(G)
-    assert all(tuple(m) in {a.images for a in auts} for m in inner)
-    assert len(auts) % len(inner) == 0
-    auts.sort(key=lambda a: a.images)
+    if not inner <= {a.images for a in auts} or len(auts) % len(inner):
+        raise VerdictInconsistent("Inn(G) is not a subgroup of Aut_c(G)")
     return auts, len(auts) // len(inner)
 
 
+def _same_order_candidates(G: FiniteGroup, H: FiniteGroup):
+    # for each generator of G, the elements of H of its order
+    by_order = {}
+    for x in range(H.order):
+        by_order.setdefault(H.element_order(x), []).append(x)
+    return [by_order[G.element_order(g)] for g in G.generating_set()]
+
+
 def automorphism_group(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT):
-    """The full automorphism group, by backtracking over generator images."""
+    """The full automorphism group, sorted by image tuple."""
     if G.order > limit:
         raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
-    gens = G.generating_set()
-    parent = _word_decomposition(G, gens)
-    by_order = {}
-    for x in range(G.order):
-        by_order.setdefault(G.element_order(x), []).append(x)
-    auts = []
-    for images in itertools.product(*(by_order[G.element_order(g)] for g in gens)):
-        im = _maps_from_gen_images(G, G, gens, parent, images)
-        if sorted(im) != list(range(G.order)):
-            continue
-        phi = GroupMap(G, G, im)
-        if phi.is_homomorphism():
-            auts.append(phi)
-    auts.sort(key=lambda a: a.images)
-    return auts
+    return [GroupMap(G, G, im)
+            for im in _hom_search(G, G, _same_order_candidates(G, G))]
 
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
@@ -583,21 +594,9 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
     if G.order > limit:
         raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
     if sorted(G.element_order(x) for x in range(G.order)) != \
-       sorted(H.element_order(x) for x in range(H.order)):
-        return None
-    if sorted(map(len, G.conjugacy_classes())) != \
+       sorted(H.element_order(x) for x in range(H.order)) or \
+       sorted(map(len, G.conjugacy_classes())) != \
        sorted(map(len, H.conjugacy_classes())):
         return None
-    gens = G.generating_set()
-    parent = _word_decomposition(G, gens)
-    by_order = {}
-    for x in range(H.order):
-        by_order.setdefault(H.element_order(x), []).append(x)
-    for images in itertools.product(*(by_order[G.element_order(g)] for g in gens)):
-        im = _maps_from_gen_images(G, H, gens, parent, images)
-        if sorted(im) != list(range(H.order)):
-            continue
-        phi = GroupMap(G, H, im)
-        if phi.is_homomorphism():
-            return phi
-    return None
+    found = _hom_search(G, H, _same_order_candidates(G, H), first=True)
+    return GroupMap(G, H, found[0]) if found else None

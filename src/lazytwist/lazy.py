@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -27,6 +28,7 @@ from .groups import (
     FiniteGroup,
     OrderLimitExceeded,
     Subgroup,
+    VerdictInconsistent,
     automorphism_group,
     class_preserving_auts,
     find_isomorphism,
@@ -56,10 +58,6 @@ __all__ = [
     "lie_complex_check",
     "h2_compute",
 ]
-
-
-class VerdictInconsistent(RuntimeError):
-    """Two certified computations disagree; the verdict cannot be trusted."""
 
 
 @dataclass(frozen=True)
@@ -184,25 +182,30 @@ def invariant_orbit_dimension(G: FiniteGroup,
 def has_no_multiplicities(G: FiniteGroup,
                           limit: int = ORDER_LIMIT_DEFAULT) -> bool:
     """True iff all orbit sums of the diagonal conjugation action on
-    G x G commute pairwise."""
+    G x G commute pairwise.
+
+    Both products of two orbit sums O_i, O_j are invariant under diagonal
+    conjugation, so they are compared only at one representative r of
+    each orbit, where the coefficient of O_i O_j is
+    #{a in O_i : a^-1 r in O_j}.  One pass over a in G x G counts these
+    for every (i, j) at once.
+    """
     if G.order > limit:
         raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
+    n, table, inv = G.order, G.table, G.inverses
     orbits = _pair_orbits(G)
-    table = G.table
-    sums = [frozenset(o) for o in orbits]
-
-    def convolve(s1, s2):
-        out = {}
-        for a in s1:
-            for b in s2:
-                t = (table[a[0]][b[0]], table[a[1]][b[1]])
-                out[t] = out.get(t, 0) + 1
-        return out
-
-    for i in range(len(sums)):
-        for j in range(i + 1, len(sums)):
-            if convolve(sums[i], sums[j]) != convolve(sums[j], sums[i]):
-                return False
+    orbit_id = [0] * (n * n)
+    for i, orbit in enumerate(orbits):
+        for x, y in orbit:
+            orbit_id[x * n + y] = i
+    for r0, r1 in (orbit[0] for orbit in orbits):
+        # a^-1 r for every a = (a0, a1), in the order of orbit_id
+        left = [table[inv[a]][r0] * n for a in range(n)]
+        right = [table[inv[a]][r1] for a in range(n)]
+        counts = Counter(zip(orbit_id, [orbit_id[u + v] for u in left
+                                        for v in right]))
+        if any(counts.get((j, i), 0) != c for (i, j), c in counts.items()):
+            return False
     return True
 
 
@@ -303,14 +306,36 @@ class H2Report:
         }
 
 
-def _form_group_structure(A: Subgroup, forms: list[AltForm]) -> list[int]:
-    """Invariant factors of a finite group of alternating forms."""
-    from .groups import from_table
+def _form_group_structure(forms: list[AltForm]) -> list[int]:
+    """Invariant factors d1 | d2 | ... of a finite group of alternating forms.
 
-    index = {f.matrix: i for i, f in enumerate(forms)}
-    table = [[index[f.mul(g).matrix] for g in forms] for f in forms]
-    H = from_table(table)
-    return [d for _, d in H.whole_subgroup().abelian_structure()]
+    For a prime p, #{b : b^(p^k) = 1} / #{b : b^(p^(k-1)) = 1} is p to the
+    number of p-primary cyclic factors of order at least p^k; the t-th
+    largest invariant factor takes p once for each k at which that number
+    exceeds t.  Only the element orders are needed, not a Cayley table.
+    """
+    orders = [f.order() for f in forms]
+    exponent = functools.reduce(lambda a, b: a * b // gcd(a, b), orders, 1)
+    factors: list[int] = []
+    p = 2
+    while exponent > 1:
+        pk, below = 1, 1
+        while exponent % p == 0:
+            exponent //= p
+            pk *= p
+            count = sum(1 for o in orders if pk % o == 0)
+            at_least, q = 0, count // below
+            while q > 1:
+                q //= p
+                at_least += 1
+            if below * p ** at_least != count:
+                raise VerdictInconsistent("form orders are not a group's")
+            factors.extend([1] * (at_least - len(factors)))
+            for t in range(at_least):
+                factors[t] *= p
+            below = count
+        p += 1
+    return sorted(factors)
 
 
 def _abelian_order_multisets(order: int) -> list[tuple[int, ...]]:
@@ -412,7 +437,7 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
     if G.is_abelian():
         A = G.whole_subgroup()
         forms = alternating_forms(A)
-        struct = _form_group_structure(A, forms)
+        struct = _form_group_structure(forms)
         conclude(len(forms), struct, "R0",
                  "abelian group: twist classes = alternating bilinear forms "
                  "on the character group")
@@ -443,7 +468,7 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
         if len(maximal) == 1:
             A = maximal[0]
             forms = invariant_forms(A, DualAction(G, A))
-            struct = _form_group_structure(A, forms)
+            struct = _form_group_structure(forms)
             conclude(len(forms), struct, "R3",
                      "unique maximal abelian normal subgroup at odd order: "
                      "twist classes = invariant alternating forms on its dual")

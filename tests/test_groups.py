@@ -1,16 +1,25 @@
 import pytest
 
+import lazytwist.groups as groups_module
 from lazytwist.groups import (
     NotAGroup,
     OrderLimitExceeded,
     Subgroup,
+    VerdictInconsistent,
+    automorphism_group,
     center,
     class_preserving_auts,
+    find_isomorphism,
     from_permutations,
     from_table,
     normal_abelian_subgroups,
 )
-from lazytwist.fixtures import wall_named_elements
+from lazytwist.fixtures import _group_from_elements, wall_named_elements
+from tests_helpers import (
+    brute_force_homs,
+    named_group,
+    relabelled,
+)
 
 
 def test_from_table_trivial_and_z2():
@@ -190,3 +199,68 @@ def test_order_limit(groups):
         normal_abelian_subgroups(groups("Wall32"), limit=16)
     with pytest.raises(OrderLimitExceeded):
         class_preserving_auts(groups("Wall32"), limit=16)
+
+
+SEARCH_GROUPS = ["S3", "D8", "Q8", "V4", "A4", "S4", "Wall32", "C27sd",
+                 "D8xC2", "S4xC2"]
+
+
+def test_searches_match_brute_force(groups):
+    for name in SEARCH_GROUPS:
+        G = named_group(groups, name)
+        by_order = {}
+        for x in range(G.order):
+            by_order.setdefault(G.element_order(x), []).append(x)
+        gens = G.generating_set()
+        expected = brute_force_homs(
+            G, G, [by_order[G.element_order(g)] for g in gens])
+        assert [a.images for a in automorphism_group(G)] == expected, name
+
+        classes = G.conjugacy_classes()
+        class_of = {x: ci for ci, c in enumerate(classes) for x in c}
+        expected_c = [im for im in brute_force_homs(
+            G, G, [classes[class_of[g]] for g in gens])
+            if all(class_of[im[x]] == class_of[x] for x in range(G.order))]
+        auts, index = class_preserving_auts(G)
+        assert [a.images for a in auts] == expected_c, name
+        inner = {tuple(G.conjugate(g, x) for x in range(G.order))
+                 for g in range(G.order)}
+        assert index == len(expected_c) // len(inner), name
+
+
+def test_automorphism_group_orders(groups):
+    expected = {"D8": 8, "Q8": 24, "A4": 24, "S4": 24, "C2xC2xC2": 168,
+                "D8xS3": 96}
+    for name, order in expected.items():
+        auts = automorphism_group(named_group(groups, name))
+        assert len(auts) == order, name
+        assert all(a.is_homomorphism() and a.is_bijective() for a in auts)
+
+
+def test_find_isomorphism(groups):
+    for name, seed in [("S4", 1), ("Wall32", 2), ("D8xC2", 3)]:
+        G = named_group(groups, name)
+        H = relabelled(G, seed)
+        phi = find_isomorphism(G, H)
+        assert phi is not None and phi.is_homomorphism() and phi.is_bijective()
+    # C4 x| C4 and Q8 x C2 share element orders and class sizes, so only
+    # the search itself can tell them apart
+    c4_c4 = _group_from_elements(
+        [(a, b) for a in range(4) for b in range(4)],
+        lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 4),
+        str, name="C4sdC4")
+    q8_c2 = named_group(groups, "Q8xC2")
+    assert sorted(map(len, c4_c4.conjugacy_classes())) == \
+        sorted(map(len, q8_c2.conjugacy_classes()))
+    assert sorted(c4_c4.element_order(x) for x in range(16)) == \
+        sorted(q8_c2.element_order(x) for x in range(16))
+    assert find_isomorphism(c4_c4, q8_c2) is None
+    assert find_isomorphism(groups("S3"), groups("C6")) is None
+
+
+def test_class_preserving_auts_certifies_inner(groups, monkeypatch):
+    # the trivial endomorphism is no automorphism, so Inn is not inside Aut_c
+    monkeypatch.setattr(groups_module, "_inner_automorphisms",
+                        lambda G: {tuple(range(G.order)), (0,) * G.order})
+    with pytest.raises(VerdictInconsistent):
+        class_preserving_auts(groups("S3"))

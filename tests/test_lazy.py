@@ -1,12 +1,20 @@
 import itertools
+import json
 from math import gcd
 
 import pytest
 
-from lazytwist.groups import OrderLimitExceeded, normal_abelian_subgroups
+from lazytwist.cli import main
+from lazytwist.groups import (
+    OrderLimitExceeded,
+    from_table,
+    normal_abelian_subgroups,
+)
 from lazytwist.fixtures import builtin_group
 from lazytwist.hopf import GTensor, r_from_form
 from lazytwist.lazy import (
+    _form_group_structure,
+    _pair_orbits,
     bg_element_order,
     bg_enumerate,
     bg_product,
@@ -15,7 +23,13 @@ from lazytwist.lazy import (
     invariant_orbit_dimension,
     lie_complex_check,
 )
-from tests_helpers import product_group
+from lazytwist.pontryagin import DualAction, alternating_forms, invariant_forms
+from tests_helpers import (
+    convolution_no_multiplicities,
+    named_group,
+    product_group,
+    relabelled,
+)
 
 
 def test_bg_sizes(groups):
@@ -280,3 +294,81 @@ def test_order_limit(groups):
         h2_compute(groups("Wr_3"), limit=64)
     with pytest.raises(OrderLimitExceeded):
         builtin_group("Wr_5")
+
+
+def test_has_no_multiplicities_matches_convolution(groups):
+    answers = {}
+    for name in [f"C{n}" for n in range(2, 9)] + [
+            "S3", "D8", "Q8", "A4", "S4", "Wall32", "C27sd", "D8xC2",
+            "Q8xC2xC2"]:
+        G = named_group(groups, name)
+        answers[name] = has_no_multiplicities(G)
+        assert answers[name] == convolution_no_multiplicities(
+            G, _pair_orbits(G)), name
+    assert set(answers.values()) == {True, False}
+
+
+def cayley_table_structure(forms):
+    """Invariant factors of a group of forms through its Cayley table: the
+    reference for _form_group_structure."""
+    index = {f.matrix: i for i, f in enumerate(forms)}
+    H = from_table([[index[f.mul(g).matrix] for g in forms] for f in forms])
+    return [d for _, d in H.whole_subgroup().abelian_structure()]
+
+
+def invariant_factors(cyclic_orders):
+    """Invariant factors of a product of cyclic groups: for each prime,
+    its powers sorted, then combined from the largest down."""
+    by_prime = {}
+    for d in cyclic_orders:
+        p = 2
+        while d > 1:
+            q = 1
+            while d % p == 0:
+                d //= p
+                q *= p
+            if q > 1:
+                by_prime.setdefault(p, []).append(q)
+            p += 1
+    rank = max((len(v) for v in by_prime.values()), default=0)
+    out = [1] * rank
+    for powers in by_prime.values():
+        for t, q in enumerate(sorted(powers, reverse=True)):
+            out[t] *= q
+    return sorted(out)
+
+
+def test_form_group_structure_closed_form():
+    # the alternating forms on the dual of prod Z/d_i are
+    # (+)_{i<j} Z/gcd(d_i, d_j)
+    for ds in [(2, 2, 2, 2, 2), (2, 4, 4), (6, 6), (3, 3, 3)]:
+        forms = alternating_forms(product_group(ds).whole_subgroup())
+        gcds = [gcd(ds[i], ds[j])
+                for i, j in itertools.combinations(range(len(ds)), 2)]
+        assert _form_group_structure(forms) == invariant_factors(gcds), ds
+
+
+def test_form_group_structure_matches_cayley_table(groups):
+    cases = [("Wr_3", groups("Wr_3")), ("C3", groups("C3")),
+             ("C27sd", groups("C27sd")), ("C3^3", product_group((3, 3, 3))),
+             ("C2x6x6", product_group((2, 6, 6)))]
+    for name, G in cases:
+        for A in normal_abelian_subgroups(G):
+            forms = invariant_forms(A, DualAction(G, A))
+            assert _form_group_structure(forms) == \
+                cayley_table_structure(forms), (name, A)
+
+
+def test_relabelling_invariance(groups, capsys):
+    for name in ["A4", "D8", "S4", "Wall32", "C27sd", "D8xC2", "S4xC2",
+                 "D8xS3"]:
+        G = named_group(groups, name)
+        outputs = []
+        for seed in [None, 1, 2]:
+            H = G if seed is None else relabelled(G, seed)
+            spec = json.dumps({"table": [list(r) for r in H.table],
+                               "name": name})
+            for cmd in ["h2", "autc"]:
+                assert main([cmd, spec]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0], name

@@ -1,9 +1,12 @@
 """Shared oracles for the test suite: abelian group types, subgroup
-lattices, character restriction."""
+lattices, character restriction, direct products and relabellings, and the
+brute-force automorphism and multiplicity checks the library replaced."""
 
 import itertools
+import random
 
 from lazytwist.fixtures import _group_from_elements
+from lazytwist.groups import FiniteGroup
 
 
 def abelian_types(order):
@@ -76,3 +79,78 @@ def restrict_character(chars_A, exponents, B):
         assert t * d % L == 0
         out.append(t * d // L % d)
     return tuple(out)
+
+
+def direct_product(*factors):
+    """Direct product of FiniteGroups, elements in lexicographic order."""
+    els = list(itertools.product(*(range(F.order) for F in factors)))
+    return _group_from_elements(
+        els, lambda a, b: tuple(F.table[x][y]
+                                for F, x, y in zip(factors, a, b)),
+        str, name="x".join(F.name for F in factors))
+
+
+def named_group(groups, name):
+    """A builtin group from the `groups` fixture, or the direct product of
+    builtins for a name like "D8xS3"."""
+    if "x" in name:
+        return direct_product(*(groups(f) for f in name.split("x")))
+    return groups(name)
+
+
+def relabelled(G, seed):
+    """G under a uniform random relabelling that keeps the identity at 0."""
+    rest = list(range(1, G.order))
+    random.Random(seed).shuffle(rest)
+    new_of = [0] + rest
+    old_of = [0] * G.order
+    for old, new in enumerate(new_of):
+        old_of[new] = old
+    table = [[new_of[G.table[old_of[a]][old_of[b]]] for b in range(G.order)]
+             for a in range(G.order)]
+    return FiniteGroup(table, name=G.name)
+
+
+def brute_force_homs(G, H, candidates):
+    """Image tuples of the bijective homomorphisms G -> H sending the i-th
+    generator of G into candidates[i]: every tuple of generator images is
+    extended along words and then checked on all |G|^2 products."""
+    gens = G.generating_set()
+    parent = {0: None}
+    queue = [0]
+    while queue:
+        cur = queue.pop(0)
+        for pos, g in enumerate(gens):
+            nxt = G.table[cur][g]
+            if nxt not in parent:
+                parent[nxt] = (cur, pos)
+                queue.append(nxt)
+    out = []
+    for images in itertools.product(*candidates):
+        im = [0] * G.order
+        for x in list(parent)[1:]:  # BFS order: each parent comes first
+            prev, pos = parent[x]
+            im[x] = H.table[im[prev]][images[pos]]
+        if sorted(im) != list(range(H.order)):
+            continue
+        if all(im[G.table[a][b]] == H.table[im[a]][im[b]]
+               for a in range(G.order) for b in range(G.order)):
+            out.append(tuple(im))
+    return sorted(out)
+
+
+def convolution_no_multiplicities(G, orbits):
+    """Whether the orbit sums of the given diagonal-conjugation orbits on
+    G x G commute, by convolving every pair in full."""
+    table = G.table
+
+    def convolve(s1, s2):
+        out = {}
+        for a in s1:
+            for b in s2:
+                t = (table[a[0]][b[0]], table[a[1]][b[1]])
+                out[t] = out.get(t, 0) + 1
+        return out
+
+    return all(convolve(orbits[i], orbits[j]) == convolve(orbits[j], orbits[i])
+               for i in range(len(orbits)) for j in range(i + 1, len(orbits)))
