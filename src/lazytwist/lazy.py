@@ -8,9 +8,9 @@ bounds, or an honest "undetermined".
 Pairs are compared by (socle elements, form matrix): the map
 (A, b) -> R(A, b) is injective, so this is the same equality as comparing
 bicharacter tensors.  Since R(A, b)^k = R(A, b^k), the order of a pair is
-the order of its form.  The tensor R(A, b) is built only where the group
-algebra is needed: the partial product `bg_product` and the Aut(G) orbit
-transport of rule R5.
+the order of its form.  The partial product and the Aut(G) orbits of rule
+R5 act on the forms too, by pushing them along homomorphisms of socles
+(R(B, psi_* b) = (psi x psi) R(A, b)), so no verdict builds R(A, b).
 """
 
 from __future__ import annotations
@@ -37,14 +37,17 @@ from .groups import (
 from .fixtures import symmetric
 from .pontryagin import (
     AltForm,
+    Character,
     DualAction,
+    _dual_matrix,
+    _lcm,
     alternating_forms,
     cocycle_from_form_odd,
     invariant_cocycle_search,
     invariant_forms,
     is_symmetric_type,
 )
-from .hopf import GTensor, form_from_r, r_from_form, socle
+from .hopf import r_from_form
 
 __all__ = [
     "BGElement",
@@ -77,8 +80,9 @@ class BGElement:
         return BGElement(A, AltForm.trivial(A))
 
     @functools.cached_property
-    def canonical_r(self) -> GTensor:
-        """The bicharacter tensor R(A, b), built on first use."""
+    def canonical_r(self):
+        """The bicharacter tensor R(A, b), built on first use.  No verdict
+        path builds it; it is there for callers comparing with tensors."""
         return r_from_form(self.subgroup, self.form)
 
     def key(self):
@@ -121,19 +125,29 @@ def bg_enumerate(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
     return out
 
 
+def _inclusion(A: Subgroup, C: Subgroup):
+    return _dual_matrix(A, C, lambda a: a)
+
+
 def bg_product(x: BGElement, y: BGElement, nas) -> Optional[BGElement]:
-    """Partial product: defined when one abelian normal subgroup contains
-    both socles; the result is re-minimized through its own socle."""
+    """Partial product: defined when one abelian normal subgroup C contains
+    both socles.  Both forms are pushed to the dual of C and multiplied
+    there; the product's socle D is the annihilator of its radical, and the
+    product descends to a non-degenerate form on the dual of D."""
     need = set(x.subgroup.elements) | set(y.subgroup.elements)
-    if not any(need <= set(C.elements) for C in nas):
+    C = next((C for C in nas if need <= set(C.elements)), None)
+    if C is None:
         return None
-    R = x.canonical_r.mul(y.canonical_r)
-    D = socle(R)
-    out = BGElement(D, form_from_r(D, R))
-    if out.canonical_r != R:
+    b = x.form.push(C, _inclusion(x.subgroup, C)).mul(
+        y.form.push(C, _inclusion(y.subgroup, C)))
+    radical = b.radical()
+    socle = tuple(sorted(set(C.elements).intersection(
+        *(Character(C, rho).kernel() for rho in radical))))
+    D = next((A for A in nas if A.elements == socle), None)
+    if D is None or D.order * len(radical) != C.order:
         raise VerdictInconsistent(
-            "product tensor is not the bicharacter of its socle form")
-    return out
+            "product socle is not the annihilator of its radical")
+    return BGElement(D, b.descend(D))
 
 
 def bg_element_order(x: BGElement, nas) -> int:
@@ -306,16 +320,16 @@ class H2Report:
         }
 
 
-def _form_group_structure(forms: list[AltForm]) -> list[int]:
-    """Invariant factors d1 | d2 | ... of a finite group of alternating forms.
+def _group_structure(orders: list[int]) -> Optional[list[int]]:
+    """Invariant factors d1 | d2 | ... of a finite abelian group with the
+    given element orders, or None when no group has these counts.
 
-    For a prime p, #{b : b^(p^k) = 1} / #{b : b^(p^(k-1)) = 1} is p to the
-    number of p-primary cyclic factors of order at least p^k; the t-th
-    largest invariant factor takes p once for each k at which that number
-    exceeds t.  Only the element orders are needed, not a Cayley table.
+    For a prime p, #{o : o | p^k} / #{o : o | p^(k-1)} is p to the number
+    of p-primary cyclic factors of order at least p^k; the t-th largest
+    invariant factor takes p once for each k at which that number exceeds
+    t.  Only the element orders are needed, not a Cayley table.
     """
-    orders = [f.order() for f in forms]
-    exponent = functools.reduce(lambda a, b: a * b // gcd(a, b), orders, 1)
+    exponent = _lcm(orders)
     factors: list[int] = []
     p = 2
     while exponent > 1:
@@ -329,7 +343,7 @@ def _form_group_structure(forms: list[AltForm]) -> list[int]:
                 q //= p
                 at_least += 1
             if below * p ** at_least != count:
-                raise VerdictInconsistent("form orders are not a group's")
+                return None
             factors.extend([1] * (at_least - len(factors)))
             for t in range(at_least):
                 factors[t] *= p
@@ -338,49 +352,23 @@ def _form_group_structure(forms: list[AltForm]) -> list[int]:
     return sorted(factors)
 
 
-def _abelian_order_multisets(order: int) -> list[tuple[int, ...]]:
-    """Element-order multisets of all abelian groups of the given order."""
+def _form_group_structure(forms: list[AltForm]) -> list[int]:
+    """Invariant factors of a finite group of alternating forms."""
+    factors = _group_structure([f.order() for f in forms])
+    if factors is None:
+        raise VerdictInconsistent("form orders are not a group's")
+    return factors
 
-    def factor(n):
-        out = {}
-        d = 2
-        while d * d <= n:
-            while n % d == 0:
-                out[d] = out.get(d, 0) + 1
-                n //= d
-            d += 1
-        if n > 1:
-            out[n] = out.get(n, 0) + 1
-        return out
 
-    def partitions(k):
-        if k == 0:
-            yield ()
-            return
-        for first in range(k, 0, -1):
-            for rest in partitions(k - first):
-                if not rest or first >= rest[0]:
-                    yield (first,) + rest
-
-    primes = factor(order)
-    per_prime = []
-    for p, k in primes.items():
-        choices = []
-        for part in partitions(k):
-            choices.append(tuple(p ** e for e in part))
-        per_prime.append(choices)
-    multisets = []
-    for combo in itertools.product(*per_prime):
-        factors = [d for group in combo for d in group]
-        orders = []
-        for tup in itertools.product(*(range(d) for d in factors)):
-            o = 1
-            for e, d in zip(tup, factors):
-                oo = d // gcd(e, d) if e else 1
-                o = o * oo // gcd(o, oo)
-            orders.append(o)
-        multisets.append(tuple(sorted(orders)))
-    return multisets
+def _is_abelian_orders(orders: list[int]) -> bool:
+    """True iff the element orders are those of an abelian group: the
+    group rebuilt from the invariant factors they imply has them."""
+    factors = _group_structure(orders)
+    if factors is None:
+        return False
+    rebuilt = [_lcm(d // gcd(e, d) for e, d in zip(tup, factors))
+               for tup in itertools.product(*(range(d) for d in factors))]
+    return sorted(rebuilt) == sorted(orders)
 
 
 def _structure_from_order_and_exponent(order, element_orders):
@@ -592,6 +580,15 @@ def _symmetric_degree(order: int) -> Optional[int]:
     return n if f == order and n >= 2 else None
 
 
+def _transport(x: BGElement, phi, nas_by_elements) -> BGElement:
+    """The pair (phi(A), b pushed along phi|A) for an automorphism phi;
+    phi(A) is looked up among the abelian normal subgroups by elements."""
+    B = nas_by_elements.get(tuple(sorted(phi(a) for a in x.subgroup.elements)))
+    if B is None:
+        raise VerdictInconsistent("automorphism left the pair set")
+    return BGElement(B, x.form.push(B, _dual_matrix(x.subgroup, B, phi)))
+
+
 def _candidate_image_sizes(G, bg, nas, witness_keys, limit):
     """Sizes of subsets of the socle-form pairs that could be the image of
     the socle-form map: automorphism-stable, closed under the partial
@@ -602,33 +599,18 @@ def _candidate_image_sizes(G, bg, nas, witness_keys, limit):
     except OrderLimitExceeded:
         return None
     by_key = {x.key(): i for i, x in enumerate(bg)}
+    nas_by_elements = {A.elements: A for A in nas}
     nontrivial = [i for i, x in enumerate(bg) if not x.is_trivial()]
-    # an automorphism carries a socle's basis to another basis of its image,
-    # so transported pairs are matched by tensor, not by form matrix
-    by_r = {bg[i].canonical_r.key(): i for i in nontrivial}
 
-    # orbits of Aut(G) on the non-trivial pairs, via transported tensors
-    orbit_of = {}
+    # orbits of Aut(G) on the non-trivial pairs, via transported forms
     orbits = []
     for i in nontrivial:
-        if i in orbit_of:
+        if any(i in orbit for orbit in orbits):
             continue
-        orbit = set()
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            if j in orbit:
-                continue
-            orbit.add(j)
-            for phi in auts:
-                moved = bg[j].canonical_r.apply_map(phi)
-                k = by_r.get(moved.key())
-                if k is None:
-                    raise VerdictInconsistent("automorphism left the pair set")
-                if k not in orbit:
-                    stack.append(k)
-        for j in orbit:
-            orbit_of[j] = len(orbits)
+        orbit = {by_key.get(_transport(bg[i], phi, nas_by_elements).key())
+                 for phi in auts}
+        if None in orbit:
+            raise VerdictInconsistent("automorphism left the pair set")
         orbits.append(sorted(orbit))
 
     inverse_of = {}
@@ -640,7 +622,6 @@ def _candidate_image_sizes(G, bg, nas, witness_keys, limit):
         inverse_of[i] = by_key[inv_key]
         order_of[i] = bg_element_order(bg[i], nas)
 
-    abelian_multisets = {}
     sizes = set()
     for pick in itertools.product((False, True), repeat=len(orbits)):
         chosen = {j for oi, take in enumerate(pick) if take
@@ -667,10 +648,6 @@ def _candidate_image_sizes(G, bg, nas, witness_keys, limit):
                 break
         if not ok:
             continue
-        size = 1 + len(chosen)
-        mset = tuple(sorted([1] + [order_of[i] for i in chosen]))
-        if size not in abelian_multisets:
-            abelian_multisets[size] = _abelian_order_multisets(size)
-        if mset in abelian_multisets[size]:
-            sizes.add(size)
+        if _is_abelian_orders([1] + [order_of[i] for i in chosen]):
+            sizes.add(1 + len(chosen))
     return sizes

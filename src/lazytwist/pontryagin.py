@@ -14,10 +14,12 @@ from math import gcd
 from typing import Optional
 
 from .cyclo import CycNum, root_of_unity
-from .groups import FiniteGroup, OrderLimitExceeded, Subgroup
+from .groups import (FiniteGroup, OrderLimitExceeded, Subgroup,
+                     VerdictInconsistent)
 
 __all__ = [
     "NotInSubgroup",
+    "NotNormalSubgroup",
     "EvenOrder",
     "Character",
     "AltForm",
@@ -37,6 +39,10 @@ __all__ = [
 
 
 class NotInSubgroup(ValueError):
+    pass
+
+
+class NotNormalSubgroup(ValueError):
     pass
 
 
@@ -135,10 +141,6 @@ class AltForm:
     def _orders(self):
         return [d for _, d in self.group.abelian_structure()]
 
-    def dual_exponent(self) -> int:
-        ds = self._orders()
-        return _lcm(ds) if ds else 1
-
     def value_exponent(self, rho, sigma) -> tuple[int, int]:
         """b(rho, sigma) as (t, L): zeta_L^t for exponent tuples rho, sigma."""
         ds = self._orders()
@@ -169,12 +171,6 @@ class AltForm:
             (i, j): -self.matrix[i][j]
             for i in range(r) for j in range(i + 1, r)})
 
-    def power(self, k: int) -> "AltForm":
-        r = len(self._orders())
-        return AltForm.from_upper(self.group, {
-            (i, j): k * self.matrix[i][j]
-            for i in range(r) for j in range(i + 1, r)})
-
     def order(self) -> int:
         ds = self._orders()
         out = 1
@@ -188,6 +184,42 @@ class AltForm:
 
     def is_trivial(self) -> bool:
         return all(not e for row in self.matrix for e in row)
+
+    def radical(self) -> list[tuple[int, ...]]:
+        """The characters rho with b(rho, .) = 1, as exponent tuples."""
+        ds = self._orders()
+        units = _units(len(ds))
+        return [rho for rho in itertools.product(*(range(d) for d in ds))
+                if all(self.value_exponent(rho, u)[0] == 0 for u in units)]
+
+    def push(self, B: Subgroup, rows) -> "AltForm":
+        """The form on the dual of B with value b(rows[i], rows[j]) on B's
+        dual generators i, j.  For rows = _dual_matrix(A, B, psi) it is
+        (chi, chi') -> b(chi o psi, chi' o psi), of tensor (psi x psi)R(A, b).
+        """
+        es = [e for _, e in B.abelian_structure()]
+        upper = {}
+        for i, j in itertools.combinations(range(len(es)), 2):
+            t, L = self.value_exponent(rows[i], rows[j])
+            m = gcd(es[i], es[j])
+            if t * m % L:
+                raise VerdictInconsistent("form value order mismatch")
+            upper[(i, j)] = t * m // L
+        return AltForm.from_upper(B, upper)
+
+    def descend(self, D: Subgroup) -> "AltForm":
+        """The form on the dual of D <= A whose push along D <= A is b, read
+        off lifts of D's dual generators; b must vanish on D's annihilator.
+        """
+        restrict = _dual_matrix(D, self.group, lambda a: a)
+        fs = [f for _, f in D.abelian_structure()]
+        lifts = {}
+        for rho in itertools.product(*(range(d) for d in self._orders())):
+            lifts.setdefault(_dual_apply(restrict, rho, fs), rho)
+        out = self.push(D, [lifts[u] for u in _units(len(fs))])
+        if out.push(self.group, restrict) != self:
+            raise VerdictInconsistent("form does not descend to the subgroup")
+        return out
 
     def to_json(self):
         basis = self.group.abelian_structure()
@@ -220,14 +252,7 @@ def alternating_forms(A: Subgroup, limit: int = 1 << 20) -> list[AltForm]:
 
 def is_nondegenerate(b: AltForm) -> bool:
     """True iff rho -> b(rho, .) is injective on the dual group."""
-    ds = [d for _, d in b.group.abelian_structure()]
-    duals = list(itertools.product(*(range(d) for d in ds)))
-    for rho in duals:
-        if not any(rho):
-            continue
-        if all(b.value_exponent(rho, sigma)[0] == 0 for sigma in duals):
-            return False
-    return True
+    return len(b.radical()) == 1
 
 
 def is_symmetric_type(A: Subgroup) -> bool:
@@ -239,64 +264,64 @@ def is_symmetric_type(A: Subgroup) -> bool:
     return all(ds[i] == ds[i + 1] for i in range(0, len(ds), 2))
 
 
+def _units(r: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of the r dual generators."""
+    return [tuple(int(k == i) for k in range(r)) for i in range(r)]
+
+
+def _dual_matrix(A: Subgroup, B: Subgroup, psi) -> tuple[tuple[int, ...], ...]:
+    """The dual map chi -> chi o psi of a homomorphism psi: A -> B given on
+    elements: row i is the image of B's i-th dual generator, in exponents
+    over A's dual generators."""
+    coords = B.element_coordinates()
+    es = [e for _, e in B.abelian_structure()]
+    basis = A.abelian_structure()
+    rows = [[0] * len(basis) for _ in es]
+    for j, (a, d) in enumerate(basis):
+        image = coords.get(psi(a))
+        if image is None:
+            raise NotInSubgroup(f"image of {a} not in the target subgroup")
+        # chi_i(psi(a)) = zeta_{e_i}^{c_i} has order dividing d = ord(a)
+        for i, (c, e) in enumerate(zip(image, es)):
+            if c * d % e:
+                raise VerdictInconsistent("character image order mismatch")
+            rows[i][j] = c * d // e % d
+    return tuple(tuple(row) for row in rows)
+
+
+def _dual_apply(rows, exponents, orders) -> tuple[int, ...]:
+    """A character's image under a dual matrix, reduced by target `orders`."""
+    return tuple(sum(x * row[j] for x, row in zip(exponents, rows)) % d
+                 for j, d in enumerate(orders))
+
+
 class DualAction:
     """The action of G on characters of a normal abelian subgroup,
     (g.chi)(a) = chi(g^-1 a g)."""
 
     def __init__(self, G: FiniteGroup, A: Subgroup):
-        assert A.parent is G
-        assert A.is_normal(), "dual action needs a normal subgroup"
+        if A.parent is not G:
+            raise NotNormalSubgroup("subgroup of another group")
+        if not A.is_normal():
+            raise NotNormalSubgroup("dual action needs a normal subgroup")
         self.G = G
         self.A = A
-        basis = A.abelian_structure()
-        self._basis = basis
-        L = _lcm([d for _, d in basis]) if basis else 1
-        self._L = L
-        coords = A.element_coordinates()
-        r = len(basis)
-        # per group element: matrix M with (g.chi)_j = sum_i chi_i M[i][j]
-        self._mats = []
-        for g in range(G.order):
-            ginv = G.inverses[g]
-            M = [[0] * r for _ in range(r)]
-            for j, (gen_j, dj) in enumerate(basis):
-                conj = G.table[G.table[ginv][gen_j]][g]
-                cc = coords[conj]
-                for i, (_, di) in enumerate(basis):
-                    # chi_i(conj) = zeta_{di}^{cc[i]} contributes to slot j
-                    t = cc[i] * (L // di)
-                    assert t * dj % L == 0, "character image order mismatch"
-                    M[i][j] = t * dj // L % dj
-            self._mats.append(M)
+        self._orders = [d for _, d in A.abelian_structure()]
+        # per group element g: the dual matrix of a -> g^-1 a g
+        self._mats = [_dual_matrix(A, A, lambda a, h=G.inverses[g]:
+                                   G.conjugate(h, a))
+                      for g in range(G.order)]
 
     def on_exponents(self, g: int, exponents) -> tuple[int, ...]:
-        basis = self._basis
-        M = self._mats[g]
-        return tuple(sum(exponents[i] * M[i][j] for i in range(len(basis))) % dj
-                     for j, (_, dj) in enumerate(basis))
+        return _dual_apply(self._mats[g], exponents, self._orders)
 
     def on_character(self, g: int, chi: Character) -> Character:
         return Character(self.A, self.on_exponents(g, chi.exponents))
 
     def on_form(self, g: int, b: AltForm) -> AltForm:
-        """The transported form (g.b)(rho, sigma) = b(g^-1.rho, g^-1.sigma)."""
-        basis = self._basis
-        r = len(basis)
-        ginv = self.G.inverses[g]
-        upper = {}
-        for i in range(r):
-            ei = [0] * r
-            ei[i] = 1
-            pre_i = self.on_exponents(ginv, ei)
-            for j in range(i + 1, r):
-                ej = [0] * r
-                ej[j] = 1
-                pre_j = self.on_exponents(ginv, ej)
-                t, L = b.value_exponent(pre_i, pre_j)
-                m = gcd(basis[i][1], basis[j][1])
-                assert t * m % L == 0, "transported form entry order mismatch"
-                upper[(i, j)] = t * m // L % m
-        return AltForm.from_upper(self.A, upper)
+        """The transported form (g.b)(rho, sigma) = b(g^-1.rho, g^-1.sigma):
+        the push along a -> g a g^-1."""
+        return b.push(self.A, self._mats[self.G.inverses[g]])
 
     def is_invariant_form(self, b: AltForm) -> bool:
         return all(self.on_form(g, b) == b for g in self.G.generating_set())
@@ -387,19 +412,17 @@ def cocycle_identity_holds(A: Subgroup, c: dict) -> bool:
 
 def cocycle_form(A: Subgroup, c: dict) -> AltForm:
     """The alternating form b(rho, sigma) = c(sigma, rho) / c(rho, sigma)."""
-    basis = A.abelian_structure()
-    ds = [d for _, d in basis]
-    r = len(ds)
+    ds = [d for _, d in A.abelian_structure()]
+    units = _units(len(ds))
     upper = {}
-    for i in range(r):
-        ei = tuple(1 if k == i else 0 for k in range(r))
-        for j in range(i + 1, r):
-            ej = tuple(1 if k == j else 0 for k in range(r))
-            v = c[(ej, ei)] / c[(ei, ej)]
-            m = gcd(ds[i], ds[j])
-            e = next((k for k in range(m) if root_of_unity(m, k) == v), None)
-            assert e is not None, "form value is not a root of unity of the right order"
-            upper[(i, j)] = e
+    for i, j in itertools.combinations(range(len(ds)), 2):
+        v = c[(units[j], units[i])] / c[(units[i], units[j])]
+        m = gcd(ds[i], ds[j])
+        e = next((k for k in range(m) if root_of_unity(m, k) == v), None)
+        if e is None:
+            raise VerdictInconsistent(
+                "form value is not a root of unity of the right order")
+        upper[(i, j)] = e
     return AltForm.from_upper(A, upper)
 
 

@@ -367,7 +367,7 @@ def test_r_from_form_examples(groups):
 
 def test_r_from_form_pullback_coherence_exhaustive():
     # restriction lemma on all abelian groups of order <= 16
-    from lazytwist.pontryagin import AltForm
+    from lazytwist.pontryagin import AltForm, _dual_matrix
     from tests_helpers import abelian_types, all_subgroups, product_group, restrict_character
 
     for order in range(1, 17):
@@ -395,6 +395,9 @@ def test_r_from_form_pullback_coherence_exhaustive():
                             upper[(i, j)] = t * m // L % m
                     pulled = AltForm.from_upper(A, upper)
                     assert r_from_form(B, bp) == r_from_form(A, pulled)
+                    # the same push through the dual map of B <= A
+                    inclusion = _dual_matrix(B, A, lambda a: a)
+                    assert bp.push(A, inclusion) == pulled
 
 
 def test_fourier(groups):

@@ -1,12 +1,16 @@
 import itertools
 import json
+import random
+import sys
 from math import gcd
 
 import pytest
 
-from lazytwist.cli import main
+from lazytwist import hopf, lazy
+from lazytwist.cli import _EXPECTED_SUITE, main
 from lazytwist.groups import (
     OrderLimitExceeded,
+    automorphism_group,
     from_table,
     normal_abelian_subgroups,
 )
@@ -14,7 +18,10 @@ from lazytwist.fixtures import builtin_group
 from lazytwist.hopf import GTensor, r_from_form
 from lazytwist.lazy import (
     _form_group_structure,
+    _group_structure,
+    _is_abelian_orders,
     _pair_orbits,
+    _transport,
     bg_element_order,
     bg_enumerate,
     bg_product,
@@ -25,10 +32,13 @@ from lazytwist.lazy import (
 )
 from lazytwist.pontryagin import DualAction, alternating_forms, invariant_forms
 from tests_helpers import (
+    abelian_order_multisets,
+    abelian_types,
     convolution_no_multiplicities,
     named_group,
     product_group,
     relabelled,
+    tensor_bg_product,
 )
 
 
@@ -55,7 +65,7 @@ def tensor_power_order(x, nas):
     reference for bg_element_order, which reads it off the form."""
     acc, k = x, 1
     while not acc.is_trivial():
-        acc = bg_product(acc, x, nas)
+        acc = tensor_bg_product(acc, x, nas)
         assert acc is not None, "powers on a fixed socle are always defined"
         k += 1
         assert k <= x.subgroup.order ** 2, "runaway element order"
@@ -158,6 +168,104 @@ def test_bg_product_independent_of_witness(groups):
                             upper[(i, j)] = t * m // L % m
                     via_c = r_from_form(C, AltForm.from_upper(C, upper))
                     assert via_c == direct.canonical_r
+
+
+def test_bg_product_matches_tensor_product(groups):
+    # the form path against tensors multiplied in k[G] x k[G], their socle
+    # and the form read back there: defined in the same places, same pairs
+    for name in ["A4", "D8", "V4", "S4", "Wr_3", "C27sd", "Wall32", "D8xC2",
+                 "Q8xC2xC2", "D8xS3"]:
+        G = named_group(groups, name)
+        nas = normal_abelian_subgroups(G)
+        bg = bg_enumerate(G, nas=nas)
+        defined = 0
+        for x in bg:
+            for y in bg:
+                direct = bg_product(x, y, nas)
+                oracle = tensor_bg_product(x, y, nas)
+                assert (direct is None) == (oracle is None), name
+                if direct is not None:
+                    defined += 1
+                    assert direct.key() == oracle.key(), name
+        assert defined >= 2 * len(bg) - 1, name
+
+
+def test_transport_matches_tensor_apply_map(groups):
+    # R(phi(A), b pushed along phi) = (phi x phi) R(A, b)
+    for name in ["A4", "S4", "D8xC2", "Wall32"]:
+        G = named_group(groups, name)
+        nas = normal_abelian_subgroups(G)
+        by_elements = {A.elements: A for A in nas}
+        tensors = {}
+        for x in bg_enumerate(G, nas=nas):
+            for phi in automorphism_group(G):
+                moved = _transport(x, phi, by_elements)
+                if moved.key() not in tensors:
+                    tensors[moved.key()] = moved.canonical_r
+                assert tensors[moved.key()] == x.canonical_r.apply_map(phi), \
+                    name
+
+
+def test_no_tensor_on_verdict_path(groups, capsys, monkeypatch):
+    # lazy holds no hopf name but r_from_form, for canonical_r only
+    assert {n for n, v in vars(lazy).items()
+            if getattr(v, "__module__", None) == "lazytwist.hopf"} \
+        == {"r_from_form"}
+    names = list(_EXPECTED_SUITE) + ["D8xC2", "Q8xC2xC2", "S4xC2"]
+    assert len(names) == 19
+
+    def h2_outputs():
+        out = {}
+        for name in names:
+            G = named_group(groups, name)
+            spec = json.dumps({"table": [list(r) for r in G.table],
+                               "name": name})
+            assert main(["h2", spec]) == 0
+            out[name] = capsys.readouterr().out
+        return out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tensor was built on the verdict path")
+
+    expected = h2_outputs()
+    holders = [(module, attr) for mod_name, module in list(sys.modules.items())
+               if mod_name.split(".")[0] == "lazytwist"
+               for attr, value in list(vars(module).items())
+               if value is hopf.r_from_form]
+    assert (lazy, "r_from_form") in holders
+    for module, attr in holders:
+        monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.setattr(hopf.GTensor, "mul", refuse)
+    assert h2_outputs() == expected
+
+
+def test_h2_cliff_groups_pinned(groups, capsys):
+    # reports recorded through the tensor partial product, pinned as an
+    # independent record of rule R5 on two groups with many pairs
+    tail = [
+        {"rule": "RW", "ref": "explicit invariant cocycles on the socle "
+                              "realize {} non-trivial socle-form pair(s) as "
+                              "twists"},
+        {"rule": "R4", "ref": "class-preserving outer automorphisms act "
+                              "freely on twist classes with orbit set inside "
+                              "the socle-form pairs"},
+        {"rule": "R5", "ref": "multiplicity-free tensor products force an "
+                              "abelian class group; the only automorphism-"
+                              "stable candidate image has this size"},
+    ]
+    for name, bg_size, order, structure, witnessed in [
+            ("D8xD8", 18, 2, [2], 1), ("C2xC2xD8", 24, 8, None, 7)]:
+        certificates = [dict(c) for c in tail]
+        certificates[0]["ref"] = certificates[0]["ref"].format(witnessed)
+        expected = {"group": name, "int_mod_inn": 1, "bg_size": bg_size,
+                    "order_bounds": [order, order], "exact_order": order,
+                    "structure": structure, "status": "exact",
+                    "certificates": certificates}
+        G = named_group(groups, name)
+        spec = json.dumps({"table": [list(r) for r in G.table], "name": name})
+        assert main(["h2", spec]) == 0
+        assert capsys.readouterr().out == \
+            json.dumps(expected, separators=(",", ":")) + "\n"
 
 
 def test_has_no_multiplicities(groups):
@@ -357,6 +465,30 @@ def test_form_group_structure_matches_cayley_table(groups):
             forms = invariant_forms(A, DualAction(G, A))
             assert _form_group_structure(forms) == \
                 cayley_table_structure(forms), (name, A)
+
+
+def test_abelian_orders_match_enumerator():
+    # every abelian group's element orders are recognised with its type,
+    # and perturbed multisets are recognised exactly when the enumerator
+    # of all abelian groups of that order lists them
+    rng = random.Random(5)
+    for order in range(1, 65):
+        divisors = [d for d in range(1, order + 1) if order % d == 0]
+        realizable = set(abelian_order_multisets(order))
+        for ds, mset in zip(abelian_types(order),
+                            abelian_order_multisets(order)):
+            assert _is_abelian_orders(list(mset)), ds
+            assert _group_structure(list(mset)) == invariant_factors(ds), ds
+            for _ in range(10):
+                orders = list(mset)
+                orders[rng.randrange(1, order) if order > 1 else 0] = \
+                    rng.choice(divisors)
+                assert _is_abelian_orders(orders) == \
+                    (tuple(sorted(orders)) in realizable), orders
+        for _ in range(20):
+            orders = [1] + [rng.choice(divisors) for _ in range(order - 1)]
+            assert _is_abelian_orders(orders) == \
+                (tuple(sorted(orders)) in realizable), orders
 
 
 def test_relabelling_invariance(groups, capsys):

@@ -3,13 +3,16 @@ import itertools
 import pytest
 
 from lazytwist.cyclo import CycNum, root_of_unity
-from lazytwist.groups import normal_abelian_subgroups
+from lazytwist.groups import VerdictInconsistent, normal_abelian_subgroups
 from lazytwist.fixtures import builtin_group
+from lazytwist.hopf import r_from_form
 from lazytwist.pontryagin import (
     AltForm,
     DualAction,
     NotInSubgroup,
+    NotNormalSubgroup,
     EvenOrder,
+    _dual_matrix,
     alternating_forms,
     characters,
     cocycle_form,
@@ -167,6 +170,20 @@ def test_is_nondegenerate(groups):
     assert is_nondegenerate(AltForm.trivial(triv))
 
 
+def test_radical_against_all_pairings():
+    from tests_helpers import abelian_types, product_group
+    for order in range(1, 17):
+        for ds in abelian_types(order):
+            A = product_group(ds).whole_subgroup()
+            duals = list(itertools.product(
+                *(range(d) for _, d in A.abelian_structure())))
+            for b in alternating_forms(A):
+                assert b.radical() == [
+                    rho for rho in duals
+                    if all(b.value_exponent(rho, sigma)[0] == 0
+                           for sigma in duals)], (ds, b.matrix)
+
+
 def test_is_symmetric_type(groups):
     assert is_symmetric_type(groups("V4").whole_subgroup())
     assert not is_symmetric_type(groups("C4").whole_subgroup())
@@ -217,6 +234,65 @@ def test_dual_action_is_by_automorphisms(groups):
             for y in chars:
                 assert act.on_character(g, x.mul(y)).exponents == \
                     act.on_character(g, x).mul(act.on_character(g, y)).exponents
+
+
+def test_on_form_matches_conjugated_tensor(groups):
+    # g.b is the push along a -> g a g^-1, so its bicharacter tensor is
+    # R(A, b) conjugated diagonally by g; on C2^3 inside A4xC2 the action
+    # on forms tells g from g^-1
+    from tests_helpers import named_group
+    for name in ["A4", "D8", "S4", "C27sd", "A4xC2"]:
+        G = named_group(groups, name)
+        for A in normal_abelian_subgroups(G):
+            if A.order > 9:
+                continue
+            act = DualAction(G, A)
+            for b in alternating_forms(A):
+                R = r_from_form(A, b)
+                for g in range(G.order):
+                    assert r_from_form(A, act.on_form(g, b)) == \
+                        R.conjugate_diagonal(g), (name, A, g)
+
+
+def test_dual_action_rejects_bad_subgroups(groups):
+    V = _klein_in(groups)
+    with pytest.raises(NotNormalSubgroup):
+        DualAction(builtin_group("A4"), V)
+    S3 = groups("S3")
+    transposition = next(x for x in range(S3.order)
+                         if S3.element_order(x) == 2)
+    with pytest.raises(NotNormalSubgroup):
+        DualAction(S3, S3.subgroup({transposition}))
+
+
+def test_dual_maps_check_orders(groups):
+    # a generator of order 2 sent to one of order 4 is not a homomorphism
+    C2, C4 = groups("C2").whole_subgroup(), groups("C4").whole_subgroup()
+    gen4 = C4.abelian_structure()[0][0]
+    with pytest.raises(VerdictInconsistent):
+        _dual_matrix(C2, C4, lambda a: gen4 if a else 0)
+    with pytest.raises(NotInSubgroup):
+        _dual_matrix(C4, C4.parent.subgroup({C4.parent.table[gen4][gen4]}),
+                     lambda a: a)
+    # a form with values of order 3 has no push to a dual of exponent 2
+    C3xC3 = next(s for s in normal_abelian_subgroups(groups("C27sd"))
+                 if s.order == 9)
+    b = next(f for f in alternating_forms(C3xC3) if not f.is_trivial())
+    V4 = groups("V4").whole_subgroup()
+    with pytest.raises(VerdictInconsistent):
+        b.push(V4, [(1, 0), (0, 1)])
+    # a non-degenerate form does not descend to a proper subgroup
+    b = next(f for f in alternating_forms(V4) if not f.is_trivial())
+    with pytest.raises(VerdictInconsistent):
+        b.descend(V4.parent.subgroup({V4.elements[1]}))
+
+
+def test_cocycle_form_rejects_non_roots(groups):
+    V = groups("V4").whole_subgroup()
+    one = CycNum.one()
+    c = {((1, 0), (0, 1)): one, ((0, 1), (1, 0)): CycNum.rational(2)}
+    with pytest.raises(VerdictInconsistent):
+        cocycle_form(V, c)
 
 
 def test_cocycle_from_form_odd(groups):

@@ -1,12 +1,16 @@
 """Shared oracles for the test suite: abelian group types, subgroup
 lattices, character restriction, direct products and relabellings, and the
-brute-force automorphism and multiplicity checks the library replaced."""
+brute-force automorphism, multiplicity, abelian-type and tensor-product
+checks the library replaced."""
 
 import itertools
 import random
+from math import gcd
 
 from lazytwist.fixtures import _group_from_elements
 from lazytwist.groups import FiniteGroup
+from lazytwist.hopf import form_from_r, socle
+from lazytwist.lazy import BGElement
 
 
 def abelian_types(order):
@@ -42,6 +46,22 @@ def abelian_types(order):
     for combo in itertools.product(*per):
         out.append(tuple(sorted(d for grp in combo for d in grp)))
     return out or [()]
+
+
+def abelian_order_multisets(order):
+    """Sorted element orders of every abelian group of the given order, one
+    tuple per isomorphism type."""
+    out = []
+    for ds in abelian_types(order):
+        orders = []
+        for tup in itertools.product(*(range(d) for d in ds)):
+            o = 1
+            for e, d in zip(tup, ds):
+                oo = d // gcd(e, d)
+                o = o * oo // gcd(o, oo)
+            orders.append(o)
+        out.append(tuple(sorted(orders)))
+    return out
 
 
 def product_group(ds):
@@ -154,3 +174,17 @@ def convolution_no_multiplicities(G, orbits):
 
     return all(convolve(orbits[i], orbits[j]) == convolve(orbits[j], orbits[i])
                for i in range(len(orbits)) for j in range(i + 1, len(orbits)))
+
+
+def tensor_bg_product(x, y, nas):
+    """Partial product of socle-form pairs through group-algebra tensors:
+    R(A, b) R(A', b') in k[G] x k[G], its socle, and the form read back on
+    that socle.  None when no abelian normal subgroup holds both socles."""
+    need = set(x.subgroup.elements) | set(y.subgroup.elements)
+    if not any(need <= set(C.elements) for C in nas):
+        return None
+    R = x.canonical_r.mul(y.canonical_r)
+    D = socle(R)
+    out = BGElement(D, form_from_r(D, R))
+    assert out.canonical_r == R, "product tensor is not a bicharacter"
+    return out
