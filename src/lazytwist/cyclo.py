@@ -14,6 +14,7 @@ from math import gcd
 
 __all__ = [
     "CycNum",
+    "CyclotomicInconsistent",
     "DivisionByZero",
     "NotOddRoot",
     "cyc_arith",
@@ -29,6 +30,10 @@ class DivisionByZero(ZeroDivisionError):
 
 class NotOddRoot(ValueError):
     pass
+
+
+class CyclotomicInconsistent(ArithmeticError):
+    """An internal invariant of the normal form failed."""
 
 
 def _divisors(n: int) -> list[int]:
@@ -60,7 +65,8 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
         if c:
             for j, dj in enumerate(den):
                 num[i + j] -= c * dj
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if any(num):
+        raise CyclotomicInconsistent("non-exact polynomial division")
     return quot
 
 
@@ -136,8 +142,6 @@ def _rewrite_to_subfield(n: int, m: int, coeffs: dict[int, Fraction]) -> dict[in
     rows = [[Fraction(basis[i][r]) for i in range(phi_m)] + [coeffs.get(r, Fraction(0))]
             for r in range(phi_n)]
     sol: dict[int, Fraction] = {}
-    pivot_rows = []
-    col = 0
     r = 0
     pivots = []
     for col in range(phi_m):
@@ -146,7 +150,8 @@ def _rewrite_to_subfield(n: int, m: int, coeffs: dict[int, Fraction]) -> dict[in
             if rows[i][col]:
                 pr = i
                 break
-        assert pr is not None, "subfield rewrite lost rank"
+        if pr is None:
+            raise CyclotomicInconsistent("subfield rewrite lost rank")
         rows[r], rows[pr] = rows[pr], rows[r]
         pv = rows[r][col]
         rows[r] = [c / pv for c in rows[r]]
@@ -157,7 +162,8 @@ def _rewrite_to_subfield(n: int, m: int, coeffs: dict[int, Fraction]) -> dict[in
         pivots.append((r, col))
         r += 1
     for rr in range(r, phi_n):
-        assert not rows[rr][phi_m], "element not in claimed subfield"
+        if rows[rr][phi_m]:
+            raise CyclotomicInconsistent("element not in claimed subfield")
     for rr, cc in pivots:
         v = rows[rr][phi_m]
         if v:
@@ -318,7 +324,8 @@ class CycNum:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        assert _poly_deg(r1) == 0 and r1[0], "cyclotomic polynomial not coprime"
+        if _poly_deg(r1) != 0 or not r1[0]:
+            raise CyclotomicInconsistent("cyclotomic polynomial not coprime")
         g = r1[0]
         u = {e: c / g for e, c in enumerate(s1) if c}
         return CycNum(self.n, u)
@@ -374,7 +381,10 @@ class CycNum:
 
     @staticmethod
     def from_json(obj) -> CycNum:
-        return CycNum(int(obj["n"]),
+        n = int(obj["n"])
+        if n < 1:
+            raise ValueError("conductor must be positive")
+        return CycNum(n,
                       {int(e): Fraction(s) for e, s in obj["terms"]})
 
 

@@ -5,6 +5,10 @@ cyclotomic coefficients on tuples of element indices.  Inversion works
 inside the subalgebra spanned by the subgroup generated by the support:
 Fourier inversion when that subgroup is abelian, a dense linear solve
 otherwise.
+
+Every Fourier sum goes through one character-sum routine: character values
+come from an integer exponent table, terms are added as exponent counts
+over one root of unity, and each output value is normalized once.
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .cyclo import CycNum, root_of_unity
 from .groups import FiniteGroup, OrderLimitExceeded, Subgroup
-from .pontryagin import AltForm, Character, DualAction, characters, is_nondegenerate
+from .pontryagin import (AltForm, Character, DualAction,
+                         cocycle_identity_holds, is_nondegenerate)
 
 __all__ = [
     "DegreeMismatch",
@@ -26,6 +31,7 @@ __all__ = [
     "NotACocycle",
     "NotSupported",
     "ThetaContractViolated",
+    "MalformedTensor",
     "GTensor",
     "ThetaValue",
     "tensor_mul",
@@ -84,6 +90,15 @@ class ThetaContractViolated(RuntimeError):
     pass
 
 
+class MalformedTensor(ValueError):
+    pass
+
+
+def _check_degree(x: "GTensor", degree: int):
+    if x.degree != degree:
+        raise DegreeMismatch(f"degree {x.degree}, expected {degree}")
+
+
 class GTensor:
     """Sparse element of k[G]^(tensor degree); zero coefficients never stored."""
 
@@ -97,7 +112,8 @@ class GTensor:
             if not isinstance(c, CycNum):
                 c = CycNum.rational(c)
             if not c.is_zero():
-                assert len(tup) == degree
+                if len(tup) != degree:
+                    raise DegreeMismatch(f"term {tup} in degree {degree}")
                 clean[tuple(tup)] = c
         self.terms = clean
 
@@ -178,7 +194,7 @@ class GTensor:
         return GTensor(self.group, self.degree, out)
 
     def flip(self) -> "GTensor":
-        assert self.degree == 2
+        _check_degree(self, 2)
         return GTensor(self.group, 2,
                        {(b, a): c for (a, b), c in self.terms.items()})
 
@@ -223,16 +239,6 @@ class GTensor:
     def supported_in(self, A: Subgroup) -> bool:
         return all(a in A for a in self.support_elements())
 
-    def eval_characters(self, chars) -> CycNum:
-        """(chi_1 x ... x chi_d)(T) for characters of subgroups of G."""
-        total = CycNum.zero()
-        for t, c in self.terms.items():
-            v = c
-            for chi, a in zip(chars, t):
-                v = v * chi.eval(a)
-            total = total + v
-        return total
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self, group_name=None):
@@ -243,10 +249,21 @@ class GTensor:
 
     @staticmethod
     def from_json(obj, group: FiniteGroup) -> "GTensor":
-        return GTensor(group, int(obj["degree"]),
-                       {tuple(int(i) for i in item["g"]):
-                        CycNum.from_json(item["c"])
-                        for item in obj["terms"]})
+        """Read a tensor file: `degree` indices in range(|G|) per term."""
+        degree, n = obj["degree"], group.order
+        if type(degree) is not int or degree < 1:
+            raise MalformedTensor(f"degree {degree!r} is not positive")
+        terms = {}
+        for item in obj["terms"]:
+            t = item["g"]
+            if not isinstance(t, list) or len(t) != degree or not all(
+                    type(i) is int and 0 <= i < n for i in t):
+                raise MalformedTensor(
+                    f"term {t!r} needs {degree} indices in range({n})")
+            if tuple(t) in terms:
+                raise MalformedTensor(f"term {t!r} is listed twice")
+            terms[tuple(t)] = CycNum.from_json(item["c"])
+        return GTensor(group, degree, terms)
 
 
 def tensor_mul(x: GTensor, y: GTensor) -> GTensor:
@@ -299,27 +316,16 @@ def tensor_inv(x: GTensor) -> GTensor:
 
 
 def _fourier_invert(H: FiniteGroup, coeffs):
-    A = H.whole_subgroup()
-    chars = characters(A)
-    n = H.order
-    hat = []
-    for chi in chars:
-        v = CycNum.zero()
-        for a, c in enumerate(coeffs):
-            if not c.is_zero():
-                v = v + c * chi.eval(a)
-        if v.is_zero():
-            return None
-        hat.append(v.inv())
-    scale = CycNum.rational(Fraction(1, n))
-    out = []
-    for a in range(n):
-        v = CycNum.zero()
-        ainv = H.inverses[a]
-        for chi, hv in zip(chars, hat):
-            v = v + hv * chi.eval(ainv)
-        out.append(v * scale)
-    return out
+    L, E = table = _char_table(H.whole_subgroup())
+    hat = _evaluate({(a,): c for a, c in enumerate(coeffs) if not c.is_zero()},
+                    table, [(s,) for s in E])
+    if any(v.is_zero() for v in hat):
+        return None
+    M, raws = _lift([v.inv() for v in hat], L)
+    return [CycNum(M, _accumulate(((raw, -Es[a])
+                                   for raw, Es in zip(raws, E.values())),
+                                  L, M, Fraction(1, H.order)))
+            for a in range(H.order)]
 
 
 def _dense_invert(H: FiniteGroup, coeffs):
@@ -364,12 +370,12 @@ def _dense_invert(H: FiniteGroup, coeffs):
 
 
 def coproduct(x: GTensor) -> GTensor:
-    assert x.degree == 1
+    _check_degree(x, 1)
     return GTensor(x.group, 2, {(t[0], t[0]): c for t, c in x.terms.items()})
 
 
 def counit(x: GTensor) -> CycNum:
-    assert x.degree == 1
+    _check_degree(x, 1)
     total = CycNum.zero()
     for c in x.terms.values():
         total = total + c
@@ -377,7 +383,7 @@ def counit(x: GTensor) -> CycNum:
 
 
 def antipode(x: GTensor) -> GTensor:
-    assert x.degree == 1
+    _check_degree(x, 1)
     inv = x.group.inverses
     return GTensor(x.group, 1, {(inv[t[0]],): c for t, c in x.terms.items()})
 
@@ -390,7 +396,7 @@ def delta1(a: GTensor) -> GTensor:
 
 def _coproduct_leg(F: GTensor, which: int) -> GTensor:
     # (Delta x id)(F) for which=0, (id x Delta)(F) for which=1
-    assert F.degree == 2
+    _check_degree(F, 2)
     if which == 0:
         return GTensor(F.group, 3,
                        {(g, g, h): c for (g, h), c in F.terms.items()})
@@ -462,7 +468,7 @@ def r_matrix(F: GTensor) -> GTensor:
 
 def drinfeld_element(R: GTensor) -> GTensor:
     """u_R = sum S(t_i) s_i over the terms s_i x t_i of R."""
-    assert R.degree == 2
+    _check_degree(R, 2)
     G = R.group
     out: dict = {}
     for (s, t), c in R.terms.items():
@@ -511,26 +517,26 @@ def theta(F: GTensor) -> ThetaValue:
 
 def form_from_r(A: Subgroup, R: GTensor) -> AltForm:
     """Read b(sigma, tau) = (sigma x tau)(R) off the dual generators."""
+    if R.degree != 2 or not R.supported_in(A):
+        raise NotSupported("tensor not supported in the subgroup square")
     basis = A.abelian_structure()
-    chars = characters(A)
-    by_exp = {chi.exponents: chi for chi in chars}
     r = len(basis)
+    unit = [tuple(int(k == i) for k in range(r)) for i in range(r)]
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    values = _evaluate(R.terms, _char_table(A),
+                       [(unit[i], unit[j]) for i, j in pairs])
     upper = {}
-    for i in range(r):
-        ei = tuple(1 if k == i else 0 for k in range(r))
-        for j in range(i + 1, r):
-            ej = tuple(1 if k == j else 0 for k in range(r))
-            v = R.eval_characters((by_exp[ei], by_exp[ej]))
-            m = gcd(basis[i][1], basis[j][1])
-            e = next((k for k in range(m) if root_of_unity(m, k) == v), None)
-            if e is None:
-                raise ThetaContractViolated(
-                    "pairing value is not a root of unity of the right order")
-            upper[(i, j)] = e
+    for (i, j), v in zip(pairs, values):
+        m = gcd(basis[i][1], basis[j][1])
+        e = next((k for k in range(m) if root_of_unity(m, k) == v), None)
+        if e is None:
+            raise ThetaContractViolated(
+                "pairing value is not a root of unity of the right order")
+        upper[(i, j)] = e
     return AltForm.from_upper(A, upper)
 
 
-# -- idempotents, cocycle dictionary, Fourier ---------------------------------
+# -- idempotents, character sums, cocycle dictionary, Fourier -----------------
 
 
 def idempotent(A: Subgroup, chi: Character) -> GTensor:
@@ -541,118 +547,101 @@ def idempotent(A: Subgroup, chi: Character) -> GTensor:
                           for a in A.elements})
 
 
-def _dual_tables(A: Subgroup):
-    basis = A.abelian_structure()
-    ds = [d for _, d in basis]
-    duals = list(itertools.product(*(range(d) for d in ds)))
-    chars = {exps: Character(A, exps) for exps in duals}
-    return ds, duals, chars
+def _char_table(A: Subgroup):
+    """(L, E) for the abelian subgroup A of exponent L: chi_s(a) =
+    zeta_L^E[s][a] for every dual exponent tuple s (the keys of E, in
+    lexicographic order) and every a in A."""
+    ds = [d for _, d in A.abelian_structure()]
+    E = {}
+    for s in itertools.product(*(range(d) for d in ds)):
+        chi = Character(A, s)
+        E[s] = {a: chi.value_exponent(a)[0] for a in A.elements}
+    return lcm(*ds), E
+
+
+def _lift(values, L: int):
+    """(M, the values as raw exponent dicts {e: q} over zeta_M), M = lcm of
+    L and the conductors of the values."""
+    M = lcm(L, *(v.n for v in values))
+    return M, [{k * (M // v.n): q for k, q in v.coeffs.items()}
+               for v in values]
+
+
+def _accumulate(terms, L: int, M: int, scale=1) -> dict:
+    """scale * sum of raw * zeta_L^e over the (raw, e) pairs, for raw
+    exponent dicts over zeta_M: integer exponent arithmetic, so a caller
+    normalizes once per output value, through CycNum(M, result)."""
+    t = M // L
+    acc: dict = {}
+    for raw, e in terms:
+        for k, q in raw.items():
+            k = (k + e * t) % M
+            acc[k] = acc.get(k, 0) + q
+    return {k: q * scale for k, q in acc.items() if q}
+
+
+def _evaluate(terms: dict, table, at) -> list[CycNum]:
+    """(chi_s1 x ... x chi_sd)(T) for T = sum of v * t over the terms
+    {t: v}, at each tuple (s1, ..., sd) of dual exponent tuples in at."""
+    L, E = table
+    M, raws = _lift(terms.values(), L)
+    lifted = list(zip(raws, terms))
+    return [CycNum(M, _accumulate(
+        ((raw, sum(E[s][a] for s, a in zip(ss, t))) for raw, t in lifted),
+        L, M)) for ss in at]
+
+
+def _from_dual_square(A: Subgroup, table, c: dict, M: int) -> GTensor:
+    """sum c(rho, sigma) e_rho x e_sigma over the dual of A, for c given as
+    raw exponent dicts over zeta_M, in two one-dimensional stages."""
+    L, E = table
+    # stage[g][sigma] = sum_rho c(rho, sigma) rho(g^-1)
+    stage = {g: {sigma: _accumulate(((c[(rho, sigma)], -E[rho][g])
+                                     for rho in E), L, M)
+                 for sigma in E}
+             for g in A.elements}
+    scale = Fraction(1, A.order * A.order)
+    return GTensor(A.parent, 2, {
+        (g, h): CycNum(M, _accumulate(((raw, -E[sigma][h])
+                                       for sigma, raw in stage[g].items()),
+                                      L, M, scale))
+        for g in A.elements for h in A.elements})
 
 
 def twist_from_cocycle(A: Subgroup, c: dict) -> GTensor:
     """F = sum c(rho, sigma) e_rho x e_sigma over the dual of A."""
-    from .pontryagin import cocycle_identity_holds
-
     if not cocycle_identity_holds(A, c):
         raise NotACocycle("table fails normalization or the cocycle identity")
-    G = A.parent
-    ds, duals, chars = _dual_tables(A)
-    inv = G.inverses
-    # stage 1: T[g][sigma] = sum_rho c(rho, sigma) rho(g^-1)
-    stage = {}
-    for g in A.elements:
-        row = {}
-        for sigma in duals:
-            v = CycNum.zero()
-            for rho in duals:
-                v = v + c[(rho, sigma)] * chars[rho].eval(inv[g])
-            row[sigma] = v
-        stage[g] = row
-    scale = CycNum.rational(Fraction(1, A.order * A.order))
-    terms = {}
-    for g in A.elements:
-        for h in A.elements:
-            v = CycNum.zero()
-            for sigma in duals:
-                v = v + stage[g][sigma] * chars[sigma].eval(inv[h])
-            v = v * scale
-            if not v.is_zero():
-                terms[(g, h)] = v
-    return GTensor(G, 2, terms)
+    table = _char_table(A)
+    M, raws = _lift(c.values(), table[0])
+    return _from_dual_square(A, table, dict(zip(c, raws)), M)
 
 
 def cocycle_from_twist(A: Subgroup, F: GTensor) -> dict:
     """c(rho, sigma) = (rho x sigma)(F) for a twist supported in k[A] x k[A]."""
     if F.degree != 2 or not F.supported_in(A):
         raise NotSupported("tensor not supported in the subgroup square")
-    _, duals, chars = _dual_tables(A)
-    return {(rho, sigma): F.eval_characters((chars[rho], chars[sigma]))
-            for rho in duals for sigma in duals}
+    table = _char_table(A)
+    pairs = list(itertools.product(table[1], repeat=2))
+    return dict(zip(pairs, _evaluate(F.terms, table, pairs)))
 
 
 def r_from_form(A: Subgroup, b: AltForm) -> GTensor:
-    """R(A, b) = sum b(sigma, tau) e_sigma x e_tau.
-
-    Every summand is a root of unity, so the double character sum is
-    accumulated as integer exponent counts and materialized once per cell.
-    """
-    G = A.parent
-    ds, duals, _ = _dual_tables(A)
-    coords = A.element_coordinates()
-    L = 1
-    for d in ds:
-        L = L * d // gcd(L, d)
-    inv = G.inverses
-    weights = [L // d for d in ds]
-
-    def chi_exp(sigma, x):
-        cx = coords[x]
-        return sum(s * c * w for s, c, w in zip(sigma, cx, weights)) % L
-
-    bexp = {}
-    for sigma in duals:
-        for tau in duals:
-            t, LL = b.value_exponent(sigma, tau)
-            bexp[(sigma, tau)] = t * (L // LL) % L
-
-    stage = {}
-    for g in A.elements:
-        ginv = inv[g]
-        for tau in duals:
-            counts = [0] * L
-            for sigma in duals:
-                counts[(bexp[(sigma, tau)] + chi_exp(sigma, ginv)) % L] += 1
-            stage[(g, tau)] = counts
-
-    scale = Fraction(1, A.order * A.order)
-    terms = {}
-    for g in A.elements:
-        for h in A.elements:
-            hinv = inv[h]
-            total = [0] * L
-            for tau in duals:
-                ct = chi_exp(tau, hinv)
-                cv = stage[(g, tau)]
-                for e in range(L):
-                    if cv[e]:
-                        total[(e + ct) % L] += cv[e]
-            v = CycNum(L, {e: k * scale for e, k in enumerate(total) if k})
-            if not v.is_zero():
-                terms[(g, h)] = v
-    return GTensor(G, 2, terms)
+    """R(A, b) = sum b(sigma, tau) e_sigma x e_tau, on integer counts of
+    the exponents of the roots of unity b(sigma, tau)."""
+    L, E = table = _char_table(A)
+    c = {}
+    for pair in itertools.product(E, repeat=2):
+        t, LL = b.value_exponent(*pair)
+        c[pair] = {t * (L // LL) % L: 1}
+    return _from_dual_square(A, table, c, L)
 
 
 def fourier(A: Subgroup, x: GTensor) -> dict:
     """Fourier table chi -> sum lambda_g chi(g^-1) on the dual of A."""
     if x.degree != 1 or not x.supported_in(A):
         raise NotSupported("tensor not supported in the subgroup")
-    G = A.parent
-    _, duals, chars = _dual_tables(A)
-    out = {}
-    for exps in duals:
-        chi = chars[exps]
-        v = CycNum.zero()
-        for (g,), c in x.terms.items():
-            v = v + c * chi.eval(G.inverses[g])
-        out[exps] = v
-    return out
+    table = _char_table(A)
+    # sum lambda_g chi(g^-1) is chi evaluated on the antipode of x
+    return dict(zip(table[1], _evaluate(antipode(x).terms, table,
+                                        [(s,) for s in table[1]])))

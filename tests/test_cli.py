@@ -82,17 +82,62 @@ def test_inline_json_longer_than_a_file_name(capsys):
     assert code == 2 and "not found" in err
 
 
-def test_paper_suite_survives_optimize():
-    # python -O strips asserts; the verdict checks must not depend on them
+def run_cli_process(*argv, optimize=False, timeout=120):
+    """The CLI in a fresh interpreter, under python -O if asked."""
     src = Path(lazytwist.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "lazytwist.cli", "paper-suite"],
-        capture_output=True, text=True, env=env, timeout=120)
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "lazytwist.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_paper_suite_survives_optimize():
+    # python -O strips asserts; the verdict checks must not depend on them
+    proc = run_cli_process("paper-suite", optimize=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["summary"]["failed"] == []
+
+
+def test_twist_commands_survive_optimize(capsys):
+    for group, tensor in [("A4", "A4_twist"), ("Wall32", "Wall_F")]:
+        for cmd in ["twist-verify", "twist-theta"]:
+            code, out, _ = run_cli(capsys, cmd, group, tensor)
+            assert code == 0
+            proc = run_cli_process(cmd, group, tensor, optimize=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == out, (cmd, tensor)
+
+
+def test_malformed_tensor_files_exit_2(tmp_path):
+    # a malformed tensor file is an input error, also under python -O
+    # where no assert guards the tensor code
+    good = json.loads(
+        (Path(lazytwist.__file__).parent / "data" / "A4_twist.json")
+        .read_text())
+    one = {"n": 1, "terms": [[0, "1"]]}
+    cases = {
+        "one-index": {"g": [3], "c": one},
+        "index-12": {"g": [12, 0], "c": one},
+        "index-minus-1": {"g": [-1, 0], "c": one},
+        "index-not-int": {"g": [1.5, 0], "c": one},
+        "conductor-0": {"g": [1, 0], "c": {"n": 0, "terms": [[0, "1"]]}},
+        "listed-twice": dict(good["terms"][0]),
+    }
+    for name, term in cases.items():
+        bad = dict(good, terms=good["terms"] + [term])
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad))
+        for optimize in (False, True):
+            proc = run_cli_process("twist-verify", "A4", str(path),
+                                   optimize=optimize, timeout=60)
+            assert proc.returncode == 2, (name, optimize, proc.stderr)
+            assert proc.stderr.startswith("error: "), (name, proc.stderr)
+    path = tmp_path / "degree.json"
+    path.write_text(json.dumps(dict(good, degree="2")))
+    assert main(["twist-verify", "A4", str(path)]) == 2
 
 
 def test_error_exits(tmp_path, capsys):

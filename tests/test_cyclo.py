@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from lazytwist import cyclo
 from lazytwist.cyclo import (
     CycNum,
+    CyclotomicInconsistent,
     DivisionByZero,
     NotOddRoot,
     cyc_arith,
@@ -133,3 +135,22 @@ def test_json_roundtrip():
     x = z8 * Fraction(3, 7) + CycNum.rational(Fraction(-1, 2))
     assert CycNum.from_json(x.to_json()) == x
     assert x.to_json()["terms"] == sorted(x.to_json()["terms"])
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            CycNum.from_json({"n": n, "terms": [[0, "1"]]})
+
+
+def test_internal_checks_raise(monkeypatch):
+    # the normal-form invariants are checked without assert (python -O)
+    with pytest.raises(CyclotomicInconsistent, match="non-exact"):
+        # z^2 + 1 = (z + 1)(z - 1) + 2
+        cyclo._poly_div_exact([1, 0, 1], [1, 1])
+    with pytest.raises(CyclotomicInconsistent, match="not in claimed"):
+        cyclo._rewrite_to_subfield(4, 2, {1: Fraction(1)})  # i is not rational
+    with pytest.raises(CyclotomicInconsistent, match="lost rank"):
+        # Q(zeta_3) is not a subfield of Q(zeta_2) = Q
+        cyclo._rewrite_to_subfield(2, 3, {0: Fraction(1)})
+    x = CycNum(3, {0: Fraction(1), 1: Fraction(1)}, _normalized=True)
+    monkeypatch.setattr(cyclo, "cyclotomic_poly", lambda n: (1, 2, 1))
+    with pytest.raises(CyclotomicInconsistent, match="not coprime"):
+        x.inv()  # 1 + z divides the substituted modulus (1 + z)^2

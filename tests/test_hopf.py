@@ -540,3 +540,132 @@ def test_r_matrix_and_theta_reject_bad_input(groups):
     assert is_invariant(T) and not is_twist(T)
     with pytest.raises(NotATwist):
         r_matrix(T)
+
+
+# -- the character-sum transform against the CycNum loops --------------------
+
+
+def _pair_cocycles(groups):
+    """(A, c) for the cocycles of every socle-form pair: square roots on the
+    odd groups, invariant-cocycle-search witnesses on A4 and D8."""
+    from lazytwist.lazy import bg_enumerate
+
+    out = []
+    for name in ["C27sd", "Wr_3"]:
+        for x in bg_enumerate(groups(name)):
+            out.append((x.subgroup, cocycle_from_form_odd(x.subgroup, x.form)))
+    for name in ["A4", "D8"]:
+        G = groups(name)
+        for x in bg_enumerate(G):
+            act = DualAction(G, x.subgroup)
+            found = invariant_cocycle_search(x.subgroup, x.form, act).witness
+            if found is not None:
+                out.append((x.subgroup, found))
+    return out
+
+
+def test_twist_from_cocycle_matches_loop(groups):
+    from tests_helpers import loop_twist_from_cocycle
+
+    cases = _pair_cocycles(groups)
+    assert {A.parent.name for A, _ in cases} == {"C27sd", "Wr_3", "A4", "D8"}
+    assert max(A.order for A, _ in cases) >= 9
+    for A, c in cases:
+        F = twist_from_cocycle(A, c)
+        assert F == loop_twist_from_cocycle(A, c)
+        assert cocycle_from_twist(A, F) == c
+
+
+def _random_value(rng, n):
+    """A random element of Q(zeta_n) with small coefficients."""
+    from lazytwist.cyclo import root_of_unity
+
+    v = CycNum.rational(Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)))
+    for _ in range(2):
+        v = v + root_of_unity(n, rng.randrange(n)) * rng.randrange(-2, 3)
+    return v
+
+
+def _abelian_groups():
+    from tests_helpers import product_group
+
+    return [product_group(ds) for ds in [(2, 2), (3, 3), (4, 2), (6,), (9,)]]
+
+
+def test_fourier_and_inversion_match_loops(groups):
+    from lazytwist.hopf import _fourier_invert
+    from tests_helpers import loop_fourier, loop_fourier_invert
+
+    rng = random.Random(11)
+    for H in _abelian_groups() + [groups("C8")]:
+        A = H.whole_subgroup()
+        for _ in range(4):
+            coeffs = [CycNum.zero()] * H.order
+            for a in rng.sample(range(H.order), 3):
+                coeffs[a] = _random_value(rng, H.exponent())
+            assert _fourier_invert(H, coeffs) == loop_fourier_invert(H, coeffs)
+            x = GTensor(H, 1, {(a,): c for a, c in enumerate(coeffs)})
+            assert fourier(A, x) == loop_fourier(A, x)
+        # the sum over a nontrivial cyclic subgroup is singular
+        g = next(a for a in range(H.order) if H.element_order(a) in (2, 3))
+        coeffs = [CycNum.zero()] * H.order
+        for a in H.closure({g}):
+            coeffs[a] = CycNum.one()
+        assert _fourier_invert(H, coeffs) is None
+        assert loop_fourier_invert(H, coeffs) is None
+    # a subgroup of a nonabelian group, cyclotomic coefficients (Wall's a)
+    a = _wall_a(groups)
+    A = socle(GTensor(a.group, 1, {(g,): 1 for (g,) in a.terms}))
+    assert fourier(A, a) == loop_fourier(A, a)
+
+
+def test_tensor_inv_fourier_path_matches_dense(groups, monkeypatch):
+    from lazytwist import hopf
+
+    rng = random.Random(7)
+    cases = []
+    for H in _abelian_groups()[:3]:
+        for degree in (1, 2):
+            for _ in range(3):
+                terms = {(0,) * degree: _random_value(rng, H.exponent())}
+                for _ in range(2):
+                    t = tuple(rng.randrange(H.order) for _ in range(degree))
+                    terms[t] = _random_value(rng, H.exponent())
+                cases.append(GTensor(H, degree, terms))
+            g = next(a for a in range(1, H.order) if H.element_order(a) <= 3)
+            pad = (0,) * (degree - 1)
+            cases.append(GTensor(H, degree, {
+                (a,) + pad: 1 for a in H.closure({g})}))
+
+    def invert(x):
+        try:
+            return tensor_inv(x)
+        except NotInvertible:
+            return None
+
+    fourier_side = [invert(x) for x in cases]
+    monkeypatch.setattr(hopf, "_fourier_invert", hopf._dense_invert)
+    dense_side = [invert(x) for x in cases]
+    assert fourier_side == dense_side
+    assert sum(y is None for y in dense_side) == 6
+    for x, y in zip(cases, dense_side):
+        if y is not None:
+            assert x.mul(y) == GTensor.unit(x.group, x.degree)
+
+
+# -- degree checks that survive python -O ------------------------------------
+
+
+def test_degree_checks_raise(groups):
+    from lazytwist.hopf import _coproduct_leg
+
+    A4 = groups("A4")
+    one, two = GTensor.unit(A4, 1), GTensor.unit(A4, 2)
+    with pytest.raises(DegreeMismatch):
+        GTensor(A4, 2, {(1,): 1})
+    for fn, x in [(GTensor.flip, one), (coproduct, two), (counit, two),
+                  (antipode, two), (drinfeld_element, one)]:
+        with pytest.raises(DegreeMismatch):
+            fn(x)
+    with pytest.raises(DegreeMismatch):
+        _coproduct_leg(one, 0)

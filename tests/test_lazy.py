@@ -38,6 +38,7 @@ from tests_helpers import (
     named_group,
     product_group,
     relabelled,
+    relabelling,
     tensor_bg_product,
 )
 
@@ -504,3 +505,54 @@ def test_relabelling_invariance(groups, capsys):
                 assert main([cmd, spec]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0], name
+
+
+def test_twist_theta_and_bg_relabelling_invariance(groups, tmp_path, capsys):
+    # twist-theta's socle and R(socle, form), and bg's set of (socle, R),
+    # carried back to the original labels, do not depend on the labelling
+    from lazytwist.cli import packaged_tensor
+    from lazytwist.pontryagin import AltForm, cocycle_from_form_odd
+
+    odd = bg_enumerate(groups("C27sd"))[1]
+    assert odd.subgroup.order == 9
+    cases = [
+        ("A4", packaged_tensor("A4_twist", groups("A4"))),
+        ("Wall32", packaged_tensor("Wall_F", groups("Wall32"))),
+        ("C27sd", hopf.twist_from_cocycle(
+            odd.subgroup, cocycle_from_form_odd(odd.subgroup, odd.form))),
+    ]
+    for name, F in cases:
+        G = groups(name)
+        outputs = []
+        for seed in [None, 1, 2]:
+            new_of = (list(range(G.order)) if seed is None
+                      else relabelling(G.order, seed))
+            old_of = sorted(range(G.order), key=new_of.__getitem__)
+            H = G if seed is None else relabelled(G, seed)
+            group_path = tmp_path / f"{name}-{seed}.json"
+            group_path.write_text(json.dumps(
+                {"table": [list(r) for r in H.table], "name": name}))
+            moved = GTensor(H, 2, {tuple(new_of[a] for a in t): c
+                                   for t, c in F.terms.items()})
+            tensor_path = tmp_path / f"{name}-{seed}-twist.json"
+            tensor_path.write_text(json.dumps(moved.to_json()))
+
+            def back(form):
+                S = H.subgroup(form["subgroup"])
+                assert form["generators"] == [g for g, _ in
+                                              S.abelian_structure()]
+                R = r_from_form(S, AltForm(S, tuple(map(tuple,
+                                                        form["matrix"]))))
+                R = GTensor(G, 2, {tuple(old_of[a] for a in t): c
+                                   for t, c in R.terms.items()})
+                return tuple(sorted(old_of[a] for a in S.elements)), R.key()
+
+            assert main(["twist-theta", str(group_path),
+                         str(tensor_path)]) == 0
+            rep = json.loads(capsys.readouterr().out)
+            assert rep["socle"] == rep["form"]["subgroup"]
+            assert main(["bg", str(group_path)]) == 0
+            pairs = json.loads(capsys.readouterr().out)["elements"]
+            outputs.append((back(rep["form"]), {back(x) for x in pairs}))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0], name
+        assert outputs[0][0] in outputs[0][1]

@@ -1,16 +1,19 @@
 """Shared oracles for the test suite: abelian group types, subgroup
 lattices, character restriction, direct products and relabellings, and the
 brute-force automorphism, multiplicity, abelian-type and tensor-product
-checks the library replaced."""
+checks and the CycNum-loop character sums the library replaced."""
 
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
+from lazytwist.cyclo import CycNum
 from lazytwist.fixtures import _group_from_elements
 from lazytwist.groups import FiniteGroup
-from lazytwist.hopf import form_from_r, socle
+from lazytwist.hopf import GTensor, form_from_r, socle
 from lazytwist.lazy import BGElement
+from lazytwist.pontryagin import characters
 
 
 def abelian_types(order):
@@ -118,11 +121,16 @@ def named_group(groups, name):
     return groups(name)
 
 
-def relabelled(G, seed):
-    """G under a uniform random relabelling that keeps the identity at 0."""
-    rest = list(range(1, G.order))
+def relabelling(n, seed):
+    """new_of[old] for a uniform random relabelling of 0..n-1 fixing 0."""
+    rest = list(range(1, n))
     random.Random(seed).shuffle(rest)
-    new_of = [0] + rest
+    return [0] + rest
+
+
+def relabelled(G, seed):
+    """G under relabelling(G.order, seed): the identity stays at 0."""
+    new_of = relabelling(G.order, seed)
     old_of = [0] * G.order
     for old, new in enumerate(new_of):
         old_of[new] = old
@@ -187,4 +195,70 @@ def tensor_bg_product(x, y, nas):
     D = socle(R)
     out = BGElement(D, form_from_r(D, R))
     assert out.canonical_r == R, "product tensor is not a bicharacter"
+    return out
+
+
+# -- character sums one CycNum addition at a time -----------------------------
+
+
+def loop_fourier_invert(H, coeffs):
+    """Inverse of sum coeffs[a] a in k[H], H abelian, through chi.eval and
+    one normalized addition per term; None when singular."""
+    chars = characters(H.whole_subgroup())
+    n = H.order
+    hat = []
+    for chi in chars:
+        v = CycNum.zero()
+        for a, c in enumerate(coeffs):
+            if not c.is_zero():
+                v = v + c * chi.eval(a)
+        if v.is_zero():
+            return None
+        hat.append(v.inv())
+    scale = CycNum.rational(Fraction(1, n))
+    out = []
+    for a in range(n):
+        v = CycNum.zero()
+        ainv = H.inverses[a]
+        for chi, hv in zip(chars, hat):
+            v = v + hv * chi.eval(ainv)
+        out.append(v * scale)
+    return out
+
+
+def loop_twist_from_cocycle(A, c):
+    """sum c(rho, sigma) e_rho x e_sigma over the dual of A, in two stages
+    of chi.eval sums; no cocycle check."""
+    G = A.parent
+    chars = {chi.exponents: chi for chi in characters(A)}
+    inv = G.inverses
+    stage = {}
+    for g in A.elements:
+        row = {}
+        for sigma in chars:
+            v = CycNum.zero()
+            for rho in chars:
+                v = v + c[(rho, sigma)] * chars[rho].eval(inv[g])
+            row[sigma] = v
+        stage[g] = row
+    scale = CycNum.rational(Fraction(1, A.order * A.order))
+    terms = {}
+    for g in A.elements:
+        for h in A.elements:
+            v = CycNum.zero()
+            for sigma in chars:
+                v = v + stage[g][sigma] * chars[sigma].eval(inv[h])
+            terms[(g, h)] = v * scale
+    return GTensor(G, 2, terms)
+
+
+def loop_fourier(A, x):
+    """Fourier table chi -> sum lambda_g chi(g^-1) through chi.eval."""
+    G = A.parent
+    out = {}
+    for chi in characters(A):
+        v = CycNum.zero()
+        for (g,), c in x.terms.items():
+            v = v + c * chi.eval(G.inverses[g])
+        out[chi.exponents] = v
     return out
