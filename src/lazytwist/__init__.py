@@ -1,7 +1,7 @@
 """Exact computation of invariant Drinfeld twist classes on finite group
 algebras, over cyclotomic fields."""
 
-from .cyclo import CycNum, cyc_arith, cyc_inv, root_of_unity, sqrt_odd_root
+from .cyclo import CycNum, root_of_unity
 from .groups import (
     FiniteGroup,
     GroupMap,
@@ -19,9 +19,7 @@ from .pontryagin import (
     Character,
     DualAction,
     alternating_forms,
-    characters,
     cocycle_from_form_odd,
-    eval_character,
     invariant_cocycle_search,
     invariant_forms,
     is_nondegenerate,
@@ -38,7 +36,6 @@ from .hopf import (
     drinfeld_element,
     fourier,
     gauge,
-    idempotent,
     is_invariant,
     is_normalized,
     is_twist,
@@ -58,7 +55,6 @@ from .lazy import (
     bg_product,
     h2_compute,
     has_no_multiplicities,
-    invariant_orbit_dimension,
     lie_complex_check,
 )
 from .fixtures import builtin_group, builtin_names

@@ -4,23 +4,31 @@ Elements are stored in the power basis {zeta_n^e : 0 <= e < phi(n)} after
 reduction modulo the n-th cyclotomic polynomial, with the conductor lowered
 to the minimal one.  Two values represent the same field element iff their
 stored forms are identical, so equality is syntactic.
+
+The conductor is lowered one prime p at a time, from Q(zeta_n) to
+Q(zeta_m), m = n/p, by reading the exponents (Washington, Introduction to
+Cyclotomic Fields, ch. 2).  When p^2 divides n, 1, zeta_n, ..., zeta_n^(p-1)
+is a basis of Q(zeta_n) over Q(zeta_m), so the value descends iff every
+exponent is a multiple of p.  When p divides n once, zeta_n^e =
+zeta_m^(e*t) zeta_p^(e*s) splits the value over the basis zeta_p, ...,
+zeta_p^(p-1) of Q(zeta_n) over Q(zeta_m), and it descends iff its
+coordinates there are all equal.  Values are lifted to a common conductor
+by scaling exponents; the normal form folds them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 __all__ = [
     "CycNum",
     "CyclotomicInconsistent",
     "DivisionByZero",
-    "NotOddRoot",
-    "cyc_arith",
-    "cyc_inv",
+    "MalformedNumber",
+    "lift",
     "root_of_unity",
-    "sqrt_odd_root",
 ]
 
 
@@ -28,7 +36,7 @@ class DivisionByZero(ZeroDivisionError):
     pass
 
 
-class NotOddRoot(ValueError):
+class MalformedNumber(ValueError):
     pass
 
 
@@ -108,95 +116,68 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _kernel_exponents(n: int, m: int) -> list[int]:
-    # Galois substitutions zeta -> zeta^j fixing Q(zeta_m) inside Q(zeta_n)
-    return [j for j in range(2, n + 1) if gcd(j, n) == 1 and j % m == 1 % m]
-
-
-@lru_cache(maxsize=None)
-def _subfield_basis(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    # reduced vectors of zeta_n^((n/m)*i) for i < phi(m)
-    t = n // m
-    table = _power_table(n)
-    return tuple(table[(t * i) % n] for i in range(_phi(m)))
-
-
-def _apply_substitution(n: int, coeffs: dict[int, Fraction], j: int) -> dict[int, Fraction]:
+def _fold(n: int, raw: dict) -> dict[int, Fraction]:
+    # coordinates of sum q * zeta_n^e over raw {e: q} on the reduced basis
     table = _power_table(n)
     out: dict[int, Fraction] = {}
-    for e, q in coeffs.items():
-        for k, c in enumerate(table[(j * e) % n]):
+    for e, q in raw.items():
+        for k, c in enumerate(table[e % n]):
             if c:
-                v = out.get(k, Fraction(0)) + q * c
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
-    return out
+                v = q if c == 1 else q * c
+                out[k] = out[k] + v if k in out else v
+    return {k: q for k, q in out.items() if q}
 
 
-def _rewrite_to_subfield(n: int, m: int, coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
-    # solve for coordinates of x on the Q(zeta_m) power basis inside Q(zeta_n)
-    basis = _subfield_basis(n, m)
-    phi_n, phi_m = _phi(n), _phi(m)
-    rows = [[Fraction(basis[i][r]) for i in range(phi_m)] + [coeffs.get(r, Fraction(0))]
-            for r in range(phi_n)]
-    sol: dict[int, Fraction] = {}
-    r = 0
-    pivots = []
-    for col in range(phi_m):
-        pr = None
-        for i in range(r, phi_n):
-            if rows[i][col]:
-                pr = i
-                break
-        if pr is None:
-            raise CyclotomicInconsistent("subfield rewrite lost rank")
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][col]
-        rows[r] = [c / pv for c in rows[r]]
-        for i in range(phi_n):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-    for rr in range(r, phi_n):
-        if rows[rr][phi_m]:
-            raise CyclotomicInconsistent("element not in claimed subfield")
-    for rr, cc in pivots:
-        v = rows[rr][phi_m]
-        if v:
-            sol[cc] = v
-    return sol
+def _descend(n: int, p: int, coeffs: dict[int, Fraction]):
+    """Coordinates in Q(zeta_m), m = n/p, of the element of Q(zeta_n) with
+    reduced coordinates coeffs, or None when it does not lie in Q(zeta_m)."""
+    m = n // p
+    if m % p == 0:
+        # Phi_n(x) = Phi_m(x^p): 1, zeta_n, ..., zeta_n^(p-1) is a basis
+        # over Q(zeta_m), and zeta_n^(p*i) = zeta_m^i
+        if any(e % p for e in coeffs):
+            return None
+        return {e // p: q for e, q in coeffs.items()}
+    # zeta_n^e = zeta_m^(e*t) zeta_p^(e*s) (t = 0 when m = 1), a bijection
+    # of exponents mod n onto pairs, so x = sum_j b_j zeta_p^j with b_j in
+    # Q(zeta_m).  In the basis zeta_p, ..., zeta_p^(p-1) of Q(zeta_n) over
+    # Q(zeta_m), 1 = -(zeta_p + ... + zeta_p^(p-1)), so x has coordinates
+    # a_j = b_j - b_0: it descends iff b_1 = ... = b_(p-1), to b_0 - b_1.
+    s, t = pow(m, -1, p), pow(p, -1, m)
+    parts: list[dict] = [{} for _ in range(p)]
+    for e, q in coeffs.items():
+        parts[e * s % p][e * t % m] = q
+    b = [_fold(m, part) for part in parts]
+    if any(bj != b[1] for bj in b[2:]):
+        return None
+    out = dict(b[0])
+    for k, q in b[1].items():
+        out[k] = out[k] - q if k in out else -q
+    return {k: q for k, q in out.items() if q}
 
 
 def _normalize(n: int, raw: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
     # fold exponents through the reduction table, then lower the conductor
-    table = _power_table(n)
-    phi = _phi(n)
-    dense = [Fraction(0)] * phi
-    for e, q in raw.items():
-        if not q:
-            continue
-        for k, c in enumerate(table[e % n]):
-            if c:
-                dense[k] += q * c
-    coeffs = {e: q for e, q in enumerate(dense) if q}
+    coeffs = _fold(n, raw)
     if not coeffs:
         return 1, {}
-    changed = True
-    while changed and n > 1:
-        changed = False
+    while True:
         for p in _prime_factors(n):
-            m = n // p
-            if all(_apply_substitution(n, coeffs, j) == coeffs
-                   for j in _kernel_exponents(n, m)):
-                coeffs = _rewrite_to_subfield(n, m, coeffs)
-                n = m
-                changed = True
+            down = _descend(n, p, coeffs)
+            if down is not None:
+                n, coeffs = n // p, down
                 break
-    return n, coeffs
+        else:
+            return n, coeffs
+
+
+def lift(values, L: int = 1) -> tuple[int, list[dict[int, Fraction]]]:
+    """(M, raws): M the lcm of L and the conductors of the values, and each
+    value as a raw exponent dict {e: q} over zeta_M, unfolded (the normal
+    form folds raw exponents)."""
+    M = lcm(L, *(v.n for v in values))
+    return M, [{e * (M // v.n): q for e, q in v.coeffs.items()}
+               for v in values]
 
 
 class CycNum:
@@ -223,53 +204,13 @@ class CycNum:
     def one() -> CycNum:
         return CycNum.rational(1)
 
-    @staticmethod
-    def zeta(n: int, e: int = 1) -> CycNum:
-        if n < 1:
-            raise ValueError("conductor must be positive")
-        return CycNum(n, {e % n: Fraction(1)})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_one(self) -> bool:
-        return self.n == 1 and self.coeffs.get(0) == 1
-
-    def is_rational(self) -> bool:
-        return self.n == 1
-
-    def as_rational(self) -> Fraction:
-        if self.n != 1:
-            raise ValueError("not a rational number")
-        return self.coeffs.get(0, Fraction(0))
-
-    def _lift(self, L: int) -> dict[int, Fraction]:
-        # embed into Q(zeta_L) without final conductor descent
-        if L == self.n:
-            return dict(self.coeffs)
-        t = L // self.n
-        table = _power_table(L)
-        dense: dict[int, Fraction] = {}
-        for e, q in self.coeffs.items():
-            for k, c in enumerate(table[(e * t) % L]):
-                if c:
-                    v = dense.get(k, Fraction(0)) + q * c
-                    if v:
-                        dense[k] = v
-                    elif k in dense:
-                        del dense[k]
-        return dense
-
     def __add__(self, other) -> CycNum:
-        other = _coerce(other)
-        L = self.n * other.n // gcd(self.n, other.n)
-        a = self._lift(L)
-        for e, q in other._lift(L).items():
-            v = a.get(e, Fraction(0)) + q
-            if v:
-                a[e] = v
-            elif e in a:
-                del a[e]
+        L, (a, b) = lift((self, _coerce(other)))
+        for e, q in b.items():
+            a[e] = a[e] + q if e in a else q
         return CycNum(*_normalize(L, a), _normalized=True)
 
     __radd__ = __add__
@@ -294,17 +235,12 @@ class CycNum:
                 return CycNum.zero()
             return CycNum(big.n, {e: q * scalar for e, q in big.coeffs.items()},
                           _normalized=True)
-        L = self.n * other.n // gcd(self.n, other.n)
-        a, b = self._lift(L), other._lift(L)
+        L, (a, b) = lift((self, other))
         conv: dict[int, Fraction] = {}
         for e1, q1 in a.items():
             for e2, q2 in b.items():
-                e = e1 + e2
-                v = conv.get(e, Fraction(0)) + q1 * q2
-                if v:
-                    conv[e] = v
-                elif e in conv:
-                    del conv[e]
+                e, v = (e1 + e2) % L, q1 * q2
+                conv[e] = conv[e] + v if e in conv else v
         return CycNum(*_normalize(L, conv), _normalized=True)
 
     __rmul__ = __mul__
@@ -381,11 +317,30 @@ class CycNum:
 
     @staticmethod
     def from_json(obj) -> CycNum:
-        n = int(obj["n"])
-        if n < 1:
-            raise ValueError("conductor must be positive")
-        return CycNum(n,
-                      {int(e): Fraction(s) for e, s in obj["terms"]})
+        """Read {"n": n, "terms": [[e, "p/q"], ...]}: an integer conductor
+        n >= 1 and integer exponents, each listed once."""
+        if not isinstance(obj, dict):
+            raise MalformedNumber(
+                f"{obj!r} is not an object with 'n' and 'terms'")
+        n, terms = obj.get("n"), obj.get("terms")
+        if type(n) is not int or n < 1:
+            raise MalformedNumber(f"conductor {n!r} is not a positive integer")
+        if not isinstance(terms, list):
+            raise MalformedNumber(f"terms {terms!r} is not a list")
+        coeffs = {}
+        for term in terms:
+            if not (isinstance(term, list) and len(term) == 2
+                    and type(term[0]) is int and isinstance(term[1], str)):
+                raise MalformedNumber(
+                    f"term {term!r} is not an [integer, rational string] pair")
+            e, s = term
+            if e in coeffs:
+                raise MalformedNumber(f"exponent {e} is listed twice")
+            try:
+                coeffs[e] = Fraction(s)
+            except (ValueError, ZeroDivisionError):
+                raise MalformedNumber(f"coefficient {s!r} is not a rational")
+        return CycNum(n, coeffs)
 
 
 def _coerce(x) -> CycNum:
@@ -440,35 +395,8 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def cyc_arith(x: CycNum, y: CycNum, op: str) -> CycNum:
-    """Exact field arithmetic after embedding both operands into Q(zeta_lcm)."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def cyc_inv(x: CycNum) -> CycNum:
-    return x.inv()
-
-
 def root_of_unity(n: int, e: int) -> CycNum:
     """zeta_n^(e mod n) in normal form."""
     if n < 1:
         raise ValueError("order must be positive")
-    return CycNum.zeta(n, e)
-
-
-def sqrt_odd_root(x: CycNum, m: int) -> CycNum:
-    """The unique square root of x among roots of unity of odd order m.
-
-    Concretely x^((m+1)/2); requires x^m = 1.
-    """
-    if m < 1 or m % 2 == 0:
-        raise NotOddRoot(f"{m} is not an odd positive integer")
-    if x ** m != CycNum.one():
-        raise NotOddRoot("not a root of unity of order dividing m")
-    return x ** ((m + 1) // 2)
+    return CycNum(n, {e % n: Fraction(1)})

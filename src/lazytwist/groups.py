@@ -472,18 +472,6 @@ class GroupMap:
     def is_bijective(self) -> bool:
         return sorted(self.images) == list(range(self.target.order))
 
-    def compose(self, other: "GroupMap") -> "GroupMap":
-        # self after other
-        return GroupMap(other.source, self.target,
-                        [self.images[other.images[x]]
-                         for x in range(other.source.order)])
-
-    def inverse(self) -> "GroupMap":
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return GroupMap(self.target, self.source, inv)
-
     def __eq__(self, other):
         return isinstance(other, GroupMap) and self.images == other.images
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclo import CycNum, root_of_unity
+from .cyclo import CycNum, lift, root_of_unity
 from .groups import FiniteGroup, OrderLimitExceeded, Subgroup
 from .pontryagin import (AltForm, Character, DualAction,
                          cocycle_identity_holds, is_nondegenerate)
@@ -51,7 +51,6 @@ __all__ = [
     "drinfeld_element",
     "socle",
     "theta",
-    "idempotent",
     "twist_from_cocycle",
     "cocycle_from_twist",
     "r_from_form",
@@ -249,20 +248,25 @@ class GTensor:
 
     @staticmethod
     def from_json(obj, group: FiniteGroup) -> "GTensor":
-        """Read a tensor file: `degree` indices in range(|G|) per term."""
-        degree, n = obj["degree"], group.order
+        """Read a tensor file: an object with a positive integer `degree`
+        and a list of `terms`, each with `degree` indices in range(|G|)."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
+            raise MalformedTensor("a tensor is an object with a list 'terms'")
+        degree, n = obj.get("degree"), group.order
         if type(degree) is not int or degree < 1:
             raise MalformedTensor(f"degree {degree!r} is not positive")
         terms = {}
         for item in obj["terms"]:
-            t = item["g"]
+            if not isinstance(item, dict):
+                raise MalformedTensor(f"term {item!r} is not an object")
+            t = item.get("g")
             if not isinstance(t, list) or len(t) != degree or not all(
                     type(i) is int and 0 <= i < n for i in t):
                 raise MalformedTensor(
                     f"term {t!r} needs {degree} indices in range({n})")
             if tuple(t) in terms:
                 raise MalformedTensor(f"term {t!r} is listed twice")
-            terms[tuple(t)] = CycNum.from_json(item["c"])
+            terms[tuple(t)] = CycNum.from_json(item.get("c"))
         return GTensor(group, degree, terms)
 
 
@@ -321,7 +325,7 @@ def _fourier_invert(H: FiniteGroup, coeffs):
                     table, [(s,) for s in E])
     if any(v.is_zero() for v in hat):
         return None
-    M, raws = _lift([v.inv() for v in hat], L)
+    M, raws = lift([v.inv() for v in hat], L)
     return [CycNum(M, _accumulate(((raw, -Es[a])
                                    for raw, Es in zip(raws, E.values())),
                                   L, M, Fraction(1, H.order)))
@@ -374,12 +378,17 @@ def coproduct(x: GTensor) -> GTensor:
     return GTensor(x.group, 2, {(t[0], t[0]): c for t, c in x.terms.items()})
 
 
-def counit(x: GTensor) -> CycNum:
-    _check_degree(x, 1)
+def _coefficient_sum(x: GTensor) -> CycNum:
+    # the counit applied to every leg
     total = CycNum.zero()
     for c in x.terms.values():
         total = total + c
     return total
+
+
+def counit(x: GTensor) -> CycNum:
+    _check_degree(x, 1)
+    return _coefficient_sum(x)
 
 
 def antipode(x: GTensor) -> GTensor:
@@ -431,16 +440,11 @@ def is_invariant(F: GTensor) -> bool:
 
 
 def is_normalized(F: GTensor) -> bool:
-    total = CycNum.zero()
-    for c in F.terms.values():
-        total = total + c
-    return total == CycNum.one()
+    return _coefficient_sum(F) == CycNum.one()
 
 
 def normalize_twist(F: GTensor) -> GTensor:
-    total = CycNum.zero()
-    for c in F.terms.values():
-        total = total + c
+    total = _coefficient_sum(F)
     if total.is_zero():
         raise NotATwist("counit-degenerate tensor")
     return F.scale(total.inv())
@@ -536,15 +540,7 @@ def form_from_r(A: Subgroup, R: GTensor) -> AltForm:
     return AltForm.from_upper(A, upper)
 
 
-# -- idempotents, character sums, cocycle dictionary, Fourier -----------------
-
-
-def idempotent(A: Subgroup, chi: Character) -> GTensor:
-    """e_chi = |A|^-1 sum chi(a^-1) a."""
-    G = A.parent
-    scale = CycNum.rational(Fraction(1, A.order))
-    return GTensor(G, 1, {(a,): chi.eval(G.inverses[a]) * scale
-                          for a in A.elements})
+# -- character sums, cocycle dictionary, Fourier ------------------------------
 
 
 def _char_table(A: Subgroup):
@@ -557,14 +553,6 @@ def _char_table(A: Subgroup):
         chi = Character(A, s)
         E[s] = {a: chi.value_exponent(a)[0] for a in A.elements}
     return lcm(*ds), E
-
-
-def _lift(values, L: int):
-    """(M, the values as raw exponent dicts {e: q} over zeta_M), M = lcm of
-    L and the conductors of the values."""
-    M = lcm(L, *(v.n for v in values))
-    return M, [{k * (M // v.n): q for k, q in v.coeffs.items()}
-               for v in values]
 
 
 def _accumulate(terms, L: int, M: int, scale=1) -> dict:
@@ -584,7 +572,7 @@ def _evaluate(terms: dict, table, at) -> list[CycNum]:
     """(chi_s1 x ... x chi_sd)(T) for T = sum of v * t over the terms
     {t: v}, at each tuple (s1, ..., sd) of dual exponent tuples in at."""
     L, E = table
-    M, raws = _lift(terms.values(), L)
+    M, raws = lift(terms.values(), L)
     lifted = list(zip(raws, terms))
     return [CycNum(M, _accumulate(
         ((raw, sum(E[s][a] for s, a in zip(ss, t))) for raw, t in lifted),
@@ -613,7 +601,7 @@ def twist_from_cocycle(A: Subgroup, c: dict) -> GTensor:
     if not cocycle_identity_holds(A, c):
         raise NotACocycle("table fails normalization or the cocycle identity")
     table = _char_table(A)
-    M, raws = _lift(c.values(), table[0])
+    M, raws = lift(c.values(), table[0])
     return _from_dual_square(A, table, dict(zip(c, raws)), M)
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "bg_enumerate",
     "bg_product",
     "bg_element_order",
-    "invariant_orbit_dimension",
     "has_no_multiplicities",
     "lie_complex_check",
     "h2_compute",
@@ -183,14 +182,6 @@ def _pair_orbits(G: FiniteGroup):
                         stack.append(q)
             orbits.append(sorted(orbit))
     return orbits
-
-
-def invariant_orbit_dimension(G: FiniteGroup,
-                              limit: int = ORDER_LIMIT_DEFAULT) -> int:
-    """Dimension of the conjugation-invariant subalgebra of k[G] x k[G]."""
-    if G.order > limit:
-        raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
-    return len(_pair_orbits(G))
 
 
 def has_no_multiplicities(G: FiniteGroup,

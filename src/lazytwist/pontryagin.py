@@ -24,8 +24,6 @@ __all__ = [
     "Character",
     "AltForm",
     "DualAction",
-    "characters",
-    "eval_character",
     "alternating_forms",
     "is_nondegenerate",
     "invariant_forms",
@@ -98,17 +96,6 @@ class Character:
     def kernel(self) -> tuple[int, ...]:
         return tuple(a for a in self.group.elements
                      if self.value_exponent(a)[0] == 0)
-
-
-def characters(A: Subgroup) -> list[Character]:
-    """All |A| characters, in lexicographic exponent order."""
-    basis = A.abelian_structure()
-    return [Character(A, exps)
-            for exps in itertools.product(*(range(d) for _, d in basis))]
-
-
-def eval_character(chi: Character, a: int) -> CycNum:
-    return chi.eval(a)
 
 
 @dataclass(frozen=True)

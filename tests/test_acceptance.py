@@ -10,10 +10,10 @@ import time
 from lazytwist.cyclo import CycNum
 from lazytwist.groups import normal_abelian_subgroups
 from lazytwist.fixtures import builtin_group, wall_named_elements
-from lazytwist.pontryagin import characters
 from lazytwist.hopf import GTensor, delta1, drinfeld_element, r_matrix, theta
 from lazytwist.cli import main, packaged_tensor
 from lazytwist.lazy import bg_enumerate, has_no_multiplicities
+from tests_helpers import characters
 
 
 def _cli_json(capsys, *argv):

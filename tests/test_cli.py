@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -101,6 +102,16 @@ def test_paper_suite_survives_optimize():
     assert json.loads(proc.stdout)["summary"]["failed"] == []
 
 
+def test_no_assert_in_library():
+    # python -O strips assert statements, so no check in the library may
+    # be one
+    src = Path(lazytwist.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_twist_commands_survive_optimize(capsys):
     for group, tensor in [("A4", "A4_twist"), ("Wall32", "Wall_F")]:
         for cmd in ["twist-verify", "twist-theta"]:
@@ -113,21 +124,39 @@ def test_twist_commands_survive_optimize(capsys):
 
 def test_malformed_tensor_files_exit_2(tmp_path):
     # a malformed tensor file is an input error, also under python -O
-    # where no assert guards the tensor code
+    # where no assert guards the tensor code; bad coefficients sit on the
+    # term (0, 3), which the shipped tensor lacks, so no repeat check
+    # fires before theirs
     good = json.loads(
         (Path(lazytwist.__file__).parent / "data" / "A4_twist.json")
         .read_text())
     one = {"n": 1, "terms": [[0, "1"]]}
-    cases = {
-        "one-index": {"g": [3], "c": one},
-        "index-12": {"g": [12, 0], "c": one},
-        "index-minus-1": {"g": [-1, 0], "c": one},
-        "index-not-int": {"g": [1.5, 0], "c": one},
-        "conductor-0": {"g": [1, 0], "c": {"n": 0, "terms": [[0, "1"]]}},
-        "listed-twice": dict(good["terms"][0]),
+    terms = {
+        "one-index": ({"g": [3], "c": one}, "needs 2 indices"),
+        "index-12": ({"g": [12, 0], "c": one}, "needs 2 indices"),
+        "index-minus-1": ({"g": [-1, 0], "c": one}, "needs 2 indices"),
+        "index-not-int": ({"g": [1.5, 0], "c": one}, "needs 2 indices"),
+        "listed-twice": (dict(good["terms"][0]), "listed twice"),
+        "term-not-object": (5, "not an object"),
     }
-    for name, term in cases.items():
-        bad = dict(good, terms=good["terms"] + [term])
+    coefficients = {
+        "conductor-0": ({"n": 0, "terms": [[0, "1"]]}, "conductor 0"),
+        "conductor-null": ({"n": None, "terms": [[0, "1"]]}, "conductor None"),
+        "coefficient-null": ({"n": 1, "terms": [[0, None]]}, "[0, None]"),
+        "coefficient-1-over-0": ({"n": 1, "terms": [[0, "1/0"]]}, "'1/0'"),
+        "exponent-0.5": ({"n": 3, "terms": [[0.5, "1"]]}, "[0.5, '1']"),
+        "exponent-twice": ({"n": 3, "terms": [[1, "1"], [1, "2"]]},
+                           "exponent 1 is listed twice"),
+        "number-terms-5": ({"n": 1, "terms": 5}, "terms 5"),
+    }
+    files = {name: (dict(good, terms=good["terms"] + [term]), msg)
+             for name, (term, msg) in terms.items()}
+    files.update((name, (dict(good, terms=good["terms"]
+                              + [{"g": [0, 3], "c": c}]), msg))
+                 for name, (c, msg) in coefficients.items())
+    files["tensor-terms-5"] = (dict(good, terms=5), "list 'terms'")
+    files["tensor-not-object"] = ([good], "list 'terms'")
+    for name, (bad, msg) in files.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(bad))
         for optimize in (False, True):
@@ -135,6 +164,7 @@ def test_malformed_tensor_files_exit_2(tmp_path):
                                    optimize=optimize, timeout=60)
             assert proc.returncode == 2, (name, optimize, proc.stderr)
             assert proc.stderr.startswith("error: "), (name, proc.stderr)
+            assert msg in proc.stderr, (name, proc.stderr)
     path = tmp_path / "degree.json"
     path.write_text(json.dumps(dict(good, degree="2")))
     assert main(["twist-verify", "A4", str(path)]) == 2

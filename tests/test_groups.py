@@ -154,10 +154,13 @@ def test_autc_is_group_and_class_preserving(groups):
         classes = G.conjugacy_classes()
         class_of = {x: i for i, c in enumerate(classes) for x in c}
         for a in auts:
-            assert a.inverse().images in images
+            inverse = [0] * G.order
+            for x, y in enumerate(a.images):
+                inverse[y] = x
+            assert tuple(inverse) in images
             assert all(class_of[a(x)] == class_of[x] for x in range(G.order))
             for b in auts:
-                assert a.compose(b).images in images
+                assert tuple(a(b(x)) for x in range(G.order)) in images
         inner = {tuple(G.conjugate(g, x) for x in range(G.order))
                  for g in range(G.order)}
         assert inner <= images

@@ -8,7 +8,6 @@ from lazytwist.groups import normal_abelian_subgroups
 from lazytwist.pontryagin import (
     DualAction,
     alternating_forms,
-    characters,
     cocycle_from_form_odd,
     invariant_cocycle_search,
     invariant_forms,
@@ -28,7 +27,6 @@ from lazytwist.hopf import (
     drinfeld_element,
     fourier,
     gauge,
-    idempotent,
     is_invariant,
     is_normalized,
     is_twist,
@@ -41,6 +39,7 @@ from lazytwist.hopf import (
     twist_from_cocycle,
 )
 from lazytwist.cli import packaged_tensor
+from tests_helpers import characters, idempotent
 
 
 def _klein(groups):

@@ -27,14 +27,15 @@ from lazytwist.lazy import (
     bg_product,
     h2_compute,
     has_no_multiplicities,
-    invariant_orbit_dimension,
     lie_complex_check,
 )
 from lazytwist.pontryagin import DualAction, alternating_forms, invariant_forms
 from tests_helpers import (
     abelian_order_multisets,
     abelian_types,
+    characters,
     convolution_no_multiplicities,
+    invariant_orbit_dimension,
     named_group,
     product_group,
     relabelled,
@@ -131,7 +132,6 @@ def test_bg_product_independent_of_witness(groups):
     from math import gcd
     from lazytwist.pontryagin import AltForm
     from tests_helpers import restrict_character
-    from lazytwist.pontryagin import characters as _chars
 
     for name in ["Wall32", "C27sd", "A4"]:
         G = groups(name)
@@ -147,7 +147,7 @@ def test_bg_product_independent_of_witness(groups):
                     assert direct is None
                     continue
                 for C in witnesses:
-                    chars_C = _chars(C)
+                    chars_C = characters(C)
                     basis = C.abelian_structure()
                     r = len(basis)
                     upper = {}

@@ -1,19 +1,21 @@
 """Shared oracles for the test suite: abelian group types, subgroup
-lattices, character restriction, direct products and relabellings, and the
-brute-force automorphism, multiplicity, abelian-type and tensor-product
-checks and the CycNum-loop character sums the library replaced."""
+lattices, characters and their idempotents, character restriction, direct
+products and relabellings, the pair-orbit count, and the brute-force
+automorphism, multiplicity, abelian-type and tensor-product checks, the
+CycNum-loop character sums and the Galois-substitution normal form the
+library replaced."""
 
 import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
-from lazytwist.cyclo import CycNum
+from lazytwist.cyclo import CycNum, _phi, _power_table, _prime_factors
 from lazytwist.fixtures import _group_from_elements
 from lazytwist.groups import FiniteGroup
 from lazytwist.hopf import GTensor, form_from_r, socle
-from lazytwist.lazy import BGElement
-from lazytwist.pontryagin import characters
+from lazytwist.lazy import BGElement, _pair_orbits
+from lazytwist.pontryagin import Character
 
 
 def abelian_types(order):
@@ -90,6 +92,27 @@ def all_subgroups(G):
                     new.add(j)
         frontier = new
     return sorted(subs, key=lambda s: (len(s), s))
+
+
+def characters(A):
+    """All |A| characters of an abelian subgroup, in lexicographic
+    exponent order."""
+    return [Character(A, exps) for exps in itertools.product(
+        *(range(d) for _, d in A.abelian_structure()))]
+
+
+def idempotent(A, chi):
+    """e_chi = |A|^-1 sum chi(a^-1) a."""
+    G = A.parent
+    scale = CycNum.rational(Fraction(1, A.order))
+    return GTensor(G, 1, {(a,): chi.eval(G.inverses[a]) * scale
+                          for a in A.elements})
+
+
+def invariant_orbit_dimension(G):
+    """Dimension of the conjugation-invariant subalgebra of k[G] x k[G]:
+    the number of diagonal-conjugation orbits on G x G."""
+    return len(_pair_orbits(G))
 
 
 def restrict_character(chars_A, exponents, B):
@@ -262,3 +285,64 @@ def loop_fourier(A, x):
             v = v + c * chi.eval(G.inverses[g])
         out[chi.exponents] = v
     return out
+
+
+# -- the cyclotomic normal form through Galois substitutions ------------------
+
+
+def _substitute(n, coeffs, j):
+    """The image of sum q zeta_n^e under zeta_n -> zeta_n^j, reduced."""
+    table = _power_table(n)
+    out = {}
+    for e, q in coeffs.items():
+        for k, c in enumerate(table[(j * e) % n]):
+            if c:
+                out[k] = out.get(k, Fraction(0)) + q * c
+    return {k: q for k, q in out.items() if q}
+
+
+def _subfield_coordinates(n, m, coeffs):
+    """Coordinates of x in Q(zeta_n) on the power basis of Q(zeta_m), by
+    Gauss-Jordan elimination on the vectors of zeta_n^((n/m) i)."""
+    table = _power_table(n)
+    phi_n, phi_m = _phi(n), _phi(m)
+    basis = [table[(n // m * i) % n] for i in range(phi_m)]
+    rows = [[Fraction(basis[i][r]) for i in range(phi_m)]
+            + [coeffs.get(r, Fraction(0))] for r in range(phi_n)]
+    pivots = []
+    for col in range(phi_m):
+        r = len(pivots)
+        pr = next(i for i in range(r, phi_n) if rows[i][col])
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [c / rows[r][col] for c in rows[r]]
+        for i in range(phi_n):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    assert not any(rows[r][phi_m] for r in range(phi_m, phi_n))
+    return {col: rows[r][phi_m] for r, col in enumerate(pivots)
+            if rows[r][phi_m]}
+
+
+def galois_normalize(n, raw):
+    """(conductor, coordinates) of sum q zeta_n^e over raw {e: q}: fold
+    through the reduction table, then, one prime p at a time, descend to
+    Q(zeta_(n/p)) while every substitution zeta_n -> zeta_n^j with
+    j = 1 mod n/p fixes the value."""
+    coeffs = _substitute(n, {e: Fraction(q) for e, q in raw.items() if q}, 1)
+    if not coeffs:
+        return 1, {}
+    changed = True
+    while changed and n > 1:
+        changed = False
+        for p in _prime_factors(n):
+            m = n // p
+            fixing = [j for j in range(2, n + 1)
+                      if gcd(j, n) == 1 and j % m == 1 % m]
+            if all(_substitute(n, coeffs, j) == coeffs for j in fixing):
+                coeffs = _subfield_coordinates(n, m, coeffs)
+                n = m
+                changed = True
+                break
+    return n, coeffs
