@@ -97,15 +97,38 @@ def _load_group(spec: str, limit: int):
     return _group_from_json(obj, limit)
 
 
+class MalformedGroup(ValueError):
+    pass
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(type(i) is int for i in x)
+
+
 def _group_from_json(obj, limit: int):
+    """Read a group object: a `table` (a list of lists) or `perm_generators`
+    (nonempty lists of integers), and an optional string `name`."""
+    if not isinstance(obj, dict):
+        raise MalformedGroup("group JSON is not an object")
+    name = obj.get("name")
+    if name is not None and not isinstance(name, str):
+        raise MalformedGroup(f"group name {name!r} is not a string")
     if "table" in obj:
-        return from_table(obj["table"], name=obj.get("name"))
+        table = obj["table"]
+        if not isinstance(table, list) or not all(
+                isinstance(row, list) for row in table):
+            raise MalformedGroup("'table' is not a list of lists")
+        return from_table(table, name=name)
     if "perm_generators" in obj:
-        degree = max((max(g) for g in obj["perm_generators"]), default=1)
-        return from_permutations(degree, obj["perm_generators"],
-                                 limit=max(limit * 2, 256),
-                                 name=obj.get("name"))
-    raise ValueError("group JSON needs 'table' or 'perm_generators'")
+        gens = obj["perm_generators"]
+        if not isinstance(gens, list) or not all(
+                _is_int_list(g) and g for g in gens):
+            raise MalformedGroup("'perm_generators' is not a list of "
+                                 "nonempty integer lists")
+        degree = max((max(g) for g in gens), default=1)
+        return from_permutations(degree, gens, limit=max(limit * 2, 256),
+                                 name=name)
+    raise MalformedGroup("group JSON needs 'table' or 'perm_generators'")
 
 
 def _load_tensor(spec: str, G, fixture_dir):

@@ -13,7 +13,9 @@ exponent is a multiple of p.  When p divides n once, zeta_n^e =
 zeta_m^(e*t) zeta_p^(e*s) splits the value over the basis zeta_p, ...,
 zeta_p^(p-1) of Q(zeta_n) over Q(zeta_m), and it descends iff its
 coordinates there are all equal.  Values are lifted to a common conductor
-by scaling exponents; the normal form folds them.
+by scaling exponents; the normal form folds them.  A sum built from integer
+exponent counts over one common denominator (`from_counts`) is normalized
+on the integers and divided by the denominator once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "CyclotomicInconsistent",
     "DivisionByZero",
     "MalformedNumber",
+    "from_counts",
     "lift",
     "root_of_unity",
 ]
@@ -178,6 +181,14 @@ def lift(values, L: int = 1) -> tuple[int, list[dict[int, Fraction]]]:
     M = lcm(L, *(v.n for v in values))
     return M, [{e * (M // v.n): q for e, q in v.coeffs.items()}
                for v in values]
+
+
+def from_counts(n: int, counts: dict[int, int], d: int = 1) -> "CycNum":
+    """sum q * zeta_n^e over the integer counts {e: q}, divided by d: the
+    normal form is computed on the integers and divided by d once."""
+    n, coeffs = _normalize(n, counts)
+    return CycNum(n, {e: Fraction(q, d) for e, q in coeffs.items()},
+                  _normalized=True)
 
 
 class CycNum:

@@ -8,17 +8,21 @@ otherwise.
 
 Every Fourier sum goes through one character-sum routine: character values
 come from an integer exponent table, terms are added as exponent counts
-over one root of unity, and each output value is normalized once.
+over one root of unity, and each output value is normalized once.  Products
+and coefficient sums add the same way: the coefficients are lifted to one
+zeta_M as integer exponent counts over one common denominator, products of
+terms convolve those counts into their output cell, and each output cell is
+normalized once, not once per product term.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
+from operator import getitem
 
-from .cyclo import CycNum, lift, root_of_unity
+from .cyclo import CycNum, from_counts, lift, root_of_unity
 from .groups import FiniteGroup, OrderLimitExceeded, Subgroup
 from .pontryagin import (AltForm, Character, DualAction,
                          cocycle_identity_holds, is_nondegenerate)
@@ -98,6 +102,29 @@ def _check_degree(x: "GTensor", degree: int):
         raise DegreeMismatch(f"degree {x.degree}, expected {degree}")
 
 
+def _counts(terms: dict, L: int = 1):
+    """(M, d, {t: {e: q}}): M the lcm of L and the conductors of the
+    coefficients of terms, and each coefficient as integer counts q of the
+    exponents e of zeta_M, all over one common denominator d."""
+    M, raws = lift(terms.values(), L)
+    d = lcm(*(q.denominator for raw in raws for q in raw.values()))
+    return M, d, {t: {e: q.numerator * (d // q.denominator)
+                      for e, q in raw.items()}
+                  for t, raw in zip(terms, raws)}
+
+
+def _sum_by(terms: dict, key) -> dict:
+    """{k: sum of the coefficients of the terms t with key(t) = k}, each
+    sum normalized once (zero sums included; GTensor drops them)."""
+    M, d, counts = _counts(terms)
+    cells: dict = {}
+    for t, raw in counts.items():
+        cell = cells.setdefault(key(t), {})
+        for e, q in raw.items():
+            cell[e] = cell.get(e, 0) + q
+    return {k: from_counts(M, cell, d) for k, cell in cells.items()}
+
+
 class GTensor:
     """Sparse element of k[G]^(tensor degree); zero coefficients never stored."""
 
@@ -166,9 +193,6 @@ class GTensor:
         return GTensor(self.group, self.degree,
                        {t: v * c for t, v in self.terms.items()})
 
-    def sub(self, other: "GTensor") -> "GTensor":
-        return self.add(other.scale(-1))
-
     def _check_compatible(self, other: "GTensor"):
         if self.group is not other.group:
             raise DegreeMismatch("tensors over different groups")
@@ -179,18 +203,25 @@ class GTensor:
     # -- multiplicative operations -----------------------------------------
 
     def mul(self, other: "GTensor") -> "GTensor":
+        # both operands as integer counts over one zeta_M; each pair of
+        # terms convolves its counts into the cell of its product tuple
         self._check_compatible(other)
         table = self.group.table
-        out: dict = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
-                t = tuple(table[a][b] for a, b in zip(t1, t2))
-                v = out.get(t, CycNum.zero()) + c1 * c2
-                if v.is_zero():
-                    out.pop(t, None)
-                else:
-                    out[t] = v
-        return GTensor(self.group, self.degree, out)
+        M, d1, a = _counts(self.terms,
+                           lcm(*(c.n for c in other.terms.values())))
+        _, d2, b = _counts(other.terms, M)
+        cells: dict = {}
+        for t1, r1 in a.items():
+            rows = [table[g] for g in t1]
+            for t2, r2 in b.items():
+                t = tuple(map(getitem, rows, t2))
+                cell = cells.setdefault(t, {})
+                for e1, q1 in r1.items():
+                    for e2, q2 in r2.items():
+                        e = (e1 + e2) % M
+                        cell[e] = cell.get(e, 0) + q1 * q2
+        return GTensor(self.group, self.degree, {
+            t: from_counts(M, cell, d1 * d2) for t, cell in cells.items()})
 
     def flip(self) -> "GTensor":
         _check_degree(self, 2)
@@ -325,10 +356,9 @@ def _fourier_invert(H: FiniteGroup, coeffs):
                     table, [(s,) for s in E])
     if any(v.is_zero() for v in hat):
         return None
-    M, raws = lift([v.inv() for v in hat], L)
-    return [CycNum(M, _accumulate(((raw, -Es[a])
-                                   for raw, Es in zip(raws, E.values())),
-                                  L, M, Fraction(1, H.order)))
+    M, d, counts = _counts(dict(zip(E, (v.inv() for v in hat))), L)
+    return [from_counts(M, _accumulate(((counts[s], -E[s][a]) for s in E),
+                                       L, M), d * H.order)
             for a in range(H.order)]
 
 
@@ -380,10 +410,7 @@ def coproduct(x: GTensor) -> GTensor:
 
 def _coefficient_sum(x: GTensor) -> CycNum:
     # the counit applied to every leg
-    total = CycNum.zero()
-    for c in x.terms.values():
-        total = total + c
-    return total
+    return _sum_by(x.terms, lambda t: ()).get((), CycNum.zero())
 
 
 def counit(x: GTensor) -> CycNum:
@@ -474,15 +501,8 @@ def drinfeld_element(R: GTensor) -> GTensor:
     """u_R = sum S(t_i) s_i over the terms s_i x t_i of R."""
     _check_degree(R, 2)
     G = R.group
-    out: dict = {}
-    for (s, t), c in R.terms.items():
-        g = (G.table[G.inverses[t]][s],)
-        v = out.get(g, CycNum.zero()) + c
-        if v.is_zero():
-            out.pop(g, None)
-        else:
-            out[g] = v
-    return GTensor(G, 1, out)
+    return GTensor(G, 1, _sum_by(
+        R.terms, lambda st: (G.table[G.inverses[st[1]]][st[0]],)))
 
 
 def socle(R: GTensor) -> Subgroup:
@@ -555,44 +575,44 @@ def _char_table(A: Subgroup):
     return lcm(*ds), E
 
 
-def _accumulate(terms, L: int, M: int, scale=1) -> dict:
-    """scale * sum of raw * zeta_L^e over the (raw, e) pairs, for raw
-    exponent dicts over zeta_M: integer exponent arithmetic, so a caller
-    normalizes once per output value, through CycNum(M, result)."""
+def _accumulate(terms, L: int, M: int) -> dict:
+    """sum of raw * zeta_L^e over the (raw, e) pairs, for raw integer
+    exponent counts over zeta_M (see _counts), as counts again: a caller
+    normalizes once per output value, through from_counts."""
     t = M // L
     acc: dict = {}
     for raw, e in terms:
         for k, q in raw.items():
             k = (k + e * t) % M
             acc[k] = acc.get(k, 0) + q
-    return {k: q * scale for k, q in acc.items() if q}
+    return {k: q for k, q in acc.items() if q}
 
 
 def _evaluate(terms: dict, table, at) -> list[CycNum]:
     """(chi_s1 x ... x chi_sd)(T) for T = sum of v * t over the terms
     {t: v}, at each tuple (s1, ..., sd) of dual exponent tuples in at."""
     L, E = table
-    M, raws = lift(terms.values(), L)
-    lifted = list(zip(raws, terms))
-    return [CycNum(M, _accumulate(
-        ((raw, sum(E[s][a] for s, a in zip(ss, t))) for raw, t in lifted),
-        L, M)) for ss in at]
+    M, d, counts = _counts(terms, L)
+    return [from_counts(M, _accumulate(
+        ((raw, sum(E[s][a] for s, a in zip(ss, t)))
+         for t, raw in counts.items()), L, M), d) for ss in at]
 
 
-def _from_dual_square(A: Subgroup, table, c: dict, M: int) -> GTensor:
+def _from_dual_square(A: Subgroup, table, c: dict, M: int,
+                      d: int = 1) -> GTensor:
     """sum c(rho, sigma) e_rho x e_sigma over the dual of A, for c given as
-    raw exponent dicts over zeta_M, in two one-dimensional stages."""
+    integer exponent counts over zeta_M and a common denominator d, in two
+    one-dimensional stages."""
     L, E = table
     # stage[g][sigma] = sum_rho c(rho, sigma) rho(g^-1)
     stage = {g: {sigma: _accumulate(((c[(rho, sigma)], -E[rho][g])
                                      for rho in E), L, M)
                  for sigma in E}
              for g in A.elements}
-    scale = Fraction(1, A.order * A.order)
+    d *= A.order * A.order
     return GTensor(A.parent, 2, {
-        (g, h): CycNum(M, _accumulate(((raw, -E[sigma][h])
-                                       for sigma, raw in stage[g].items()),
-                                      L, M, scale))
+        (g, h): from_counts(M, _accumulate(
+            ((raw, -E[sigma][h]) for sigma, raw in stage[g].items()), L, M), d)
         for g in A.elements for h in A.elements})
 
 
@@ -601,8 +621,8 @@ def twist_from_cocycle(A: Subgroup, c: dict) -> GTensor:
     if not cocycle_identity_holds(A, c):
         raise NotACocycle("table fails normalization or the cocycle identity")
     table = _char_table(A)
-    M, raws = lift(c.values(), table[0])
-    return _from_dual_square(A, table, dict(zip(c, raws)), M)
+    M, d, counts = _counts(c, table[0])
+    return _from_dual_square(A, table, counts, M, d)
 
 
 def cocycle_from_twist(A: Subgroup, F: GTensor) -> dict:

@@ -74,10 +74,6 @@ class Character:
             t += e * c * (L // d)
         return t % L, L
 
-    def eval(self, a: int) -> CycNum:
-        t, L = self.value_exponent(a)
-        return root_of_unity(L, t)
-
     def mul(self, other: "Character") -> "Character":
         basis = self.group.abelian_structure()
         exps = tuple((x + y) % d for (_, d), x, y in
@@ -140,10 +136,6 @@ class AltForm:
                     m = gcd(ds[i], ds[j])
                     t += e * (L // m) * (rho[i] * sigma[j] - rho[j] * sigma[i])
         return t % L, L
-
-    def eval(self, rho, sigma) -> CycNum:
-        t, L = self.value_exponent(rho, sigma)
-        return root_of_unity(L, t)
 
     def mul(self, other: "AltForm") -> "AltForm":
         ds = self._orders()

@@ -170,6 +170,28 @@ def test_malformed_tensor_files_exit_2(tmp_path):
     assert main(["twist-verify", "A4", str(path)]) == 2
 
 
+def test_malformed_group_json_exits_2():
+    # malformed group JSON is an input error, also under python -O
+    cases = {
+        '{"table": 5}': "'table' is not a list of lists",
+        '{"table": [5]}': "'table' is not a list of lists",
+        '{"perm_generators": 5}': "'perm_generators' is not a list",
+        '{"perm_generators": [[2, 1], []]}': "'perm_generators' is not",
+        '{"perm_generators": [["2", "1"]]}': "'perm_generators' is not",
+        '{"table": [[0]], "name": 5}': "group name 5 is not a string",
+        '[[0]]': "group JSON is not an object",
+        '5': "group JSON is not an object",
+    }
+    for spec, msg in cases.items():
+        for optimize in (False, True):
+            proc = run_cli_process("group-info", spec, optimize=optimize,
+                                   timeout=60)
+            assert proc.returncode == 2, (spec, optimize, proc.stderr)
+            assert proc.stderr.startswith("error: "), (spec, proc.stderr)
+            assert msg in proc.stderr, (spec, proc.stderr)
+            assert proc.stdout == "", (spec, proc.stdout)
+
+
 def test_error_exits(tmp_path, capsys):
     code, _, err = run_cli(capsys, "h2", "NoSuchGroup")
     assert code == 2 and "error" in err

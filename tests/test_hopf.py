@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lazytwist.cyclo import CycNum
+from lazytwist.cyclo import CycNum, root_of_unity
 from lazytwist.groups import normal_abelian_subgroups
 from lazytwist.pontryagin import (
     DualAction,
@@ -39,7 +40,7 @@ from lazytwist.hopf import (
     twist_from_cocycle,
 )
 from lazytwist.cli import packaged_tensor
-from tests_helpers import characters, idempotent
+from tests_helpers import characters, form_value, idempotent
 
 
 def _klein(groups):
@@ -75,6 +76,109 @@ def test_tensor_mul_examples(groups):
     C2 = groups("C2")
     e = GTensor(C2, 1, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
     assert e.mul(e) == e
+
+
+PRODUCT_GROUPS = ["S3", "A4", "Wall32", "C27sd"]
+RATIONALS = st.fractions(-3, 3, max_denominator=6).filter(
+    lambda q: q.denominator > 1)
+
+
+@st.composite
+def coefficients(draw):
+    """A non-integral rational plus up to two rational multiples of roots
+    of unity of one conductor n in 1, 3, 4, 8, 9, 12."""
+    n = draw(st.sampled_from([1, 3, 4, 8, 9, 12]))
+    v = CycNum.rational(draw(RATIONALS))
+    for e, q in draw(st.lists(st.tuples(st.integers(0, n - 1), RATIONALS),
+                              max_size=2)):
+        v = v + root_of_unity(n, e) * q
+    return v
+
+
+@st.composite
+def tensor_pairs(draw, Gs, degrees=(1, 2, 3)):
+    """(mode, x, y): two tensors of one degree on one of the groups Gs, each
+    coefficient of its own conductor.  In mode "zero", x = a sum_i g^i and
+    y = b sum_i zeta_k^i g^i on the drawn legs, for g of order k > 1, so
+    every cell of x y sums all k-th roots of unity and cancels; "partial"
+    adds random terms to that x."""
+    G = draw(st.sampled_from(Gs))
+    degree = draw(st.sampled_from(degrees))
+    elements = st.integers(0, G.order - 1)
+
+    def tensor():
+        return GTensor(G, degree, draw(st.dictionaries(
+            st.tuples(*[elements] * degree), coefficients(),
+            min_size=1, max_size=5)))
+
+    mode = draw(st.sampled_from(["random", "zero", "partial"]))
+    if mode == "random":
+        return mode, tensor(), tensor()
+    g = draw(elements.filter(lambda a: a != 0))
+    legs = draw(st.permutations([True] + draw(st.lists(
+        st.booleans(), min_size=degree - 1, max_size=degree - 1))))
+    powers = [0]
+    while len(powers) < G.element_order(g):
+        powers.append(G.table[powers[-1]][g])
+
+    def leg_tuple(p):
+        return tuple(p if leg else 0 for leg in legs)
+
+    a, b = draw(RATIONALS), draw(RATIONALS)
+    k = len(powers)
+    x = GTensor(G, degree, {leg_tuple(p): a for p in powers})
+    y = GTensor(G, degree, {leg_tuple(p): b * root_of_unity(k, i)
+                            for i, p in enumerate(powers)})
+    if mode == "partial":
+        x = x.add(tensor())
+    return mode, x, y
+
+
+def test_mul_matches_loop(groups):
+    # the exponent-count product against one CycNum product and sum per
+    # pair of terms, cancelling products included
+    from tests_helpers import loop_mul
+
+    Gs = [groups(name) for name in PRODUCT_GROUPS]
+    zeros = []
+
+    @settings(max_examples=80, deadline=None, database=None,
+              derandomize=True)
+    @given(tensor_pairs(Gs))
+    def check(case):
+        mode, x, y = case
+        z, want = x.mul(y), loop_mul(x, y)
+        assert z == want
+        assert z.key() == want.key()
+        if mode == "zero":
+            assert z.is_zero()
+            zeros.append(len(x.terms))
+
+    check()
+    assert zeros
+
+
+def test_drinfeld_element_and_counit_match_loops(groups):
+    from tests_helpers import loop_drinfeld_element
+
+    Gs = [groups(name) for name in PRODUCT_GROUPS]
+    cancelled = []
+
+    @settings(max_examples=40, deadline=None, database=None,
+              derandomize=True)
+    @given(tensor_pairs(Gs, degrees=(2,)))
+    def check(case):
+        _, x, y = case
+        for R in (x, y, x.mul(y)):
+            u, want = drinfeld_element(R), loop_drinfeld_element(R)
+            assert u == want and u.key() == want.key()
+            assert counit(u) == sum(u.terms.values(), CycNum.zero())
+            # y = b sum_i zeta_k^i g^i x g^i has u = b sum_i zeta_k^i = 0
+            if u.is_zero() and not R.is_zero():
+                cancelled.append(R)
+
+    check()
+    assert cancelled
 
 
 def test_tensor_mul_degree_mismatch(groups):
@@ -259,7 +363,8 @@ def test_theta(groups):
     e1, e2 = V.elements[1], V.elements[2]
     h1 = next(c for c in chars if set(c.kernel()) == {0, e1})
     h2 = next(c for c in chars if set(c.kernel()) == {0, e2})
-    assert tv.form.eval(h1.exponents, h2.exponents) == CycNum.rational(-1)
+    assert form_value(tv.form, h1.exponents,
+                      h2.exponents) == CycNum.rational(-1)
     # the symmetric Wall twist has trivial socle
     assert theta(_wall_f(groups)).is_trivial()
 
@@ -305,7 +410,7 @@ def test_twist_from_cocycle_matches_shipped_tensor(groups):
     pair = (h[e1], h[e2])
     for _ in range(3):
         c[pair] = plus
-        c[(pair[1], pair[0])] = b.eval(*pair)
+        c[(pair[1], pair[0])] = form_value(b, *pair)
         pair = (act.on_exponents(sigma, pair[0]),
                 act.on_exponents(sigma, pair[1]))
     F = twist_from_cocycle(V, c)
@@ -358,7 +463,7 @@ def test_r_from_form_examples(groups):
     expected = GTensor(A4, 2, {})
     for sigma in chars:
         for tau in chars:
-            coeff = b.eval(sigma.exponents, tau.exponents)
+            coeff = form_value(b, sigma.exponents, tau.exponents)
             expected = expected.add(
                 idempotent(V, sigma).outer(idempotent(V, tau)).scale(coeff))
     assert r_from_form(V, b) == expected
@@ -577,8 +682,6 @@ def test_twist_from_cocycle_matches_loop(groups):
 
 def _random_value(rng, n):
     """A random element of Q(zeta_n) with small coefficients."""
-    from lazytwist.cyclo import root_of_unity
-
     v = CycNum.rational(Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)))
     for _ in range(2):
         v = v + root_of_unity(n, rng.randrange(n)) * rng.randrange(-2, 3)

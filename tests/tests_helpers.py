@@ -2,15 +2,16 @@
 lattices, characters and their idempotents, character restriction, direct
 products and relabellings, the pair-orbit count, and the brute-force
 automorphism, multiplicity, abelian-type and tensor-product checks, the
-CycNum-loop character sums and the Galois-substitution normal form the
-library replaced."""
+CycNum-loop tensor product, Drinfeld element and character sums, and the
+Galois-substitution normal form the library replaced."""
 
 import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
-from lazytwist.cyclo import CycNum, _phi, _power_table, _prime_factors
+from lazytwist.cyclo import (CycNum, _phi, _power_table, _prime_factors,
+                             root_of_unity)
 from lazytwist.fixtures import _group_from_elements
 from lazytwist.groups import FiniteGroup
 from lazytwist.hopf import GTensor, form_from_r, socle
@@ -101,11 +102,23 @@ def characters(A):
         *(range(d) for _, d in A.abelian_structure()))]
 
 
+def char_value(chi, a):
+    """chi(a) as a CycNum, read off chi.value_exponent."""
+    t, L = chi.value_exponent(a)
+    return root_of_unity(L, t)
+
+
+def form_value(b, rho, sigma):
+    """b(rho, sigma) as a CycNum, read off b.value_exponent."""
+    t, L = b.value_exponent(rho, sigma)
+    return root_of_unity(L, t)
+
+
 def idempotent(A, chi):
     """e_chi = |A|^-1 sum chi(a^-1) a."""
     G = A.parent
     scale = CycNum.rational(Fraction(1, A.order))
-    return GTensor(G, 1, {(a,): chi.eval(G.inverses[a]) * scale
+    return GTensor(G, 1, {(a,): char_value(chi, G.inverses[a]) * scale
                           for a in A.elements})
 
 
@@ -207,6 +220,33 @@ def convolution_no_multiplicities(G, orbits):
                for i in range(len(orbits)) for j in range(i + 1, len(orbits)))
 
 
+def loop_mul(x, y):
+    """x y in k[G]^(tensor d) with one normalized CycNum product and one
+    normalized addition per pair of terms."""
+    table = x.group.table
+    out = {}
+    for t1, c1 in x.terms.items():
+        for t2, c2 in y.terms.items():
+            t = tuple(table[a][b] for a, b in zip(t1, t2))
+            v = out.get(t, CycNum.zero()) + c1 * c2
+            if v.is_zero():
+                out.pop(t, None)
+            else:
+                out[t] = v
+    return GTensor(x.group, x.degree, out)
+
+
+def loop_drinfeld_element(R):
+    """u_R = sum S(t) s over the terms s x t of R, one normalized addition
+    per term."""
+    G = R.group
+    out = {}
+    for (s, t), c in R.terms.items():
+        g = (G.table[G.inverses[t]][s],)
+        out[g] = out.get(g, CycNum.zero()) + c
+    return GTensor(G, 1, out)
+
+
 def tensor_bg_product(x, y, nas):
     """Partial product of socle-form pairs through group-algebra tensors:
     R(A, b) R(A', b') in k[G] x k[G], its socle, and the form read back on
@@ -225,8 +265,8 @@ def tensor_bg_product(x, y, nas):
 
 
 def loop_fourier_invert(H, coeffs):
-    """Inverse of sum coeffs[a] a in k[H], H abelian, through chi.eval and
-    one normalized addition per term; None when singular."""
+    """Inverse of sum coeffs[a] a in k[H], H abelian, through char_value
+    and one normalized addition per term; None when singular."""
     chars = characters(H.whole_subgroup())
     n = H.order
     hat = []
@@ -234,7 +274,7 @@ def loop_fourier_invert(H, coeffs):
         v = CycNum.zero()
         for a, c in enumerate(coeffs):
             if not c.is_zero():
-                v = v + c * chi.eval(a)
+                v = v + c * char_value(chi, a)
         if v.is_zero():
             return None
         hat.append(v.inv())
@@ -244,14 +284,14 @@ def loop_fourier_invert(H, coeffs):
         v = CycNum.zero()
         ainv = H.inverses[a]
         for chi, hv in zip(chars, hat):
-            v = v + hv * chi.eval(ainv)
+            v = v + hv * char_value(chi, ainv)
         out.append(v * scale)
     return out
 
 
 def loop_twist_from_cocycle(A, c):
     """sum c(rho, sigma) e_rho x e_sigma over the dual of A, in two stages
-    of chi.eval sums; no cocycle check."""
+    of char_value sums; no cocycle check."""
     G = A.parent
     chars = {chi.exponents: chi for chi in characters(A)}
     inv = G.inverses
@@ -261,7 +301,7 @@ def loop_twist_from_cocycle(A, c):
         for sigma in chars:
             v = CycNum.zero()
             for rho in chars:
-                v = v + c[(rho, sigma)] * chars[rho].eval(inv[g])
+                v = v + c[(rho, sigma)] * char_value(chars[rho], inv[g])
             row[sigma] = v
         stage[g] = row
     scale = CycNum.rational(Fraction(1, A.order * A.order))
@@ -270,19 +310,19 @@ def loop_twist_from_cocycle(A, c):
         for h in A.elements:
             v = CycNum.zero()
             for sigma in chars:
-                v = v + stage[g][sigma] * chars[sigma].eval(inv[h])
+                v = v + stage[g][sigma] * char_value(chars[sigma], inv[h])
             terms[(g, h)] = v * scale
     return GTensor(G, 2, terms)
 
 
 def loop_fourier(A, x):
-    """Fourier table chi -> sum lambda_g chi(g^-1) through chi.eval."""
+    """Fourier table chi -> sum lambda_g chi(g^-1) through char_value."""
     G = A.parent
     out = {}
     for chi in characters(A):
         v = CycNum.zero()
         for (g,), c in x.terms.items():
-            v = v + c * chi.eval(G.inverses[g])
+            v = v + c * char_value(chi, G.inverses[g])
         out[chi.exponents] = v
     return out
 
