@@ -43,7 +43,6 @@ from .hopf import (
     r_matrix,
     socle,
     tensor_inv,
-    tensor_mul,
     theta,
     twist_from_cocycle,
 )

@@ -6,8 +6,10 @@ searches are guarded by an order bound.
 
 Class-preserving automorphisms, Aut(G) and the isomorphism test share one
 pruned backtrack over generator images (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, 2005).  Certifying checks raise
-`VerdictInconsistent`, so they hold under `python -O`.
+Computational Group Theory, 2005).  Every closure and orbit walk, here
+and in `hopf` and `lazy`, goes through one breadth-first orbit routine,
+`_orbit`.  Certifying checks raise `VerdictInconsistent`, so they hold
+under `python -O`.
 """
 
 from __future__ import annotations
@@ -54,6 +56,26 @@ class OrderLimitExceeded(RuntimeError):
 
 class VerdictInconsistent(RuntimeError):
     """Two certified computations disagree; the verdict cannot be trusted."""
+
+
+def _orbit(start, gens, act, limit=None) -> list:
+    """Everything reached from `start` by applying the generators, in
+    breadth-first order: act(x, g) for each element x in turn and each g
+    in `gens`.  Raises OrderLimitExceeded once more than `limit` elements
+    are reached.  With start the identity and act right multiplication,
+    this is the subgroup the generators span (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, 4.1)."""
+    out, seen = [start], {start}
+    for x in out:
+        for g in gens:
+            y = act(x, g)
+            if y not in seen:
+                if limit is not None and len(out) >= limit:
+                    raise OrderLimitExceeded(
+                        f"closure exceeds the configured bound {limit}")
+                seen.add(y)
+                out.append(y)
+    return out
 
 
 class FiniteGroup:
@@ -120,27 +142,16 @@ class FiniteGroup:
             gens: list[int] = []
             span = {0}
             while len(span) < self.order:
-                for a in range(1, self.order):
-                    if a not in span:
-                        gens.append(a)
-                        span = self.closure(span | {a})
-                        break
+                gens.append(next(a for a in range(1, self.order)
+                                 if a not in span))
+                span = self.closure(gens)
             self._generators = tuple(gens)
         return self._generators
 
     def closure(self, elements) -> set[int]:
-        out = set(elements) | {0}
-        frontier = list(out)
-        while frontier:
-            new = []
-            for a in frontier:
-                for b in list(out):
-                    for c in (self.table[a][b], self.table[b][a]):
-                        if c not in out:
-                            out.add(c)
-                            new.append(c)
-            frontier = new
-        return out
+        """The subgroup generated by the elements."""
+        t = self.table
+        return set(_orbit(0, list(elements), lambda x, g: t[x][g]))
 
     def subgroup(self, elements) -> "Subgroup":
         return Subgroup(self, elements)
@@ -219,21 +230,8 @@ def from_permutations(degree: int, generators, limit: int = 256,
         if sorted(p) != list(range(degree)):
             raise NotAGroup(f"not a permutation of 1..{degree}: {g}")
         gens.append(p)
-    ident = tuple(range(degree))
-    elements = [ident]
-    index = {ident: 0}
-    queue = [ident]
-    while queue:
-        cur = queue.pop(0)
-        for g in gens:
-            nxt = _perm_compose(cur, g)
-            if nxt not in index:
-                if len(elements) >= limit:
-                    raise OrderLimitExceeded(
-                        f"closure exceeds the configured bound {limit}")
-                index[nxt] = len(elements)
-                elements.append(nxt)
-                queue.append(nxt)
+    elements = _orbit(tuple(range(degree)), gens, _perm_compose, limit)
+    index = {p: i for i, p in enumerate(elements)}
     table = [[index[_perm_compose(a, b)] for b in elements] for a in elements]
     return FiniteGroup(table, labels=[_cycle_label(p) for p in elements],
                        name=name)
@@ -362,7 +360,7 @@ def abelian_structure(A: Subgroup):
         if found is None:
             raise VerdictInconsistent("no direct lift exists (not abelian?)")
         picked.append((found, m))
-        span = G.closure(span | {found}) & set(A.elements)
+        span = G.closure(g for g, _ in picked)
     picked.reverse()
     for (_, d1), (_, d2) in zip(picked, picked[1:]):
         if d2 % d1:
@@ -372,81 +370,33 @@ def abelian_structure(A: Subgroup):
 
 def normal_abelian_subgroups(G: FiniteGroup,
                              limit: int = ORDER_LIMIT_DEFAULT):
-    """All abelian subgroups that are unions of conjugacy classes.
+    """All abelian normal subgroups, sorted by (order, elements).
 
-    A union of classes closed under multiplication is automatically a
-    normal subgroup, so the search walks the lattice of class-closed
-    abelian subsets: grow each one found by one commuting class at a time
-    and re-close.  Each subgroup is visited once, which stays cheap even
-    when every class is a singleton.
+    Each one is generated by the conjugacy classes it holds, so they form
+    the orbit of the trivial subgroup under growing a subgroup S by one
+    class c that commutes with itself and with S's generators: <S, c> is
+    abelian, and normal as a subgroup generated by classes.  Adding the
+    classes of an abelian normal subgroup one at a time reaches it.
     """
     if G.order > limit:
         raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
-    classes = G.conjugacy_classes()
     t = G.table
-    class_of = {}
-    for ci, c in enumerate(classes):
-        for x in c:
-            class_of[x] = ci
 
-    def commuting(c1, c2):
-        return all(t[a][b] == t[b][a] for a in c1 for b in c2)
+    def commute(xs, ys):
+        return all(t[a][b] == t[b][a] for a in xs for b in ys)
 
-    cand = [ci for ci in range(1, len(classes))
-            if commuting(classes[ci], classes[ci])]
-    cand_set = set(cand)
-    compat = {}
+    classes = [c for c in G.conjugacy_classes()[1:] if commute(c, c)]
+    gens_of = {frozenset({0}): ()}
 
-    def compatible(i, j):
-        key = (i, j) if i <= j else (j, i)
-        if key not in compat:
-            compat[key] = commuting(classes[key[0]], classes[key[1]])
-        return compat[key]
+    def grow(S, c):
+        gens = gens_of[S]
+        if c[0] in S or not commute(c, gens):
+            return S
+        T = frozenset(G.closure(gens + c))
+        gens_of.setdefault(T, gens + c)
+        return T
 
-    def close(class_ids):
-        # close the union under multiplication; None once it leaves the
-        # abelian candidates
-        current = set(class_ids)
-        while True:
-            union = {0}
-            for ci in current:
-                union.update(classes[ci])
-            new = set()
-            for a in union:
-                for b in union:
-                    ci = class_of[t[a][b]]
-                    if ci != 0 and ci not in current:
-                        new.add(ci)
-            if not new:
-                return frozenset(current)
-            for ci in new:
-                if ci not in cand_set:
-                    return None
-                if not all(compatible(ci, cj) for cj in current | new):
-                    return None
-            current |= new
-
-    seen = {frozenset()}
-    queue = [frozenset()]
-    found = []
-    while queue:
-        S = queue.pop()
-        found.append(S)
-        for ci in cand:
-            if ci in S:
-                continue
-            if not all(compatible(ci, cj) for cj in S):
-                continue
-            T = close(S | {ci})
-            if T is not None and T not in seen:
-                seen.add(T)
-                queue.append(T)
-    subs = []
-    for S in found:
-        union = {0}
-        for ci in S:
-            union.update(classes[ci])
-        subs.append(Subgroup(G, union))
+    subs = [Subgroup(G, S) for S in _orbit(frozenset({0}), classes, grow)]
     subs.sort(key=lambda s: (s.order, s.elements))
     return subs
 
@@ -461,16 +411,6 @@ class GroupMap:
 
     def __call__(self, x: int) -> int:
         return self.images[x]
-
-    def is_homomorphism(self) -> bool:
-        s, t = self.source.table, self.target.table
-        im = self.images
-        return all(im[s[a][b]] == t[im[a]][im[b]]
-                   for a in range(self.source.order)
-                   for b in range(self.source.order))
-
-    def is_bijective(self) -> bool:
-        return sorted(self.images) == list(range(self.target.order))
 
     def __eq__(self, other):
         return isinstance(other, GroupMap) and self.images == other.images

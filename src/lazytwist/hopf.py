@@ -20,11 +20,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import getitem
+from operator import getitem, mul
 
 from .cyclo import CycNum, from_counts, lift, root_of_unity
-from .groups import FiniteGroup, OrderLimitExceeded, Subgroup
-from .pontryagin import (AltForm, Character, DualAction,
+from .groups import FiniteGroup, Subgroup, _orbit
+from .pontryagin import (AltForm, DualAction,
                          cocycle_identity_holds, is_nondegenerate)
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "MalformedTensor",
     "GTensor",
     "ThetaValue",
-    "tensor_mul",
     "tensor_inv",
     "coproduct",
     "counit",
@@ -301,34 +300,21 @@ class GTensor:
         return GTensor(group, degree, terms)
 
 
-def tensor_mul(x: GTensor, y: GTensor) -> GTensor:
-    return x.mul(y)
-
-
 def _tuple_group(G: FiniteGroup, degree: int, tuples,
                  cap: int = _DENSE_SOLVE_CAP):
-    """Subgroup of G^degree generated by the given tuples, with its table."""
-    ident = (0,) * degree
-    elems = {ident} | {tuple(t) for t in tuples}
-    changed = True
-    while changed:
-        changed = False
-        current = list(elems)
-        for a in current:
-            for b in current:
-                c = tuple(G.table[x][y] for x, y in zip(a, b))
-                if c not in elems:
-                    elems.add(c)
-                    changed = True
-                    if len(elems) > cap:
-                        raise OrderLimitExceeded(
-                            f"support generates a subgroup beyond {cap} elements")
-    order = sorted(elems)
-    index = {t: i for i, t in enumerate(order)}
-    table = [[index[tuple(G.table[x][y] for x, y in zip(a, b))] for b in order]
-             for a in order]
-    H = FiniteGroup(table, name=None)
-    return H, order, index
+    """Subgroup of G^degree generated by the given tuples, with its table.
+
+    Raises OrderLimitExceeded when the subgroup has more than `cap`
+    elements, also when the tuples already are that subgroup."""
+    t = G.table
+
+    def times(a, b):
+        return tuple(t[x][y] for x, y in zip(a, b))
+
+    order = sorted(_orbit((0,) * degree, list(tuples), times, cap))
+    index = {a: i for i, a in enumerate(order)}
+    table = [[index[times(a, b)] for b in order] for a in order]
+    return FiniteGroup(table, name=None), order, index
 
 
 def tensor_inv(x: GTensor) -> GTensor:
@@ -450,14 +436,19 @@ def delta2_right(F: GTensor) -> GTensor:
     return F.embed((1, 2), 3).mul(_coproduct_leg(F, 1))
 
 
-def is_twist(F: GTensor) -> bool:
+def _twist_inverse(F: GTensor):
+    """F^-1 when F is a twist, else None."""
     if F.degree != 2:
-        return False
+        return None
     try:
-        tensor_inv(F)
+        Finv = tensor_inv(F)
     except NotInvertible:
-        return False
-    return delta2_left(F) == delta2_right(F)
+        return None
+    return Finv if delta2_left(F) == delta2_right(F) else None
+
+
+def is_twist(F: GTensor) -> bool:
+    return _twist_inverse(F) is not None
 
 
 def is_invariant(F: GTensor) -> bool:
@@ -487,9 +478,10 @@ def r_matrix(F: GTensor) -> GTensor:
     """R_F = F_21 F^-1 for an invariant twist; checks the braiding axioms."""
     if not is_invariant(F):
         raise NotInvariant("twist does not commute with coproducts")
-    if not is_twist(F):
+    Finv = _twist_inverse(F)
+    if Finv is None:
         raise NotATwist("not a twist")
-    R = F.flip().mul(tensor_inv(F))
+    R = F.flip().mul(Finv)
     if _coproduct_leg(R, 0) != R.embed((0, 2), 3).mul(R.embed((1, 2), 3)):
         raise ThetaContractViolated("R-matrix axiom (Delta x id) failed")
     if _coproduct_leg(R, 1) != R.embed((0, 2), 3).mul(R.embed((0, 1), 3)):
@@ -566,13 +558,15 @@ def form_from_r(A: Subgroup, R: GTensor) -> AltForm:
 def _char_table(A: Subgroup):
     """(L, E) for the abelian subgroup A of exponent L: chi_s(a) =
     zeta_L^E[s][a] for every dual exponent tuple s (the keys of E, in
-    lexicographic order) and every a in A."""
+    lexicographic order) and every a in A, read off the coordinates c(a)
+    of a as E[s][a] = sum s_i c_i(a) L/d_i mod L."""
     ds = [d for _, d in A.abelian_structure()]
-    E = {}
-    for s in itertools.product(*(range(d) for d in ds)):
-        chi = Character(A, s)
-        E[s] = {a: chi.value_exponent(a)[0] for a in A.elements}
-    return lcm(*ds), E
+    L = lcm(*ds)
+    coords = A.element_coordinates()
+    scaled = {a: [c * (L // d) for c, d in zip(coords[a], ds)]
+              for a in A.elements}
+    return L, {s: {a: sum(map(mul, s, w)) % L for a, w in scaled.items()}
+               for s in itertools.product(*(range(d) for d in ds))}
 
 
 def _accumulate(terms, L: int, M: int) -> dict:

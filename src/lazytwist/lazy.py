@@ -20,7 +20,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .groups import (
@@ -29,6 +29,7 @@ from .groups import (
     OrderLimitExceeded,
     Subgroup,
     VerdictInconsistent,
+    _orbit,
     automorphism_group,
     class_preserving_auts,
     find_isomorphism,
@@ -40,7 +41,6 @@ from .pontryagin import (
     Character,
     DualAction,
     _dual_matrix,
-    _lcm,
     alternating_forms,
     cocycle_from_form_odd,
     invariant_cocycle_search,
@@ -161,25 +161,18 @@ def bg_element_order(x: BGElement, nas) -> int:
 
 
 def _pair_orbits(G: FiniteGroup):
-    n = G.order
-    gens = G.generating_set()
-    seen = [[False] * n for _ in range(n)]
-    orbits = []
-    for x in range(n):
-        for y in range(n):
-            if seen[x][y]:
-                continue
-            orbit = []
-            stack = [(x, y)]
-            seen[x][y] = True
-            while stack:
-                p = stack.pop()
-                orbit.append(p)
-                for g in gens:
-                    q = (G.conjugate(g, p[0]), G.conjugate(g, p[1]))
-                    if not seen[q[0]][q[1]]:
-                        seen[q[0]][q[1]] = True
-                        stack.append(q)
+    """The orbits of diagonal conjugation on G x G, each sorted, in the
+    order of their least pairs."""
+    gens, conj = G.generating_set(), G.conjugate
+
+    def act(p, g):
+        return conj(g, p[0]), conj(g, p[1])
+
+    seen, orbits = set(), []
+    for p in itertools.product(range(G.order), repeat=2):
+        if p not in seen:
+            orbit = _orbit(p, gens, act)
+            seen.update(orbit)
             orbits.append(sorted(orbit))
     return orbits
 
@@ -320,7 +313,7 @@ def _group_structure(orders: list[int]) -> Optional[list[int]]:
     invariant factor takes p once for each k at which that number exceeds
     t.  Only the element orders are needed, not a Cayley table.
     """
-    exponent = _lcm(orders)
+    exponent = lcm(*orders)
     factors: list[int] = []
     p = 2
     while exponent > 1:
@@ -357,7 +350,7 @@ def _is_abelian_orders(orders: list[int]) -> bool:
     factors = _group_structure(orders)
     if factors is None:
         return False
-    rebuilt = [_lcm(d // gcd(e, d) for e, d in zip(tup, factors))
+    rebuilt = [lcm(*(d // gcd(e, d) for e, d in zip(tup, factors)))
                for tup in itertools.product(*(range(d) for d in factors))]
     return sorted(rebuilt) == sorted(orders)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .cyclo import CycNum, root_of_unity
@@ -30,7 +30,6 @@ __all__ = [
     "is_symmetric_type",
     "cocycle_from_form_odd",
     "cocycle_identity_holds",
-    "cocycle_form",
     "invariant_cocycle_search",
     "CocycleSearch",
 ]
@@ -48,13 +47,6 @@ class EvenOrder(ValueError):
     pass
 
 
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
-
-
 @dataclass(frozen=True)
 class Character:
     """A character of an abelian subgroup, chi(g_i) = zeta_{d_i}^{a_i}."""
@@ -68,26 +60,11 @@ class Character:
         if a not in coords:
             raise NotInSubgroup(f"element {a} not in the subgroup")
         basis = self.group.abelian_structure()
-        L = _lcm([d for _, d in basis]) if basis else 1
+        L = lcm(*(d for _, d in basis))
         t = 0
         for (_, d), e, c in zip(basis, self.exponents, coords[a]):
             t += e * c * (L // d)
         return t % L, L
-
-    def mul(self, other: "Character") -> "Character":
-        basis = self.group.abelian_structure()
-        exps = tuple((x + y) % d for (_, d), x, y in
-                     zip(basis, self.exponents, other.exponents))
-        return Character(self.group, exps)
-
-    def inv(self) -> "Character":
-        basis = self.group.abelian_structure()
-        return Character(self.group,
-                         tuple((-x) % d for (_, d), x in
-                               zip(basis, self.exponents)))
-
-    def is_trivial(self) -> bool:
-        return not any(self.exponents)
 
     def kernel(self) -> tuple[int, ...]:
         return tuple(a for a in self.group.elements
@@ -127,7 +104,7 @@ class AltForm:
     def value_exponent(self, rho, sigma) -> tuple[int, int]:
         """b(rho, sigma) as (t, L): zeta_L^t for exponent tuples rho, sigma."""
         ds = self._orders()
-        L = _lcm(ds) if ds else 1
+        L = lcm(*ds)
         t = 0
         for i in range(len(ds)):
             for j in range(i + 1, len(ds)):
@@ -294,9 +271,6 @@ class DualAction:
     def on_exponents(self, g: int, exponents) -> tuple[int, ...]:
         return _dual_apply(self._mats[g], exponents, self._orders)
 
-    def on_character(self, g: int, chi: Character) -> Character:
-        return Character(self.A, self.on_exponents(g, chi.exponents))
-
     def on_form(self, g: int, b: AltForm) -> AltForm:
         """The transported form (g.b)(rho, sigma) = b(g^-1.rho, g^-1.sigma):
         the push along a -> g a g^-1."""
@@ -330,7 +304,7 @@ def cocycle_from_form_odd(A: Subgroup, b: AltForm) -> dict:
         raise EvenOrder("square-root cocycle needs odd order")
     basis = A.abelian_structure()
     ds = [d for _, d in basis]
-    L = _lcm(ds) if ds else 1
+    L = lcm(*ds)
     half = (L + 1) // 2
     duals = list(itertools.product(*(range(d) for d in ds)))
     table = {}
@@ -389,22 +363,6 @@ def cocycle_identity_holds(A: Subgroup, c: dict) -> bool:
     return True
 
 
-def cocycle_form(A: Subgroup, c: dict) -> AltForm:
-    """The alternating form b(rho, sigma) = c(sigma, rho) / c(rho, sigma)."""
-    ds = [d for _, d in A.abelian_structure()]
-    units = _units(len(ds))
-    upper = {}
-    for i, j in itertools.combinations(range(len(ds)), 2):
-        v = c[(units[j], units[i])] / c[(units[i], units[j])]
-        m = gcd(ds[i], ds[j])
-        e = next((k for k in range(m) if root_of_unity(m, k) == v), None)
-        if e is None:
-            raise VerdictInconsistent(
-                "form value is not a root of unity of the right order")
-        upper[(i, j)] = e
-    return AltForm.from_upper(A, upper)
-
-
 @dataclass(frozen=True)
 class CocycleSearch:
     """Search outcome: witness table (or None) plus which argument decided.
@@ -433,7 +391,7 @@ def invariant_cocycle_search(A: Subgroup, b: AltForm, action: DualAction,
     ds = [d for _, d in A.abelian_structure()]
     duals = list(itertools.product(*(range(d) for d in ds)))
     one = tuple(0 for _ in ds)
-    M = 2 * (_lcm(ds) if ds else 1)
+    M = 2 * lcm(*ds)
 
     # union-find over ordered pairs with multiplicative offsets in Z_M
     parent: dict = {}

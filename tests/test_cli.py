@@ -192,6 +192,27 @@ def test_malformed_group_json_exits_2():
             assert proc.stdout == "", (spec, proc.stdout)
 
 
+def test_twist_verify_refuses_large_closed_support(tmp_path):
+    # the support is all 288 pairs of S4 x A4, beyond the 200-element cap
+    # of tensor inversion, so it is refused at once like its generators,
+    # whatever the coefficients, not inverted by a dense solve of order 288
+    from lazytwist.fixtures import builtin_group
+
+    S4 = builtin_group("S4")
+    A4 = sorted({S4.table[x][x] for x in range(S4.order)})
+    assert len(A4) == 12
+    pairs = [[g, h] for g in range(S4.order) for h in A4]
+    for name, coeff in (("unequal", lambda i: f"{i + 1}/7"),
+                        ("ones", lambda i: "1")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"group": "S4", "degree": 2, "terms": [
+            {"g": t, "c": {"n": 1, "terms": [[0, coeff(i)]]}}
+            for i, t in enumerate(pairs)]}))
+        proc = run_cli_process("twist-verify", "S4", str(path), timeout=60)
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert "bound 200" in proc.stderr and proc.stdout == "", name
+
+
 def test_error_exits(tmp_path, capsys):
     code, _, err = run_cli(capsys, "h2", "NoSuchGroup")
     assert code == 2 and "error" in err

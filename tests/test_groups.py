@@ -16,8 +16,13 @@ from lazytwist.groups import (
 )
 from lazytwist.fixtures import _group_from_elements, wall_named_elements
 from tests_helpers import (
+    all_subgroups,
     brute_force_homs,
+    is_bijective,
+    is_homomorphism,
+    lattice_normal_abelian_subgroups,
     named_group,
+    queue_permutations,
     relabelled,
 )
 
@@ -62,6 +67,21 @@ def test_from_permutations_limit():
     with pytest.raises(OrderLimitExceeded):
         from_permutations(8, [[2, 3, 4, 5, 6, 7, 8, 1], [2, 1, 3, 4, 5, 6, 7, 8]],
                           limit=100)
+    # the bound is the largest order allowed
+    S4 = [[2, 1, 3, 4], [2, 3, 4, 1]]
+    assert from_permutations(4, S4, limit=24).order == 24
+    with pytest.raises(OrderLimitExceeded):
+        from_permutations(4, S4, limit=23)
+
+
+def test_from_permutations_keeps_queue_order():
+    # element indices fix every label and every JSON output
+    for degree, gens in [(3, [[2, 1, 3], [2, 3, 1]]),
+                         (4, [[2, 1, 4, 3], [2, 3, 1, 4]]),
+                         (4, [[2, 1, 3, 4], [2, 3, 4, 1]])]:
+        G = from_permutations(degree, gens)
+        assert G.labels == tuple(groups_module._cycle_label(p)
+                                 for p in queue_permutations(degree, gens))
 
 
 def test_from_permutations_passes_validation(groups):
@@ -110,6 +130,18 @@ def test_normal_abelian_subgroups_order27(groups):
     for s in subs:
         if s.order == 9:
             assert [d for _, d in s.abelian_structure()] == [3, 3]
+
+
+def test_normal_abelian_subgroups_match_oracles(groups):
+    # the old lattice walk, and every subgroup filtered by normal and abelian
+    for name in ["C2xC2xC2xC2", "C2xC4xC4", "C6xC6", "C3xC3xC3", "S4",
+                 "Wall32", "C27sd", "D8xC2", "Q8xC2xC2", "D8xS3"]:
+        G = named_group(groups, name)
+        found = [s.elements for s in normal_abelian_subgroups(G)]
+        assert found == lattice_normal_abelian_subgroups(G), name
+        assert found == [s for s in all_subgroups(G)
+                         if Subgroup(G, s).is_normal()
+                         and Subgroup(G, s).is_abelian()], name
 
 
 def test_normal_subgroups_conjugation_stable(groups):
@@ -237,7 +269,7 @@ def test_automorphism_group_orders(groups):
     for name, order in expected.items():
         auts = automorphism_group(named_group(groups, name))
         assert len(auts) == order, name
-        assert all(a.is_homomorphism() and a.is_bijective() for a in auts)
+        assert all(is_homomorphism(a) and is_bijective(a) for a in auts)
 
 
 def test_find_isomorphism(groups):
@@ -245,7 +277,7 @@ def test_find_isomorphism(groups):
         G = named_group(groups, name)
         H = relabelled(G, seed)
         phi = find_isomorphism(G, H)
-        assert phi is not None and phi.is_homomorphism() and phi.is_bijective()
+        assert phi is not None and is_homomorphism(phi) and is_bijective(phi)
     # C4 x| C4 and Q8 x C2 share element orders and class sizes, so only
     # the search itself can tell them apart
     c4_c4 = _group_from_elements(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lazytwist.cyclo import CycNum, root_of_unity
-from lazytwist.groups import normal_abelian_subgroups
+from lazytwist.groups import OrderLimitExceeded, normal_abelian_subgroups
 from lazytwist.pontryagin import (
     DualAction,
     alternating_forms,
@@ -35,12 +35,13 @@ from lazytwist.hopf import (
     r_matrix,
     socle,
     tensor_inv,
-    tensor_mul,
     theta,
     twist_from_cocycle,
+    _tuple_group,
 )
 from lazytwist.cli import packaged_tensor
-from tests_helpers import characters, form_value, idempotent
+from tests_helpers import (characters, form_value, idempotent,
+                           loop_tuple_group, named_group)
 
 
 def _klein(groups):
@@ -69,10 +70,10 @@ def test_tensor_mul_examples(groups):
     gp, hp = 3, 4
     x = GTensor.basis(A4, (g, h))
     y = GTensor.basis(A4, (gp, hp))
-    assert tensor_mul(x, y) == GTensor.basis(
+    assert x.mul(y) == GTensor.basis(
         A4, (A4.table[g][gp], A4.table[h][hp]))
     F = _a4_twist(groups)
-    assert tensor_mul(GTensor.unit(A4, 2), F) == F
+    assert GTensor.unit(A4, 2).mul(F) == F
     C2 = groups("C2")
     e = GTensor(C2, 1, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
     assert e.mul(e) == e
@@ -184,7 +185,47 @@ def test_drinfeld_element_and_counit_match_loops(groups):
 def test_tensor_mul_degree_mismatch(groups):
     A4 = groups("A4")
     with pytest.raises(DegreeMismatch):
-        tensor_mul(GTensor.unit(A4, 1), GTensor.unit(A4, 2))
+        GTensor.unit(A4, 1).mul(GTensor.unit(A4, 2))
+
+
+def test_tuple_group_matches_loop(groups):
+    # the shipped supports, and random ones on small powers of groups
+    supports = [(F.group, F.degree, list(F.terms)) for F in
+                (_a4_twist(groups), _wall_f(groups), _wall_a(groups))]
+    rng = random.Random(8)
+    for name, degree in [("S3", 2), ("D8", 2), ("C6", 3), ("Q8xC2", 2),
+                         ("S4", 2)]:
+        G = named_group(groups, name)
+        for k in (1, 2, 3):
+            supports.append((G, degree, [
+                tuple(rng.randrange(G.order) for _ in range(degree))
+                for _ in range(k)]))
+    raised = 0
+    for G, degree, tuples in supports:
+        try:
+            want = loop_tuple_group(G, degree, tuples)
+        except OrderLimitExceeded:
+            raised += 1
+            with pytest.raises(OrderLimitExceeded):
+                _tuple_group(G, degree, tuples)
+            continue
+        H, order, index = _tuple_group(G, degree, tuples)
+        assert order == want
+        assert all(H.table[index[a]][index[b]] == index[tuple(
+            G.table[x][y] for x, y in zip(a, b))] for a in order for b in order)
+    assert 0 < raised < len(supports)
+
+
+def test_tuple_group_caps_closed_supports(groups):
+    # C12 x C12 x C2 in C12^3 has 288 elements, over the cap of 200; the
+    # old loop checked the cap only on adding an element, so the closed
+    # support passed while its generators were refused
+    C12 = groups("C12")
+    closed = [(a, b, c) for a in range(12) for b in range(12) for c in (0, 6)]
+    assert len(loop_tuple_group(C12, 3, closed)) == 288
+    for tuples in (closed, [(1, 0, 0), (0, 1, 0), (0, 0, 6)]):
+        with pytest.raises(OrderLimitExceeded):
+            _tuple_group(C12, 3, tuples)
 
 
 def test_tensor_inv_examples(groups):
@@ -278,7 +319,7 @@ def test_normalize_twist(groups):
 def test_z2_closed_under_multiplication(groups):
     A4 = groups("A4")
     F = _a4_twist(groups)
-    FF = tensor_mul(F, F)
+    FF = F.mul(F)
     assert is_twist(FF) and is_invariant(FF)
     # a central invertible element: 3 + (sum of the double transpositions)
     V = _klein(groups)
@@ -287,10 +328,10 @@ def test_z2_closed_under_multiplication(groups):
         [((a,), CycNum.one()) for a in V.elements if a != 0]))
     D = delta1(central)
     assert is_twist(D) and is_invariant(D)
-    assert is_twist(tensor_mul(F, D)) and is_invariant(tensor_mul(F, D))
+    assert is_twist(F.mul(D)) and is_invariant(F.mul(D))
     W = groups("Wall32")
     Fw = _wall_f(groups)
-    assert is_twist(tensor_mul(Fw, Fw)) and is_invariant(tensor_mul(Fw, Fw))
+    assert is_twist(Fw.mul(Fw)) and is_invariant(Fw.mul(Fw))
 
 
 def test_gauge_examples(groups):

@@ -40,6 +40,7 @@ from tests_helpers import (
     product_group,
     relabelled,
     relabelling,
+    stack_pair_orbits,
     tensor_bg_product,
 )
 
@@ -403,6 +404,13 @@ def test_order_limit(groups):
         h2_compute(groups("Wr_3"), limit=64)
     with pytest.raises(OrderLimitExceeded):
         builtin_group("Wr_5")
+
+
+def test_pair_orbits_match_stack_walk(groups):
+    for name in ["C6", "S3", "D8", "Q8", "A4", "S4", "Wall32", "C27sd",
+                 "D8xC2", "Q8xC2xC2"]:
+        G = named_group(groups, name)
+        assert _pair_orbits(G) == stack_pair_orbits(G), name
 
 
 def test_has_no_multiplicities_matches_convolution(groups):

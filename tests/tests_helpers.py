@@ -2,8 +2,11 @@
 lattices, characters and their idempotents, character restriction, direct
 products and relabellings, the pair-orbit count, and the brute-force
 automorphism, multiplicity, abelian-type and tensor-product checks, the
-CycNum-loop tensor product, Drinfeld element and character sums, and the
-Galois-substitution normal form the library replaced."""
+CycNum-loop tensor product, Drinfeld element and character sums, the
+Galois-substitution normal form and the closure loops the library
+replaced, and the test-only API moved out of the library: character
+products, the dual action on characters, the form of a cocycle and the
+homomorphism and bijection checks of a map."""
 
 import itertools
 import random
@@ -13,10 +16,11 @@ from math import gcd
 from lazytwist.cyclo import (CycNum, _phi, _power_table, _prime_factors,
                              root_of_unity)
 from lazytwist.fixtures import _group_from_elements
-from lazytwist.groups import FiniteGroup
+from lazytwist.groups import (FiniteGroup, OrderLimitExceeded,
+                              VerdictInconsistent)
 from lazytwist.hopf import GTensor, form_from_r, socle
 from lazytwist.lazy import BGElement, _pair_orbits
-from lazytwist.pontryagin import Character
+from lazytwist.pontryagin import AltForm, Character, _units
 
 
 def abelian_types(order):
@@ -78,16 +82,36 @@ def product_group(ds):
         str, name=f"ab{ds}")
 
 
+def pairwise_closure(G, elements):
+    """The subgroup generated by the elements, closed by multiplying each
+    new element with every element found so far, on both sides."""
+    out = set(elements) | {0}
+    frontier = list(out)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(out):
+                for c in (G.table[a][b], G.table[b][a]):
+                    if c not in out:
+                        out.add(c)
+                        new.append(c)
+        frontier = new
+    return out
+
+
 def all_subgroups(G):
-    """Every subgroup of a small abelian group, as sorted element tuples."""
-    cyclics = {tuple(sorted(G.closure({x}))) for x in range(G.order)}
+    """Every subgroup of a small group, as sorted element tuples: the
+    joins of its cyclic subgroups, closed by pairwise_closure."""
+    cyclics = {tuple(sorted(pairwise_closure(G, {x}))) for x in range(G.order)}
     subs = set(cyclics)
     frontier = set(cyclics)
     while frontier:
         new = set()
         for s in frontier:
             for c in cyclics:
-                j = tuple(sorted(G.closure(set(s) | set(c))))
+                if set(c) <= set(s):
+                    continue
+                j = tuple(sorted(pairwise_closure(G, set(s) | set(c))))
                 if j not in subs:
                     subs.add(j)
                     new.add(j)
@@ -95,11 +119,188 @@ def all_subgroups(G):
     return sorted(subs, key=lambda s: (len(s), s))
 
 
+def lattice_normal_abelian_subgroups(G):
+    """The abelian normal subgroups as sorted element tuples, by the walk
+    over class-closed abelian unions of classes: grow each one found by
+    one commuting class at a time and close the union under
+    multiplication, abandoning it once it leaves the abelian candidates."""
+    classes = G.conjugacy_classes()
+    t = G.table
+    class_of = {}
+    for ci, c in enumerate(classes):
+        for x in c:
+            class_of[x] = ci
+
+    def commuting(c1, c2):
+        return all(t[a][b] == t[b][a] for a in c1 for b in c2)
+
+    cand = [ci for ci in range(1, len(classes))
+            if commuting(classes[ci], classes[ci])]
+    cand_set = set(cand)
+    compat = {}
+
+    def compatible(i, j):
+        key = (i, j) if i <= j else (j, i)
+        if key not in compat:
+            compat[key] = commuting(classes[key[0]], classes[key[1]])
+        return compat[key]
+
+    def close(class_ids):
+        current = set(class_ids)
+        while True:
+            union = {0}
+            for ci in current:
+                union.update(classes[ci])
+            new = set()
+            for a in union:
+                for b in union:
+                    ci = class_of[t[a][b]]
+                    if ci != 0 and ci not in current:
+                        new.add(ci)
+            if not new:
+                return frozenset(current)
+            for ci in new:
+                if ci not in cand_set:
+                    return None
+                if not all(compatible(ci, cj) for cj in current | new):
+                    return None
+            current |= new
+
+    seen = {frozenset()}
+    queue = [frozenset()]
+    found = []
+    while queue:
+        S = queue.pop()
+        found.append(S)
+        for ci in cand:
+            if ci in S:
+                continue
+            if not all(compatible(ci, cj) for cj in S):
+                continue
+            T = close(S | {ci})
+            if T is not None and T not in seen:
+                seen.add(T)
+                queue.append(T)
+    subs = [tuple(sorted({0}.union(*(classes[ci] for ci in S))))
+            for S in found]
+    return sorted(subs, key=lambda s: (len(s), s))
+
+
+def queue_permutations(degree, generators, limit=256):
+    """The permutations generated by the given ones (1-based images), as
+    0-based tuples in the order a first-in first-out queue reaches them."""
+    gens = [tuple(int(x) - 1 for x in g) for g in generators]
+    ident = tuple(range(degree))
+    elements = [ident]
+    index = {ident: 0}
+    queue = [ident]
+    while queue:
+        cur = queue.pop(0)
+        for g in gens:
+            nxt = tuple(cur[g[i]] for i in range(degree))
+            if nxt not in index:
+                if len(elements) >= limit:
+                    raise OrderLimitExceeded(f"closure exceeds {limit}")
+                index[nxt] = len(elements)
+                elements.append(nxt)
+                queue.append(nxt)
+    return elements
+
+
+def loop_tuple_group(G, degree, tuples, cap=200):
+    """Sorted elements of the subgroup of G^degree generated by the tuples,
+    closed by multiplying every pair again on each round; the cap is
+    checked only when an element is added."""
+    elems = {(0,) * degree} | {tuple(t) for t in tuples}
+    changed = True
+    while changed:
+        changed = False
+        current = list(elems)
+        for a in current:
+            for b in current:
+                c = tuple(G.table[x][y] for x, y in zip(a, b))
+                if c not in elems:
+                    elems.add(c)
+                    changed = True
+                    if len(elems) > cap:
+                        raise OrderLimitExceeded(f"beyond {cap} elements")
+    return sorted(elems)
+
+
+def stack_pair_orbits(G):
+    """Sorted diagonal-conjugation orbits on G x G, each walked with a
+    stack from its least pair."""
+    n = G.order
+    gens = G.generating_set()
+    seen = [[False] * n for _ in range(n)]
+    orbits = []
+    for x in range(n):
+        for y in range(n):
+            if seen[x][y]:
+                continue
+            orbit = []
+            stack = [(x, y)]
+            seen[x][y] = True
+            while stack:
+                p = stack.pop()
+                orbit.append(p)
+                for g in gens:
+                    q = (G.conjugate(g, p[0]), G.conjugate(g, p[1]))
+                    if not seen[q[0]][q[1]]:
+                        seen[q[0]][q[1]] = True
+                        stack.append(q)
+            orbits.append(sorted(orbit))
+    return orbits
+
+
 def characters(A):
     """All |A| characters of an abelian subgroup, in lexicographic
     exponent order."""
     return [Character(A, exps) for exps in itertools.product(
         *(range(d) for _, d in A.abelian_structure()))]
+
+
+def char_mul(x, y):
+    """The product of two characters of one abelian subgroup."""
+    return Character(x.group, tuple(
+        (a + b) % d for (_, d), a, b in
+        zip(x.group.abelian_structure(), x.exponents, y.exponents)))
+
+
+def on_character(action, g, chi):
+    """The character g.chi under a DualAction."""
+    return Character(action.A, action.on_exponents(g, chi.exponents))
+
+
+def cocycle_form(A, c):
+    """The alternating form b(rho, sigma) = c(sigma, rho) / c(rho, sigma)
+    of a cocycle table; VerdictInconsistent when a value is not a root of
+    unity of the right order."""
+    ds = [d for _, d in A.abelian_structure()]
+    units = _units(len(ds))
+    upper = {}
+    for i, j in itertools.combinations(range(len(ds)), 2):
+        v = c[(units[j], units[i])] / c[(units[i], units[j])]
+        m = gcd(ds[i], ds[j])
+        e = next((k for k in range(m) if root_of_unity(m, k) == v), None)
+        if e is None:
+            raise VerdictInconsistent(
+                "form value is not a root of unity of the right order")
+        upper[(i, j)] = e
+    return AltForm.from_upper(A, upper)
+
+
+def is_homomorphism(phi):
+    """Whether a GroupMap respects every product of its source."""
+    s, t, im = phi.source.table, phi.target.table, phi.images
+    return all(im[s[a][b]] == t[im[a]][im[b]]
+               for a in range(phi.source.order)
+               for b in range(phi.source.order))
+
+
+def is_bijective(phi):
+    """Whether a GroupMap hits every element of its target once."""
+    return sorted(phi.images) == list(range(phi.target.order))
 
 
 def char_value(chi, a):
