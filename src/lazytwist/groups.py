@@ -8,8 +8,10 @@ Class-preserving automorphisms, Aut(G) and the isomorphism test share one
 pruned backtrack over generator images (Holt, Eick and O'Brien, Handbook of
 Computational Group Theory, 2005).  Every closure and orbit walk, here
 and in `hopf` and `lazy`, goes through one breadth-first orbit routine,
-`_orbit`.  Certifying checks raise `VerdictInconsistent`, so they hold
-under `python -O`.
+`_orbit`.  The subgroups generated by conjugacy classes, the normal
+subgroups behind the direct-factor split and the abelian normal subgroups
+alike, come from one such orbit, `_class_subgroups`.  Certifying checks
+raise `VerdictInconsistent`, so they hold under `python -O`.
 """
 
 from __future__ import annotations
@@ -78,6 +80,18 @@ def _orbit(start, gens, act, limit=None) -> list:
     return out
 
 
+def _right_generators(table) -> tuple[int, ...]:
+    """Greedy generators of a table with identity 0: extend by the first
+    element outside the right-multiplication orbit of the identity under
+    those picked so far, until that orbit is everything."""
+    gens: list[int] = []
+    span = {0}
+    while len(span) < len(table):
+        gens.append(next(a for a in range(1, len(table)) if a not in span))
+        span = set(_orbit(0, gens, lambda x, g: table[x][g]))
+    return tuple(gens)
+
+
 class FiniteGroup:
     """A finite group given by its multiplication table, identity at index 0."""
 
@@ -137,15 +151,8 @@ class FiniteGroup:
         return self._classes
 
     def generating_set(self) -> tuple[int, ...]:
-        # greedy: extend by the first element that enlarges the span
         if self._generators is None:
-            gens: list[int] = []
-            span = {0}
-            while len(span) < self.order:
-                gens.append(next(a for a in range(1, self.order)
-                                 if a not in span))
-                span = self.closure(gens)
-            self._generators = tuple(gens)
+            self._generators = _right_generators(self.table)
         return self._generators
 
     def closure(self, elements) -> set[int]:
@@ -170,7 +177,7 @@ def from_table(table, labels=None, name=None) -> FiniteGroup:
         raise NotAGroup("table is not square")
     for i, row in enumerate(table):
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not (0 <= v < n):
+            if type(v) is not int or not (0 <= v < n):
                 raise NotAGroup(f"entry out of range at ({i},{j})",
                                 witness=(i, j, v))
     ident = None
@@ -188,13 +195,17 @@ def from_table(table, labels=None, name=None) -> FiniteGroup:
                  for a in range(n)]
         if labels is not None:
             labels = [labels[perm[a]] for a in range(n)]
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                if table[ab][c] != table[a][table[b][c]]:
+    # Light's test: the elements s with (x*s)*y = x*(s*y) for all x, y are
+    # closed under products, so checking generators of the table suffices
+    for s in _right_generators(table):
+        row_s = table[s]
+        for x in range(n):
+            row_x = table[x]
+            row_xs = table[row_x[s]]
+            for y in range(n):
+                if row_xs[y] != row_x[row_s[y]]:
                     raise NotAGroup("associativity fails",
-                                    witness=(a, b, c))
+                                    witness=(x, s, y))
     for a in range(n):
         if 0 not in table[a]:
             raise NotAGroup("row without identity (no inverse)", witness=a)
@@ -368,15 +379,37 @@ def abelian_structure(A: Subgroup):
     return picked
 
 
+def _class_subgroups(G: FiniteGroup, classes, admissible=None) -> list:
+    """The subgroups generated by classes from `classes`, as frozensets.
+
+    They form the orbit of the trivial subgroup under growing a subgroup S
+    by one class c not in S: <S, c> is the closure of S's generators and
+    c, and it is normal as a subgroup generated by classes.  Adding the
+    classes of such a subgroup one at a time reaches it.  With
+    `admissible`, S grows by c only where admissible(S's generators, c).
+    """
+    gens_of = {frozenset({0}): ()}
+
+    def grow(S, c):
+        gens = gens_of[S]
+        if c[0] in S or (admissible is not None
+                         and not admissible(gens, c)):
+            return S
+        T = frozenset(G.closure(gens + c))
+        gens_of.setdefault(T, gens + c)
+        return T
+
+    return _orbit(frozenset({0}), classes, grow)
+
+
 def normal_abelian_subgroups(G: FiniteGroup,
                              limit: int = ORDER_LIMIT_DEFAULT):
     """All abelian normal subgroups, sorted by (order, elements).
 
-    Each one is generated by the conjugacy classes it holds, so they form
-    the orbit of the trivial subgroup under growing a subgroup S by one
-    class c that commutes with itself and with S's generators: <S, c> is
-    abelian, and normal as a subgroup generated by classes.  Adding the
-    classes of an abelian normal subgroup one at a time reaches it.
+    Each one is generated by the conjugacy classes it holds, so they are
+    the subgroups grown from classes that commute with themselves, one
+    class at a time, admitting a class only if it commutes with the
+    generators so far: each step then stays abelian.
     """
     if G.order > limit:
         raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
@@ -386,19 +419,38 @@ def normal_abelian_subgroups(G: FiniteGroup,
         return all(t[a][b] == t[b][a] for a in xs for b in ys)
 
     classes = [c for c in G.conjugacy_classes()[1:] if commute(c, c)]
-    gens_of = {frozenset({0}): ()}
-
-    def grow(S, c):
-        gens = gens_of[S]
-        if c[0] in S or not commute(c, gens):
-            return S
-        T = frozenset(G.closure(gens + c))
-        gens_of.setdefault(T, gens + c)
-        return T
-
-    subs = [Subgroup(G, S) for S in _orbit(frozenset({0}), classes, grow)]
+    subs = [Subgroup(G, S) for S in _class_subgroups(
+        G, classes, lambda gens, c: commute(c, gens))]
     subs.sort(key=lambda s: (s.order, s.elements))
     return subs
+
+
+def _direct_factors(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """Indecomposable direct factors of G, as sorted element tuples whose
+    direct product is G, smallest first.
+
+    A nontrivial normal N with a normal M, N & M = 1 and |N| |M| = |R|, both
+    inside R, is a direct factor of R.  The smallest one is indecomposable:
+    a factor of N would be a smaller one, since the factors of a direct
+    factor of G are normal in G.  So the split takes it and goes on in M,
+    and G's normal subgroups suffice at every step.
+    """
+    normal = sorted(_class_subgroups(G, G.conjugacy_classes()[1:]), key=len)
+    by_order: dict[int, list] = {}
+    for S in normal:
+        by_order.setdefault(len(S), []).append(S)
+    factors, rest = [], frozenset(range(G.order))
+    while len(rest) > 1:
+        for N in normal[1:]:
+            if len(rest) % len(N) or not N <= rest:
+                continue
+            M = next((M for M in by_order.get(len(rest) // len(N), ())
+                      if len(M & N) == 1 and M <= rest), None)
+            if M is not None:
+                break
+        factors.append(tuple(sorted(N)))
+        rest = M
+    return factors
 
 
 class GroupMap:

@@ -29,13 +29,14 @@ from .groups import (
     OrderLimitExceeded,
     Subgroup,
     VerdictInconsistent,
+    _direct_factors,
     _orbit,
     automorphism_group,
     class_preserving_auts,
     find_isomorphism,
     normal_abelian_subgroups,
 )
-from .fixtures import symmetric
+from .fixtures import _group_from_elements, symmetric
 from .pontryagin import (
     AltForm,
     Character,
@@ -177,8 +178,7 @@ def _pair_orbits(G: FiniteGroup):
     return orbits
 
 
-def has_no_multiplicities(G: FiniteGroup,
-                          limit: int = ORDER_LIMIT_DEFAULT) -> bool:
+def _orbit_sums_commute(G: FiniteGroup) -> bool:
     """True iff all orbit sums of the diagonal conjugation action on
     G x G commute pairwise.
 
@@ -188,8 +188,6 @@ def has_no_multiplicities(G: FiniteGroup,
     #{a in O_i : a^-1 r in O_j}.  One pass over a in G x G counts these
     for every (i, j) at once.
     """
-    if G.order > limit:
-        raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
     n, table, inv = G.order, G.table, G.inverses
     orbits = _pair_orbits(G)
     orbit_id = [0] * (n * n)
@@ -205,6 +203,32 @@ def has_no_multiplicities(G: FiniteGroup,
         if any(counts.get((j, i), 0) != c for (i, j), c in counts.items()):
             return False
     return True
+
+
+def has_no_multiplicities(G: FiniteGroup,
+                          limit: int = ORDER_LIMIT_DEFAULT) -> bool:
+    """True iff every tensor product of irreducible representations of G
+    is multiplicity-free: iff the orbit sums of diagonal conjugation on
+    G x G commute.
+
+    The irreducible characters of H x K are the chi x chi', and
+    <(chi x chi')(psi x psi'), w x w'> = <chi psi, w> <chi' psi', w'>
+    (Isaacs, Character Theory of Finite Groups, Thm 4.21), so G is
+    multiplicity-free iff each of its direct factors is.  The orbit sums
+    are compared on each non-abelian indecomposable factor alone; abelian
+    groups pass at once, as all their irreducibles are linear.
+    """
+    if G.order > limit:
+        raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
+    if G.is_abelian():
+        return True
+    factors = _direct_factors(G)
+    if len(factors) == 1:
+        return _orbit_sums_commute(G)
+    # each factor as a group of its own, on its sorted elements
+    return all(_orbit_sums_commute(H) for H in (
+        _group_from_elements(f, lambda a, b: G.table[a][b], str, None)
+        for f in factors) if not H.is_abelian())
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,7 @@ def test_malformed_group_json_exits_2():
         '{"perm_generators": [[2, 1], []]}': "'perm_generators' is not",
         '{"perm_generators": [["2", "1"]]}': "'perm_generators' is not",
         '{"table": [[0]], "name": 5}': "group name 5 is not a string",
+        '{"table": [[false, true], [true, false]]}': "entry out of range",
         '[[0]]': "group JSON is not an object",
         '5': "group JSON is not an object",
     }

@@ -1,3 +1,7 @@
+import random
+from itertools import combinations
+from math import prod
+
 import pytest
 
 import lazytwist.groups as groups_module
@@ -6,6 +10,7 @@ from lazytwist.groups import (
     OrderLimitExceeded,
     Subgroup,
     VerdictInconsistent,
+    _direct_factors,
     automorphism_group,
     center,
     class_preserving_auts,
@@ -16,13 +21,16 @@ from lazytwist.groups import (
 )
 from lazytwist.fixtures import _group_from_elements, wall_named_elements
 from tests_helpers import (
+    SPLIT_GROUPS,
     all_subgroups,
     brute_force_homs,
+    cubic_associativity_witness,
     is_bijective,
     is_homomorphism,
     lattice_normal_abelian_subgroups,
     named_group,
     queue_permutations,
+    random_loop,
     relabelled,
 )
 
@@ -51,7 +59,37 @@ def test_from_table_broken_associativity():
          [4, 3, 1, 2, 0]]
     with pytest.raises(NotAGroup) as err:
         from_table(t)
-    assert err.value.witness is not None
+    a, b, c = err.value.witness
+    assert t[t[a][b]][c] != t[a][t[b][c]]
+
+
+def test_from_table_associativity_matches_cubic_check(groups):
+    # the generator check against every triple, on random loops, on C2
+    # times each loop and on relabelled groups; in C2 x L, with (c, q) at
+    # index 2q + c, the first generator (1, e) associates with everything,
+    # so the loop's failures show only at later generators
+    rng = random.Random(9)
+    tables = []
+    for k in range(60):
+        L = random_loop(4 + k % 5, rng)
+        m = 2 * len(L)
+        tables += [L, [[2 * L[x // 2][y // 2] + (x + y) % 2
+                        for y in range(m)] for x in range(m)]]
+    for name, seed in [("S4", 1), ("Wall32", 2), ("D8xS3", 3),
+                       ("C27sd", 4)]:
+        tables.append(relabelled(named_group(groups, name), seed).table)
+    outcomes = set()
+    for t in tables:
+        oracle = cubic_associativity_witness(t)
+        outcomes.add(oracle is None)
+        if oracle is None:
+            assert from_table(t).order == len(t)
+            continue
+        with pytest.raises(NotAGroup, match="associativity fails") as err:
+            from_table(t)
+        a, b, c = err.value.witness
+        assert t[t[a][b]][c] != t[a][t[b][c]]
+    assert outcomes == {True, False}
 
 
 def test_from_permutations_examples():
@@ -142,6 +180,38 @@ def test_normal_abelian_subgroups_match_oracles(groups):
         assert found == [s for s in all_subgroups(G)
                          if Subgroup(G, s).is_normal()
                          and Subgroup(G, s).is_abelian()], name
+
+
+def test_direct_factors(groups):
+    for name in SPLIT_GROUPS + ["S4", "Wall32", "C27sd", "Q8", "C8"]:
+        G = named_group(groups, name)
+        orders = None
+        for seed in (None, 1, 2):
+            H = G if seed is None else relabelled(G, seed)
+            t, factors = H.table, _direct_factors(H)
+            assert prod(map(len, factors)) == H.order, (name, seed)
+            for F1, F2 in combinations(factors, 2):
+                assert set(F1) & set(F2) == {0}, (name, seed)
+                assert all(t[a][b] == t[b][a] for a in F1 for b in F2)
+            span = {0}
+            for F in factors:
+                span = {t[x][f] for x in span for f in F}
+            assert len(span) == H.order, (name, seed)
+            # Krull-Remak-Schmidt: the factors are unique up to isomorphism
+            if orders is None:
+                orders, base = sorted(map(len, factors)), factors
+            assert sorted(map(len, factors)) == orders, (name, seed)
+        if "x" not in name:
+            assert len(base) == 1, name
+        for F in base:
+            # no factor has two normal subgroups that split it
+            K = _group_from_elements(F, lambda a, b: G.table[a][b], str,
+                                     name=None)
+            assert K.order <= 32
+            normal = [set(s) for s in all_subgroups(K)
+                      if 1 < len(s) < K.order and Subgroup(K, s).is_normal()]
+            assert not any(A & B == {0} and len(A) * len(B) == K.order
+                           for A, B in combinations(normal, 2)), (name, F)
 
 
 def test_normal_subgroups_conjugation_stable(groups):

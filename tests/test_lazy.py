@@ -31,6 +31,7 @@ from lazytwist.lazy import (
 )
 from lazytwist.pontryagin import DualAction, alternating_forms, invariant_forms
 from tests_helpers import (
+    SPLIT_GROUPS,
     abelian_order_multisets,
     abelian_types,
     characters,
@@ -42,6 +43,7 @@ from tests_helpers import (
     relabelling,
     stack_pair_orbits,
     tensor_bg_product,
+    whole_group_no_multiplicities,
 )
 
 
@@ -423,6 +425,21 @@ def test_has_no_multiplicities_matches_convolution(groups):
         assert answers[name] == convolution_no_multiplicities(
             G, _pair_orbits(G)), name
     assert set(answers.values()) == {True, False}
+
+
+def test_has_no_multiplicities_matches_whole_group(groups):
+    # the per-factor test against the orbit count on all of G x G, in the
+    # base labelling and two relabellings; A4 x C2 fails through A4 beside
+    # an abelian factor, A4 x S3 beside a multiplicity-free one
+    answers = {}
+    for name in SPLIT_GROUPS:
+        G = named_group(groups, name)
+        answers[name] = whole_group_no_multiplicities(G)
+        for seed in (None, 1, 2):
+            H = G if seed is None else relabelled(G, seed)
+            assert has_no_multiplicities(H) == answers[name], (name, seed)
+    assert not answers["A4xC2"] and not answers["A4xS3"]
+    assert answers["D8xS3"] and answers["S3xS3xC2"]
 
 
 def cayley_table_structure(forms):

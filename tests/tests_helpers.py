@@ -3,13 +3,15 @@ lattices, characters and their idempotents, character restriction, direct
 products and relabellings, the pair-orbit count, and the brute-force
 automorphism, multiplicity, abelian-type and tensor-product checks, the
 CycNum-loop tensor product, Drinfeld element and character sums, the
-Galois-substitution normal form and the closure loops the library
-replaced, and the test-only API moved out of the library: character
+Galois-substitution normal form, the closure loops, the whole-group
+multiplicity test and the n^3 associativity check the library replaced,
+random loops, and the test-only API moved out of the library: character
 products, the dual action on characters, the form of a cocycle and the
 homomorphism and bijection checks of a map."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -350,6 +352,14 @@ def direct_product(*factors):
         str, name="x".join(F.name for F in factors))
 
 
+# Direct products the multiplicity test splits: the eight even-search
+# groups, then products whose answer is False (through A4 or C27sd) or
+# with three or more factors.
+SPLIT_GROUPS = ["D8xC2", "D8xC4", "D8xC6", "Wr_2xC2", "Q8xC2xC2", "A4xS3",
+                "S4xC2", "D8xS3", "A4xC2", "S3xS3xC2", "C27sdxC2",
+                "C2xC2xD8"]
+
+
 def named_group(groups, name):
     """A builtin group from the `groups` fixture, or the direct product of
     builtins for a name like "D8xS3"."""
@@ -419,6 +429,63 @@ def convolution_no_multiplicities(G, orbits):
 
     return all(convolve(orbits[i], orbits[j]) == convolve(orbits[j], orbits[i])
                for i in range(len(orbits)) for j in range(i + 1, len(orbits)))
+
+
+def whole_group_no_multiplicities(G):
+    """Whether the orbit sums of diagonal conjugation on the whole of
+    G x G commute, compared at one representative of each orbit: the
+    multiplicity test before it split G into direct factors."""
+    n, table, inv = G.order, G.table, G.inverses
+    orbits = _pair_orbits(G)
+    orbit_id = [0] * (n * n)
+    for i, orbit in enumerate(orbits):
+        for x, y in orbit:
+            orbit_id[x * n + y] = i
+    for r0, r1 in (orbit[0] for orbit in orbits):
+        left = [table[inv[a]][r0] * n for a in range(n)]
+        right = [table[inv[a]][r1] for a in range(n)]
+        counts = Counter(zip(orbit_id, [orbit_id[u + v] for u in left
+                                        for v in right]))
+        if any(counts.get((j, i), 0) != c for (i, j), c in counts.items()):
+            return False
+    return True
+
+
+def cubic_associativity_witness(table):
+    """The first triple (a, b, c) with (ab)c != a(bc), over all n^3
+    triples, or None."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    return (a, b, c)
+    return None
+
+
+def random_loop(n, rng):
+    """A random Latin square of order n with identity 0 in its first row
+    and column: each cell takes a random value its row and column leave
+    free, backtracking where none is left."""
+    table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(k):
+        if k == (n - 1) * (n - 1):
+            return True
+        i, j = 1 + k // (n - 1), 1 + k % (n - 1)
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        options = [v for v in range(n) if v not in used]
+        rng.shuffle(options)
+        for v in options:
+            table[i][j] = v
+            if fill(k + 1):
+                return True
+        table[i][j] = None
+        return False
+
+    fill(0)
+    return table
 
 
 def loop_mul(x, y):
