@@ -6,17 +6,23 @@ searches are guarded by an order bound.
 
 Class-preserving automorphisms, Aut(G) and the isomorphism test share one
 pruned backtrack over generator images (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, 2005).  Every closure and orbit walk, here
-and in `hopf` and `lazy`, goes through one breadth-first orbit routine,
-`_orbit`.  The subgroups generated by conjugacy classes, the normal
-subgroups behind the direct-factor split and the abelian normal subgroups
-alike, come from one such orbit, `_class_subgroups`.  Certifying checks
-raise `VerdictInconsistent`, so they hold under `python -O`.
+Computational Group Theory, 2005).  Aut(G) and the isomorphism test draw a
+generator's images from the elements with its signature (order, class
+size, numbers of square and cube roots).  `automorphism_generators` gives
+generators of Aut(G) and its order from a stabilizer chain, with one
+first-hit search per candidate image outside the orbit found so far, and
+never lists Aut(G).  Every closure and orbit walk, here and in `hopf` and
+`lazy`, goes through one breadth-first orbit routine, `_orbit`.  The
+subgroups generated by conjugacy classes, the normal subgroups behind the
+direct-factor split and the abelian normal subgroups alike, come from one
+such orbit, `_class_subgroups`.  Certifying checks raise
+`VerdictInconsistent`, so they hold under `python -O`.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import gcd
 
 __all__ = [
@@ -35,6 +41,7 @@ __all__ = [
     "normal_abelian_subgroups",
     "class_preserving_auts",
     "automorphism_group",
+    "automorphism_generators",
     "find_isomorphism",
     "abelian_structure",
 ]
@@ -383,19 +390,24 @@ def _class_subgroups(G: FiniteGroup, classes, admissible=None) -> list:
     """The subgroups generated by classes from `classes`, as frozensets.
 
     They form the orbit of the trivial subgroup under growing a subgroup S
-    by one class c not in S: <S, c> is the closure of S's generators and
-    c, and it is normal as a subgroup generated by classes.  Adding the
+    by one class c not in S.  Both S and <c> are normal, as subgroups
+    generated by classes, so <S, c> = S<c>: the products of S's elements
+    with those of <c>, and <c> is closed once per class.  Adding the
     classes of such a subgroup one at a time reaches it.  With
     `admissible`, S grows by c only where admissible(S's generators, c).
     """
+    t = G.table
     gens_of = {frozenset({0}): ()}
+    spans: dict = {}
 
     def grow(S, c):
         gens = gens_of[S]
         if c[0] in S or (admissible is not None
                          and not admissible(gens, c)):
             return S
-        T = frozenset(G.closure(gens + c))
+        if c not in spans:
+            spans[c] = _orbit(0, c, lambda x, g: t[x][g])
+        T = frozenset(t[s][x] for s in S for x in spans[c])
         gens_of.setdefault(T, gens + c)
         return T
 
@@ -550,12 +562,29 @@ def class_preserving_auts(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT):
     return auts, len(auts) // len(inner)
 
 
-def _same_order_candidates(G: FiniteGroup, H: FiniteGroup):
-    # for each generator of G, the elements of H of its order
-    by_order = {}
-    for x in range(H.order):
-        by_order.setdefault(H.element_order(x), []).append(x)
-    return [by_order[G.element_order(g)] for g in G.generating_set()]
+def _signatures(G: FiniteGroup) -> list[tuple[int, int, int, int]]:
+    """Per element: its order, the size of its class and its numbers of
+    square and cube roots, all kept by every isomorphism."""
+    t, n = G.table, G.order
+    size = {x: len(c) for c in G.conjugacy_classes() for x in c}
+    squares = Counter(t[y][y] for y in range(n))
+    cubes = Counter(t[t[y][y]][y] for y in range(n))
+    return [(G.element_order(x), size[x], squares[x], cubes[x])
+            for x in range(n)]
+
+
+def _signature_candidates(G: FiniteGroup, H: FiniteGroup):
+    """For each generator of G, the elements of H with its signature; None
+    when the signatures of G and H differ as multisets, so that no
+    isomorphism G -> H exists."""
+    sig_G = _signatures(G)
+    sig_H = sig_G if H is G else _signatures(H)
+    if sorted(sig_G) != sorted(sig_H):
+        return None
+    by_sig: dict = {}
+    for x, s in enumerate(sig_H):
+        by_sig.setdefault(s, []).append(x)
+    return [by_sig[sig_G[g]] for g in G.generating_set()]
 
 
 def automorphism_group(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT):
@@ -563,7 +592,38 @@ def automorphism_group(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT):
     if G.order > limit:
         raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
     return [GroupMap(G, G, im)
-            for im in _hom_search(G, G, _same_order_candidates(G, G))]
+            for im in _hom_search(G, G, _signature_candidates(G, G))]
+
+
+def automorphism_generators(G: FiniteGroup,
+                            limit: int = ORDER_LIMIT_DEFAULT):
+    """Generators of Aut(G), and its order, from a stabilizer chain.
+
+    Level i holds the automorphisms fixing the generators g_1..g_{i-1} of
+    G.  Each image c of g_i outside the orbit found so far costs one
+    search for an automorphism with g_j -> g_j (j < i) and g_i -> c; a hit
+    joins the level and widens the orbit.  The levels' automorphisms
+    generate Aut(G), and |Aut(G)| is the product of the orbit lengths
+    (Schreier-Sims by backtrack; Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005, ch. 4).
+    """
+    if G.order > limit:
+        raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
+    gens, candidates = G.generating_set(), _signature_candidates(G, G)
+    found, order = [], 1
+    for i, g in enumerate(gens):
+        level, orbit = [], {g}
+        for c in candidates[i]:
+            if c in orbit:
+                continue
+            hit = _hom_search(G, G, [[h] for h in gens[:i]] + [[c]]
+                              + candidates[i + 1:], first=True)
+            if hit:
+                level.append(hit[0])
+                orbit = set(_orbit(g, level, lambda x, phi: phi[x]))
+        found.extend(level)
+        order *= len(orbit)
+    return [GroupMap(G, G, im) for im in found], order
 
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
@@ -573,10 +633,8 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
         return None
     if G.order > limit:
         raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
-    if sorted(G.element_order(x) for x in range(G.order)) != \
-       sorted(H.element_order(x) for x in range(H.order)) or \
-       sorted(map(len, G.conjugacy_classes())) != \
-       sorted(map(len, H.conjugacy_classes())):
+    candidates = _signature_candidates(G, H)
+    if candidates is None:
         return None
-    found = _hom_search(G, H, _same_order_candidates(G, H), first=True)
+    found = _hom_search(G, H, candidates, first=True)
     return GroupMap(G, H, found[0]) if found else None

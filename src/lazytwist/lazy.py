@@ -11,6 +11,8 @@ bicharacter tensors.  Since R(A, b)^k = R(A, b^k), the order of a pair is
 the order of its form.  The partial product and the Aut(G) orbits of rule
 R5 act on the forms too, by pushing them along homomorphisms of socles
 (R(B, psi_* b) = (psi x psi) R(A, b)), so no verdict builds R(A, b).
+R5 walks each orbit along generators of Aut(G) from a stabilizer chain
+(`groups.automorphism_generators`); it never lists Aut(G).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .groups import (
     VerdictInconsistent,
     _direct_factors,
     _orbit,
-    automorphism_group,
+    automorphism_generators,
     class_preserving_auts,
     find_isomorphism,
     normal_abelian_subgroups,
@@ -161,21 +163,28 @@ def bg_element_order(x: BGElement, nas) -> int:
 # invariant subalgebra of k[G] x k[G]; no character table is computed.
 
 
-def _pair_orbits(G: FiniteGroup):
-    """The orbits of diagonal conjugation on G x G, each sorted, in the
-    order of their least pairs."""
-    gens, conj = G.generating_set(), G.conjugate
-
-    def act(p, g):
-        return conj(g, p[0]), conj(g, p[1])
-
+def _orbits(points, gens, act) -> list[list]:
+    """The orbits of the generators through `points`, each sorted, in the
+    order of their first points."""
     seen, orbits = set(), []
-    for p in itertools.product(range(G.order), repeat=2):
+    for p in points:
         if p not in seen:
             orbit = _orbit(p, gens, act)
             seen.update(orbit)
             orbits.append(sorted(orbit))
     return orbits
+
+
+def _pair_orbits(G: FiniteGroup):
+    """The orbits of diagonal conjugation on G x G, each sorted, in the
+    order of their least pairs."""
+    conj = G.conjugate
+
+    def act(p, g):
+        return conj(g, p[0]), conj(g, p[1])
+
+    return _orbits(itertools.product(range(G.order), repeat=2),
+                   G.generating_set(), act)
 
 
 def _orbit_sums_commute(G: FiniteGroup) -> bool:
@@ -597,29 +606,35 @@ def _transport(x: BGElement, phi, nas_by_elements) -> BGElement:
     return BGElement(B, x.form.push(B, _dual_matrix(x.subgroup, B, phi)))
 
 
+def _aut_orbits(bg, nas, auts) -> list[list[int]]:
+    """The orbits of the group generated by the automorphisms `auts` on the
+    non-trivial pairs, as sorted index lists in the order of their least
+    pairs; each pair is transported along one generator at a time."""
+    by_key = {x.key(): i for i, x in enumerate(bg)}
+    nas_by_elements = {A.elements: A for A in nas}
+
+    def act(i, phi):
+        j = by_key.get(_transport(bg[i], phi, nas_by_elements).key())
+        if j is None:
+            raise VerdictInconsistent("automorphism left the pair set")
+        return j
+
+    return _orbits((i for i, x in enumerate(bg) if not x.is_trivial()),
+                   auts, act)
+
+
 def _candidate_image_sizes(G, bg, nas, witness_keys, limit):
     """Sizes of subsets of the socle-form pairs that could be the image of
     the socle-form map: automorphism-stable, closed under the partial
     product and inverses, containing the witnessed pairs, with element
     orders realizable by an abelian group."""
     try:
-        auts = automorphism_group(G, limit)
+        auts, _ = automorphism_generators(G, limit)
     except OrderLimitExceeded:
         return None
+    orbits = _aut_orbits(bg, nas, auts)
     by_key = {x.key(): i for i, x in enumerate(bg)}
-    nas_by_elements = {A.elements: A for A in nas}
     nontrivial = [i for i, x in enumerate(bg) if not x.is_trivial()]
-
-    # orbits of Aut(G) on the non-trivial pairs, via transported forms
-    orbits = []
-    for i in nontrivial:
-        if any(i in orbit for orbit in orbits):
-            continue
-        orbit = {by_key.get(_transport(bg[i], phi, nas_by_elements).key())
-                 for phi in auts}
-        if None in orbit:
-            raise VerdictInconsistent("automorphism left the pair set")
-        orbits.append(sorted(orbit))
 
     inverse_of = {}
     order_of = {}

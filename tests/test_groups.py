@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import combinations
 from math import prod
@@ -11,6 +12,9 @@ from lazytwist.groups import (
     Subgroup,
     VerdictInconsistent,
     _direct_factors,
+    _orbit,
+    _signatures,
+    automorphism_generators,
     automorphism_group,
     center,
     class_preserving_auts,
@@ -19,7 +23,8 @@ from lazytwist.groups import (
     from_table,
     normal_abelian_subgroups,
 )
-from lazytwist.fixtures import _group_from_elements, wall_named_elements
+from lazytwist.fixtures import (_group_from_elements, builtin_group,
+                                wall_named_elements)
 from tests_helpers import (
     SPLIT_GROUPS,
     all_subgroups,
@@ -29,6 +34,7 @@ from tests_helpers import (
     is_homomorphism,
     lattice_normal_abelian_subgroups,
     named_group,
+    order_only_automorphisms,
     queue_permutations,
     random_loop,
     relabelled,
@@ -343,13 +349,17 @@ def test_automorphism_group_orders(groups):
 
 
 def test_find_isomorphism(groups):
-    for name, seed in [("S4", 1), ("Wall32", 2), ("D8xC2", 3)]:
+    # uniform relabellings, so the signatures of G and H are matched
+    # across different labels
+    for name in ["S3", "Q8", "A4", "S4", "Wall32", "C27sd", "D8xC2", "D8xS3",
+                 "D8xQ8"]:
         G = named_group(groups, name)
-        H = relabelled(G, seed)
-        phi = find_isomorphism(G, H)
-        assert phi is not None and is_homomorphism(phi) and is_bijective(phi)
-    # C4 x| C4 and Q8 x C2 share element orders and class sizes, so only
-    # the search itself can tell them apart
+        for seed in (1, 2, 3):
+            phi = find_isomorphism(G, relabelled(G, seed))
+            assert phi is not None and is_homomorphism(phi) and \
+                is_bijective(phi), (name, seed)
+    # C4 x| C4 and Q8 x C2 share element orders and class sizes; the
+    # numbers of square roots in their signatures tell them apart
     c4_c4 = _group_from_elements(
         [(a, b) for a in range(4) for b in range(4)],
         lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 4),
@@ -361,6 +371,73 @@ def test_find_isomorphism(groups):
         sorted(q8_c2.element_order(x) for x in range(16))
     assert find_isomorphism(c4_c4, q8_c2) is None
     assert find_isomorphism(groups("S3"), groups("C6")) is None
+    for seed in (1, 2):
+        assert find_isomorphism(c4_c4, relabelled(q8_c2, seed)) is None
+        assert find_isomorphism(relabelled(c4_c4, seed), q8_c2) is None
+        assert find_isomorphism(groups("S3"),
+                                relabelled(groups("C6"), seed)) is None
+
+
+# every builtin that builds (not Wr_5, of order 15625), the even-search
+# products and three products with thousands of automorphisms
+AUT_GROUPS = ["A4", "C27sd", "D8", "Q8", "S3", "S4", "V4", "Wall32", "Wr_2",
+              "Wr_3"] + [f"C{n}" for n in range(1, 9)] + SPLIT_GROUPS[:8] + [
+              "D8xD8", "C2xC2xD8", "D8xQ8"]
+
+
+@functools.cache
+def _listing(name):
+    G = named_group(builtin_group, name)
+    return G, order_only_automorphisms(G)
+
+
+def test_automorphism_generators_match_listing():
+    for name in AUT_GROUPS:
+        G, listing = _listing(name)
+        gens, order = automorphism_generators(G)
+        closure = _orbit(tuple(range(G.order)), [phi.images for phi in gens],
+                         lambda im, phi: tuple(phi[x] for x in im))
+        assert sorted(closure) == listing, name
+        assert order == len(listing), name
+
+
+def test_automorphism_generators_widen_each_orbit():
+    # a level's automorphisms fix the generators before g and move g, each
+    # one to an image outside the orbit of g under those before it
+    for name in AUT_GROUPS:
+        G, _ = _listing(name)
+        gens = G.generating_set()
+        found, order = automorphism_generators(G)
+        levels = {}
+        for phi in found:
+            i = next(i for i, g in enumerate(gens) if phi(g) != g)
+            assert i >= max(levels, default=0), name  # level by level
+            levels.setdefault(i, []).append(phi.images)
+        product = 1
+        for i, level in levels.items():
+            for k, im in enumerate(level):
+                assert all(im[h] == h for h in gens[:i]), name
+                orbit = _orbit(gens[i], level[:k], lambda x, phi: phi[x])
+                assert im[gens[i]] not in orbit, name
+            product *= len(_orbit(gens[i], level, lambda x, phi: phi[x]))
+        assert product == order, name
+
+
+def test_automorphisms_preserve_signature():
+    for name in AUT_GROUPS:
+        G, listing = _listing(name)
+        t, n = G.table, G.order
+        expected = [
+            (G.element_order(x),
+             len({G.conjugate(g, x) for g in range(n)}),
+             sum(1 for y in range(n) if t[y][y] == x),
+             sum(1 for y in range(n) if t[t[y][y]][y] == x))
+            for x in range(n)]
+        signature = _signatures(G)
+        assert signature == expected, name
+        for im in listing:
+            assert all(signature[im[x]] == signature[x]
+                       for x in range(n)), name
 
 
 def test_class_preserving_auts_certifies_inner(groups, monkeypatch):

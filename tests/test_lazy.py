@@ -10,6 +10,7 @@ from lazytwist import hopf, lazy
 from lazytwist.cli import _EXPECTED_SUITE, main
 from lazytwist.groups import (
     OrderLimitExceeded,
+    automorphism_generators,
     automorphism_group,
     from_table,
     normal_abelian_subgroups,
@@ -17,6 +18,7 @@ from lazytwist.groups import (
 from lazytwist.fixtures import builtin_group
 from lazytwist.hopf import GTensor, r_from_form
 from lazytwist.lazy import (
+    _aut_orbits,
     _form_group_structure,
     _group_structure,
     _is_abelian_orders,
@@ -37,7 +39,9 @@ from tests_helpers import (
     characters,
     convolution_no_multiplicities,
     invariant_orbit_dimension,
+    listing_pair_orbits,
     named_group,
+    order_only_automorphisms,
     product_group,
     relabelled,
     relabelling,
@@ -244,8 +248,10 @@ def test_no_tensor_on_verdict_path(groups, capsys, monkeypatch):
 
 
 def test_h2_cliff_groups_pinned(groups, capsys):
-    # reports recorded through the tensor partial product, pinned as an
-    # independent record of rule R5 on two groups with many pairs
+    # reports recorded through the tensor partial product (D8xD8,
+    # C2xC2xD8) or while R5 listed all 3072 automorphisms (D8xQ8), pinned
+    # as an independent record of rule R5 on groups with many pairs or
+    # automorphisms
     tail = [
         {"rule": "RW", "ref": "explicit invariant cocycles on the socle "
                               "realize {} non-trivial socle-form pair(s) as "
@@ -258,7 +264,8 @@ def test_h2_cliff_groups_pinned(groups, capsys):
                               "stable candidate image has this size"},
     ]
     for name, bg_size, order, structure, witnessed in [
-            ("D8xD8", 18, 2, [2], 1), ("C2xC2xD8", 24, 8, None, 7)]:
+            ("D8xD8", 18, 2, [2], 1), ("C2xC2xD8", 24, 8, None, 7),
+            ("D8xQ8", 6, 2, [2], 1)]:
         certificates = [dict(c) for c in tail]
         certificates[0]["ref"] = certificates[0]["ref"].format(witnessed)
         expected = {"group": name, "int_mod_inn": 1, "bg_size": bg_size,
@@ -270,6 +277,20 @@ def test_h2_cliff_groups_pinned(groups, capsys):
         assert main(["h2", spec]) == 0
         assert capsys.readouterr().out == \
             json.dumps(expected, separators=(",", ":")) + "\n"
+
+
+def test_r5_orbits_match_listing(groups):
+    # the orbits along Aut(G)'s generators are those along every
+    # automorphism of the order-only listing
+    for name in SPLIT_GROUPS[:8] + ["C2xC2xD8", "D8xQ8"]:
+        G = named_group(groups, name)
+        nas = normal_abelian_subgroups(G)
+        bg = bg_enumerate(G, nas=nas)
+        gens, _ = automorphism_generators(G)
+        expected = listing_pair_orbits(bg, nas, order_only_automorphisms(G))
+        assert _aut_orbits(bg, nas, gens) == expected, name
+        assert sorted(i for orbit in expected for i in orbit) == \
+            list(range(1, len(bg))), name
 
 
 def test_has_no_multiplicities(groups):

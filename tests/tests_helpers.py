@@ -4,7 +4,8 @@ products and relabellings, the pair-orbit count, and the brute-force
 automorphism, multiplicity, abelian-type and tensor-product checks, the
 CycNum-loop tensor product, Drinfeld element and character sums, the
 Galois-substitution normal form, the closure loops, the whole-group
-multiplicity test and the n^3 associativity check the library replaced,
+multiplicity test, the n^3 associativity check, the order-only listing of
+Aut(G) and the R5 pair orbits along that listing the library replaced,
 random loops, and the test-only API moved out of the library: character
 products, the dual action on characters, the form of a cocycle and the
 homomorphism and bijection checks of a map."""
@@ -19,9 +20,9 @@ from lazytwist.cyclo import (CycNum, _phi, _power_table, _prime_factors,
                              root_of_unity)
 from lazytwist.fixtures import _group_from_elements
 from lazytwist.groups import (FiniteGroup, OrderLimitExceeded,
-                              VerdictInconsistent)
+                              VerdictInconsistent, _hom_search)
 from lazytwist.hopf import GTensor, form_from_r, socle
-from lazytwist.lazy import BGElement, _pair_orbits
+from lazytwist.lazy import BGElement, _pair_orbits, _transport
 from lazytwist.pontryagin import AltForm, Character, _units
 
 
@@ -412,6 +413,33 @@ def brute_force_homs(G, H, candidates):
                for a in range(G.order) for b in range(G.order)):
             out.append(tuple(im))
     return sorted(out)
+
+
+def order_only_automorphisms(G):
+    """Sorted image tuples of every automorphism of G, found by the search
+    drawing each generator's images from all elements of its order."""
+    by_order = {}
+    for x in range(G.order):
+        by_order.setdefault(G.element_order(x), []).append(x)
+    return _hom_search(G, G, [by_order[G.element_order(g)]
+                              for g in G.generating_set()])
+
+
+def listing_pair_orbits(bg, nas, auts):
+    """Orbits of the listed automorphisms (image tuples) on the non-trivial
+    pairs: each orbit is the first pair left over pushed along every one."""
+    by_key = {x.key(): i for i, x in enumerate(bg)}
+    by_elements = {A.elements: A for A in nas}
+    orbits = []
+    for i, x in enumerate(bg):
+        if x.is_trivial() or any(i in orbit for orbit in orbits):
+            continue
+        orbit = {by_key.get(_transport(x, im.__getitem__, by_elements).key())
+                 for im in auts}
+        if None in orbit:
+            raise VerdictInconsistent("automorphism left the pair set")
+        orbits.append(sorted(orbit))
+    return orbits
 
 
 def convolution_no_multiplicities(G, orbits):
