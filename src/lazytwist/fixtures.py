@@ -19,6 +19,12 @@ def _group_from_elements(elements, mul, label, name) -> FiniteGroup:
 
 
 def cyclic(n: int) -> FiniteGroup:
+    if n < 1:
+        raise ValueError(f"cyclic group of order {n}: the order must be "
+                         "positive")
+    if n > _CONSTRUCTION_CAP:
+        raise OrderLimitExceeded(
+            f"cyclic group of order {n} exceeds desk scale")
     return _group_from_elements(
         range(n), lambda a, b: (a + b) % n,
         lambda a: f"g^{a}" if a else "1", name=f"C{n}")

@@ -3,7 +3,8 @@
 bg_enumerate lists the socle-form pairs (abelian normal subgroup with a
 conjugation-invariant non-degenerate alternating form on its dual);
 h2_compute assembles certified rules into an exact order/structure verdict,
-bounds, or an honest "undetermined".
+bounds, or an honest "undetermined"; an abelian group is answered from its
+invariant factors alone, with no pair listed.
 
 Pairs are compared by (socle elements, form matrix): the map
 (A, b) -> R(A, b) is injective, so this is the same equality as comparing
@@ -22,7 +23,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional
 
 from .groups import (
@@ -44,7 +45,6 @@ from .pontryagin import (
     Character,
     DualAction,
     _dual_matrix,
-    alternating_forms,
     cocycle_from_form_odd,
     invariant_cocycle_search,
     invariant_forms,
@@ -337,16 +337,16 @@ class H2Report:
         }
 
 
-def _group_structure(orders: list[int]) -> Optional[list[int]]:
-    """Invariant factors d1 | d2 | ... of a finite abelian group with the
-    given element orders, or None when no group has these counts.
+def _group_structure(count, exponent: int) -> Optional[list[int]]:
+    """Invariant factors d1 | d2 | ... of a finite abelian group of the given
+    exponent with count(q) = #{x : x^q = 1}, or None when no group has these
+    counts.
 
-    For a prime p, #{o : o | p^k} / #{o : o | p^(k-1)} is p to the number
-    of p-primary cyclic factors of order at least p^k; the t-th largest
+    For a prime p, count(p^k) / count(p^(k-1)) is p to the number of
+    p-primary cyclic factors of order at least p^k; the t-th largest
     invariant factor takes p once for each k at which that number exceeds
-    t.  Only the element orders are needed, not a Cayley table.
+    t.  Only these counts are needed, not a Cayley table.
     """
-    exponent = lcm(*orders)
     factors: list[int] = []
     p = 2
     while exponent > 1:
@@ -354,33 +354,46 @@ def _group_structure(orders: list[int]) -> Optional[list[int]]:
         while exponent % p == 0:
             exponent //= p
             pk *= p
-            count = sum(1 for o in orders if pk % o == 0)
-            at_least, q = 0, count // below
+            n = count(pk)
+            at_least, q = 0, n // below
             while q > 1:
                 q //= p
                 at_least += 1
-            if below * p ** at_least != count:
+            if below * p ** at_least != n:
                 return None
             factors.extend([1] * (at_least - len(factors)))
             for t in range(at_least):
                 factors[t] *= p
-            below = count
+            below = n
         p += 1
     return sorted(factors)
 
 
 def _form_group_structure(forms: list[AltForm]) -> list[int]:
     """Invariant factors of a finite group of alternating forms."""
-    factors = _group_structure([f.order() for f in forms])
+    orders = [f.order() for f in forms]
+    factors = _group_structure(
+        lambda q: sum(1 for o in orders if q % o == 0), lcm(*orders))
     if factors is None:
         raise VerdictInconsistent("form orders are not a group's")
     return factors
 
 
+def _alternating_form_group(cyclic_orders) -> tuple[int, list[int]]:
+    """Order and invariant factors of the alternating forms on the dual of
+    (+) Z/d_i, which are (+)_{i<j} Z/gcd(d_i, d_j) (Karpilovsky, Projective
+    Representations of Finite Groups, 1985); the forms of order dividing q
+    number prod gcd(d_i, d_j, q), so none is listed."""
+    gcds = [gcd(a, b) for a, b in itertools.combinations(cyclic_orders, 2)]
+    return prod(gcds), _group_structure(
+        lambda q: prod(gcd(g, q) for g in gcds), lcm(*gcds))
+
+
 def _is_abelian_orders(orders: list[int]) -> bool:
     """True iff the element orders are those of an abelian group: the
     group rebuilt from the invariant factors they imply has them."""
-    factors = _group_structure(orders)
+    factors = _group_structure(
+        lambda q: sum(1 for o in orders if q % o == 0), lcm(*orders))
     if factors is None:
         return False
     rebuilt = [lcm(*(d // gcd(e, d) for e, d in zip(tup, factors)))
@@ -417,9 +430,21 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
         raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
     name = name or G.name or f"order-{G.order}"
     certs: list[dict] = []
-    nas = normal_abelian_subgroups(G, limit)
-    bg = bg_enumerate(G, limit, nas=nas)
-    _, int_mod_inn = class_preserving_auts(G, limit)
+    abelian = G.is_abelian()
+    if abelian:
+        # Every subgroup is normal and G acts trivially on its dual, so each
+        # alternating form b on the dual is one pair (radical(b)^perp, b
+        # descended), and k[G] is commutative, so Int(G) = Inn(G): the
+        # closed form gives every number, and no pair is listed.
+        forms_order, forms_struct = _alternating_form_group(
+            [d for _, d in G.whole_subgroup().abelian_structure()])
+        nas = bg = None
+        bg_size, int_mod_inn = forms_order, 1
+    else:
+        nas = normal_abelian_subgroups(G, limit)
+        bg = bg_enumerate(G, limit, nas=nas)
+        bg_size = len(bg)
+        _, int_mod_inn = class_preserving_auts(G, limit)
     exact: Optional[int] = None
     structure: Optional[list[int]] = None
     excluded_any = False
@@ -439,16 +464,13 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
             structure = struct
 
     # R0: abelian groups are answered by the full group of alternating forms
-    if G.is_abelian():
-        A = G.whole_subgroup()
-        forms = alternating_forms(A)
-        struct = _form_group_structure(forms)
-        conclude(len(forms), struct, "R0",
+    if abelian:
+        conclude(forms_order, forms_struct, "R0",
                  "abelian group: twist classes = alternating bilinear forms "
                  "on the character group")
 
     # R1: trivial pair set
-    if exact is None and len(bg) == 1:
+    if exact is None and bg_size == 1:
         struct = [] if int_mod_inn == 1 else (
             [int_mod_inn] if _is_prime(int_mod_inn) else None)
         conclude(int_mod_inn, struct, "R1",
@@ -468,13 +490,20 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
 
     # R3: unique maximal abelian normal subgroup at odd order
     if G.order % 2 == 1 and int_mod_inn == 1:
-        maximal = [A for A in nas
-                   if not any(set(A.elements) < set(B.elements) for B in nas)]
-        if len(maximal) == 1:
-            A = maximal[0]
-            forms = invariant_forms(A, DualAction(G, A))
-            struct = _form_group_structure(forms)
-            conclude(len(forms), struct, "R3",
+        r3 = None
+        if abelian:
+            # G is its own unique maximal abelian normal subgroup, and it
+            # acts trivially on its dual
+            r3 = forms_order, forms_struct
+        else:
+            maximal = [A for A in nas if not any(
+                set(A.elements) < set(B.elements) for B in nas)]
+            if len(maximal) == 1:
+                A = maximal[0]
+                forms = invariant_forms(A, DualAction(G, A))
+                r3 = len(forms), _form_group_structure(forms)
+        if r3 is not None:
+            conclude(*r3, "R3",
                      "unique maximal abelian normal subgroup at odd order: "
                      "twist classes = invariant alternating forms on its dual")
 
@@ -506,7 +535,7 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
 
     # R4: the free coset action brackets the order
     lower = int_mod_inn * (1 + witnessed) if exact is None else exact
-    upper = int_mod_inn * len(bg) if exact is None else exact
+    upper = int_mod_inn * bg_size if exact is None else exact
     if exact is None and lower == upper:
         struct = _structure_from_order_and_exponent(
             lower, [1] + [bg_element_order(x, nas) for x in bg
@@ -528,7 +557,7 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
     if exact is None and int_mod_inn == 1 and G.order <= 64 \
             and has_no_multiplicities(G, limit):
         sizes = _candidate_image_sizes(G, bg, nas, witness_keys, limit)
-        all_sizes = set(range(1 + witnessed, len(bg) + 1))
+        all_sizes = set(range(1 + witnessed, bg_size + 1))
         if sizes and len(sizes) == 1:
             size = sizes.pop()
             struct = [] if size == 1 else None
@@ -573,7 +602,7 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
         raise VerdictInconsistent(
             f"bounds [{lower}, {upper}] are not ordered multiples of "
             f"|Int/Inn| = {int_mod_inn}")
-    return H2Report(group=name, int_mod_inn=int_mod_inn, bg_size=len(bg),
+    return H2Report(group=name, int_mod_inn=int_mod_inn, bg_size=bg_size,
                     order_lower=lower, order_upper=upper, exact_order=exact,
                     structure=structure, status=status, certificates=certs)
 

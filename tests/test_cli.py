@@ -228,6 +228,26 @@ def test_error_exits(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_order_bounds_exit_2(capsys, monkeypatch):
+    # a builtin C<n> beyond the construction cap is refused before its
+    # n x n table is built, and a non-positive order is named
+    import lazytwist.fixtures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(lazytwist.fixtures, "from_table", refuse)
+        code, out, err = run_cli(capsys, "--max-order", "128", "h2", "C1500")
+    assert code == 2 and out == "" and "order 1500" in err
+    code, out, err = run_cli(capsys, "h2", "C0")
+    assert code == 2 and out == "" and "order 0" in err
+    # the abelian closed form still honours --max-order: C2^8 has order 256
+    table = [[i ^ j for j in range(256)] for i in range(256)]
+    code, out, err = run_cli(capsys, "h2", json.dumps({"table": table}))
+    assert code == 2 and out == "" and "256" in err
+
+
 def test_output_byte_stable(capsys):
     runs = []
     for _ in range(2):

@@ -2,7 +2,7 @@ import itertools
 import json
 import random
 import sys
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -12,6 +12,7 @@ from lazytwist.groups import (
     OrderLimitExceeded,
     automorphism_generators,
     automorphism_group,
+    class_preserving_auts,
     from_table,
     normal_abelian_subgroups,
 )
@@ -356,15 +357,56 @@ def test_h2_reports(groups):
 
 def test_h2_abelian_closed_form():
     # for abelian G every twist is invariant and the classes are the
-    # alternating forms on the character group: prod_{i<j} gcd(d_i, d_j)
-    for ds in [(2, 2, 2, 2), (2, 4, 4), (6, 6), (3, 9), (3, 3, 3)]:
-        rep = h2_compute(product_group(ds))
+    # alternating forms on the character group: prod_{i<j} gcd(d_i, d_j);
+    # the closed form is checked against the enumerated pairs, outer
+    # automorphisms and forms, in three labellings
+    cases = [ds for n in range(1, 33) for ds in abelian_types(n)]
+    for ds in cases + [(4, 4, 4)]:
+        G = product_group(ds)
+        forms = alternating_forms(G.whole_subgroup())
         expected = 1
         for i, j in itertools.combinations(range(len(ds)), 2):
             expected *= gcd(ds[i], ds[j])
-        assert rep.bg_size == rep.exact_order == expected, ds
-        assert rep.status == "exact"
-        assert "R0" in [c["rule"] for c in rep.certificates]
+        assert len(forms) == expected, ds
+        rules = ["R0", "R3", "R4"] if G.order % 2 else ["R0", "R4"]
+        rep = h2_compute(G)
+        assert (rep.bg_size, rep.int_mod_inn, rep.exact_order,
+                rep.structure, rep.status) == \
+            (len(bg_enumerate(G)), class_preserving_auts(G)[1], expected,
+             _form_group_structure(forms), "exact"), ds
+        assert [c["rule"] for c in rep.certificates] == rules, ds
+        for seed in [1, 2]:
+            assert h2_compute(relabelled(G, seed)).to_json() == \
+                rep.to_json(), (ds, seed)
+
+
+def test_h2_abelian_lists_no_pairs(monkeypatch):
+    # on abelian input every number comes from the invariant factors: the
+    # pair, form and automorphism listings are never called, and C2^6 and
+    # C2^7 (2^15 and 2^21 forms) answer through R0
+    refused = ["normal_abelian_subgroups", "bg_enumerate",
+               "class_preserving_auts", "alternating_forms",
+               "invariant_forms"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a listing ran on abelian input")
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "lazytwist":
+            for attr in refused:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    for ds, exact, structure in [((2,) * 6, 2 ** 15, [2] * 15),
+                                 ((2,) * 7, 2 ** 21, [2] * 21),
+                                 ((4, 4, 4), 64, [4, 4, 4]),
+                                 ((3, 3, 3), 27, [3, 3, 3])]:
+        rep = h2_compute(product_group(ds))
+        rules = ["R0", "R3", "R4"] if ds[0] == 3 else ["R0", "R4"]
+        assert (rep.bg_size, rep.int_mod_inn, rep.order_lower,
+                rep.order_upper, rep.exact_order, rep.structure,
+                rep.status) == (exact, 1, exact, exact, exact, structure,
+                                "exact"), ds
+        assert [c["rule"] for c in rep.certificates] == rules, ds
 
 
 def test_h2_cyclic_trivial(groups):
@@ -525,7 +567,9 @@ def test_abelian_orders_match_enumerator():
         for ds, mset in zip(abelian_types(order),
                             abelian_order_multisets(order)):
             assert _is_abelian_orders(list(mset)), ds
-            assert _group_structure(list(mset)) == invariant_factors(ds), ds
+            assert _group_structure(
+                lambda q: sum(1 for o in mset if q % o == 0),
+                lcm(*mset)) == invariant_factors(ds), ds
             for _ in range(10):
                 orders = list(mset)
                 orders[rng.randrange(1, order) if order > 1 else 0] = \
