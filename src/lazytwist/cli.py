@@ -79,7 +79,7 @@ def _exists(path: Path) -> bool:
 def _load_group(spec: str, limit: int):
     """Resolve a builtin name, a JSON file path, or inline JSON."""
     try:
-        return builtin_group(spec)
+        return builtin_group(spec, limit)
     except KeyError:
         pass
     except OrderLimitExceeded:

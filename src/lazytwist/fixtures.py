@@ -18,13 +18,15 @@ def _group_from_elements(elements, mul, label, name) -> FiniteGroup:
     return from_table(table, labels=[label(e) for e in elements], name=name)
 
 
-def cyclic(n: int) -> FiniteGroup:
+def cyclic(n: int, cap: int = _CONSTRUCTION_CAP) -> FiniteGroup:
+    """Z/n from its n x n table, refused before the table is built when n
+    exceeds cap."""
     if n < 1:
         raise ValueError(f"cyclic group of order {n}: the order must be "
                          "positive")
-    if n > _CONSTRUCTION_CAP:
+    if n > cap:
         raise OrderLimitExceeded(
-            f"cyclic group of order {n} exceeds desk scale")
+            f"cyclic group of order {n} exceeds the construction cap {cap}")
     return _group_from_elements(
         range(n), lambda a, b: (a + b) % n,
         lambda a: f"g^{a}" if a else "1", name=f"C{n}")
@@ -164,11 +166,13 @@ def builtin_names() -> list[str]:
     return sorted(_BUILDERS) + [f"C{n}" for n in range(1, 9)]
 
 
-def builtin_group(name: str) -> FiniteGroup:
+def builtin_group(name: str, limit: int = _CONSTRUCTION_CAP) -> FiniteGroup:
+    """A named group; C<n> is built up to the larger of limit and the
+    construction cap."""
     if name in _BUILDERS:
         G = _BUILDERS[name]()
         G.name = name
         return G
     if name.startswith("C") and name[1:].isdigit():
-        return cyclic(int(name[1:]))
+        return cyclic(int(name[1:]), max(limit, _CONSTRUCTION_CAP))
     raise KeyError(f"unknown builtin group {name!r}")

@@ -369,11 +369,15 @@ def _group_structure(count, exponent: int) -> Optional[list[int]]:
     return sorted(factors)
 
 
+def _orders_structure(orders: list[int]) -> Optional[list[int]]:
+    """_group_structure of the group with these element orders."""
+    return _group_structure(
+        lambda q: sum(1 for o in orders if q % o == 0), lcm(*orders))
+
+
 def _form_group_structure(forms: list[AltForm]) -> list[int]:
     """Invariant factors of a finite group of alternating forms."""
-    orders = [f.order() for f in forms]
-    factors = _group_structure(
-        lambda q: sum(1 for o in orders if q % o == 0), lcm(*orders))
+    factors = _orders_structure([f.order() for f in forms])
     if factors is None:
         raise VerdictInconsistent("form orders are not a group's")
     return factors
@@ -392,8 +396,7 @@ def _alternating_form_group(cyclic_orders) -> tuple[int, list[int]]:
 def _is_abelian_orders(orders: list[int]) -> bool:
     """True iff the element orders are those of an abelian group: the
     group rebuilt from the invariant factors they imply has them."""
-    factors = _group_structure(
-        lambda q: sum(1 for o in orders if q % o == 0), lcm(*orders))
+    factors = _orders_structure(orders)
     if factors is None:
         return False
     rebuilt = [lcm(*(d // gcd(e, d) for e, d in zip(tup, factors)))

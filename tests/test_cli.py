@@ -229,8 +229,9 @@ def test_error_exits(tmp_path, capsys):
 
 
 def test_order_bounds_exit_2(capsys, monkeypatch):
-    # a builtin C<n> beyond the construction cap is refused before its
-    # n x n table is built, and a non-positive order is named
+    # a builtin C<n> beyond both the construction cap and --max-order is
+    # refused before its n x n table is built, and a non-positive order is
+    # named
     import lazytwist.fixtures
 
     def refuse(*args, **kwargs):
@@ -242,6 +243,9 @@ def test_order_bounds_exit_2(capsys, monkeypatch):
     assert code == 2 and out == "" and "order 1500" in err
     code, out, err = run_cli(capsys, "h2", "C0")
     assert code == 2 and out == "" and "order 0" in err
+    # a larger --max-order raises the cap with it
+    code, out, err = run_cli(capsys, "--max-order", "1024", "h2", "C600")
+    assert code == 0 and json.loads(out)["exact_order"] == 1
     # the abelian closed form still honours --max-order: C2^8 has order 256
     table = [[i ^ j for j in range(256)] for i in range(256)]
     code, out, err = run_cli(capsys, "h2", json.dumps({"table": table}))
