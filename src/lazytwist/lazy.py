@@ -13,7 +13,12 @@ the order of its form.  The partial product and the Aut(G) orbits of rule
 R5 act on the forms too, by pushing them along homomorphisms of socles
 (R(B, psi_* b) = (psi x psi) R(A, b)), so no verdict builds R(A, b).
 R5 walks each orbit along generators of Aut(G) from a stabilizer chain
-(`groups.automorphism_generators`); it never lists Aut(G).
+(`groups.automorphism_generators`); it never lists Aut(G), and it checks
+closure under the partial product on one representative per orbit.  RW
+decides for every non-trivial pair, odd or even, whether an invariant
+cocycle realizes it (`pontryagin.invariant_cocycle_search`), and R3 reads
+the invariant factors of the invariant forms off the Smith form of the
+invariance map's kernel.
 """
 
 from __future__ import annotations
@@ -39,13 +44,13 @@ from .groups import (
     find_isomorphism,
     normal_abelian_subgroups,
 )
+from ._smith import kernel
 from .fixtures import _group_from_elements, symmetric
 from .pontryagin import (
     AltForm,
     Character,
     DualAction,
     _dual_matrix,
-    cocycle_from_form_odd,
     invariant_cocycle_search,
     invariant_forms,
     is_symmetric_type,
@@ -134,19 +139,20 @@ def _inclusion(A: Subgroup, C: Subgroup):
 def bg_product(x: BGElement, y: BGElement, nas) -> Optional[BGElement]:
     """Partial product: defined when one abelian normal subgroup C contains
     both socles.  Both forms are pushed to the dual of C and multiplied
-    there; the product's socle D is the annihilator of its radical, and the
-    product descends to a non-degenerate form on the dual of D."""
+    there; the product's socle D is the annihilator of its radical, the
+    common kernel of the radical's generators, and the product descends to
+    a non-degenerate form on the dual of D."""
     need = set(x.subgroup.elements) | set(y.subgroup.elements)
     C = next((C for C in nas if need <= set(C.elements)), None)
     if C is None:
         return None
     b = x.form.push(C, _inclusion(x.subgroup, C)).mul(
         y.form.push(C, _inclusion(y.subgroup, C)))
-    radical = b.radical()
+    gens, orders = b.radical()
     socle = tuple(sorted(set(C.elements).intersection(
-        *(Character(C, rho).kernel() for rho in radical))))
+        *(Character(C, rho).kernel() for rho in gens))))
     D = next((A for A in nas if A.elements == socle), None)
-    if D is None or D.order * len(radical) != C.order:
+    if D is None or D.order * prod(orders) != C.order:
         raise VerdictInconsistent(
             "product socle is not the annihilator of its radical")
     return BGElement(D, b.descend(D))
@@ -375,14 +381,6 @@ def _orders_structure(orders: list[int]) -> Optional[list[int]]:
         lambda q: sum(1 for o in orders if q % o == 0), lcm(*orders))
 
 
-def _form_group_structure(forms: list[AltForm]) -> list[int]:
-    """Invariant factors of a finite group of alternating forms."""
-    factors = _orders_structure([f.order() for f in forms])
-    if factors is None:
-        raise VerdictInconsistent("form orders are not a group's")
-    return factors
-
-
 def _alternating_form_group(cyclic_orders) -> tuple[int, list[int]]:
     """Order and invariant factors of the alternating forms on the dual of
     (+) Z/d_i, which are (+)_{i<j} Z/gcd(d_i, d_j) (Karpilovsky, Projective
@@ -502,9 +500,11 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
             maximal = [A for A in nas if not any(
                 set(A.elements) < set(B.elements) for B in nas)]
             if len(maximal) == 1:
-                A = maximal[0]
-                forms = invariant_forms(A, DualAction(G, A))
-                r3 = len(forms), _form_group_structure(forms)
+                # the invariant forms are the kernel of the invariance map,
+                # and its Smith form gives their invariant factors
+                _, factors = kernel(
+                    *DualAction(G, maximal[0]).invariance_map())
+                r3 = prod(factors), factors
         if r3 is not None:
             conclude(*r3, "R3",
                      "unique maximal abelian normal subgroup at odd order: "
@@ -515,21 +515,11 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
     witness_keys = set()
     if exact is None:
         for x in bg:
-            if x.is_trivial():
-                continue
-            if x.subgroup.order % 2 == 1:
-                cocycle_from_form_odd(x.subgroup, x.form)
+            if not x.is_trivial() and invariant_cocycle_search(
+                    x.subgroup, x.form,
+                    DualAction(G, x.subgroup)).witness is not None:
                 witnessed += 1
                 witness_keys.add(x.key())
-            else:
-                try:
-                    result = invariant_cocycle_search(
-                        x.subgroup, x.form, DualAction(G, x.subgroup))
-                except OrderLimitExceeded:
-                    continue
-                if result.witness is not None:
-                    witnessed += 1
-                    witness_keys.add(x.key())
         if witnessed:
             certs.append({
                 "rule": "RW",
@@ -659,50 +649,49 @@ def _candidate_image_sizes(G, bg, nas, witness_keys, limit):
     """Sizes of subsets of the socle-form pairs that could be the image of
     the socle-form map: automorphism-stable, closed under the partial
     product and inverses, containing the witnessed pairs, with element
-    orders realizable by an abelian group."""
+    orders realizable by an abelian group.
+
+    The partial product and the inverse are Aut(G)-equivariant, so a union
+    of orbits is closed iff it holds the inverse of one representative of
+    each chosen orbit and its products with every chosen pair; these are
+    tabulated once, one representative against every pair."""
     try:
         auts, _ = automorphism_generators(G, limit)
     except OrderLimitExceeded:
         return None
     orbits = _aut_orbits(bg, nas, auts)
     by_key = {x.key(): i for i, x in enumerate(bg)}
-    nontrivial = [i for i, x in enumerate(bg) if not x.is_trivial()]
+    orbit_of = {i: oi for oi, orbit in enumerate(orbits) for i in orbit}
 
-    inverse_of = {}
-    order_of = {}
-    for i in nontrivial:
-        inv_key = BGElement(bg[i].subgroup, bg[i].form.inv()).key()
-        if inv_key not in by_key:
-            raise VerdictInconsistent("inverse left the pair set")
-        inverse_of[i] = by_key[inv_key]
-        order_of[i] = bg_element_order(bg[i], nas)
+    def index(x, what):
+        if x.key() not in by_key:
+            raise VerdictInconsistent(f"{what} left the pair set")
+        return by_key[x.key()]
+
+    inverse, reach = [], []
+    for orbit in orbits:
+        rep = bg[orbit[0]]
+        inverse.append(orbit_of[index(
+            BGElement(rep.subgroup, rep.form.inv()), "inverse")])
+        # reach[o][o']: the orbits of the non-trivial products rep * y,
+        # y in orbit o'
+        products = [[bg_product(rep, bg[j], nas) for j in other]
+                    for other in orbits]
+        reach.append([{orbit_of[k] for k in (
+            index(p, "partial product") for p in row if p is not None)
+            if k != 0} for row in products])
+    witnessed = {orbit_of[by_key[key]] for key in witness_keys}
+    order_of = {i: bg_element_order(bg[i], nas) for i in orbit_of}
 
     sizes = set()
     for pick in itertools.product((False, True), repeat=len(orbits)):
-        chosen = {j for oi, take in enumerate(pick) if take
-                  for j in orbits[oi]}
-        if not witness_keys <= {bg[j].key() for j in chosen} | {bg[0].key()}:
+        chosen = {oi for oi, take in enumerate(pick) if take}
+        if not witnessed <= chosen or not all(
+                inverse[oi] in chosen
+                and all(reach[oi][oj] <= chosen for oj in chosen)
+                for oi in chosen):
             continue
-        ok = True
-        for i in chosen:
-            if inverse_of[i] not in chosen:
-                ok = False
-                break
-            for j in chosen:
-                p = bg_product(bg[i], bg[j], nas)
-                if p is None:
-                    continue
-                k = by_key.get(p.key())
-                if k is None:
-                    raise VerdictInconsistent(
-                        "partial product left the pair set")
-                if k != 0 and k not in chosen:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if _is_abelian_orders([1] + [order_of[i] for i in chosen]):
-            sizes.add(1 + len(chosen))
+        members = [i for oi in chosen for i in orbits[oi]]
+        if _is_abelian_orders([1] + [order_of[i] for i in members]):
+            sizes.add(1 + len(members))
     return sizes

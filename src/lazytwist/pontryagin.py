@@ -3,16 +3,22 @@
 Characters and forms are stored by integer exponents over the generators
 returned by abelian_structure; all values are roots of unity, so most of
 the work here is modular integer arithmetic, materialized as CycNum only
-at the edges.
+at the edges.  Every condition on a form, and on a cocycle that realizes
+it, is Z-linear in these exponents, so the invariant forms, radicals,
+descent and the invariant-cocycle decision are kernels and systems over
+Q/Z solved through the Smith normal form (`_smith`); nothing sweeps the
+whole dual or lists forms to filter them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Optional
 
+from ._smith import kernel, solve_qz, span
 from .cyclo import CycNum, root_of_unity
 from .groups import (FiniteGroup, OrderLimitExceeded, Subgroup,
                      VerdictInconsistent)
@@ -141,12 +147,13 @@ class AltForm:
     def is_trivial(self) -> bool:
         return all(not e for row in self.matrix for e in row)
 
-    def radical(self) -> list[tuple[int, ...]]:
-        """The characters rho with b(rho, .) = 1, as exponent tuples."""
+    def radical(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        """The characters rho with b(rho, .) = 1, as the generators and
+        invariant factors of the kernel of rho -> (b(rho, chi_j))_j."""
         ds = self._orders()
-        units = _units(len(ds))
-        return [rho for rho in itertools.product(*(range(d) for d in ds))
-                if all(self.value_exponent(rho, u)[0] == 0 for u in units)]
+        return kernel([[self.matrix[i][j] * (d // gcd(ds[i], d))
+                        for i in range(len(ds))] for j, d in enumerate(ds)],
+                      ds, ds)
 
     def push(self, B: Subgroup, rows) -> "AltForm":
         """The form on the dual of B with value b(rows[i], rows[j]) on B's
@@ -166,14 +173,28 @@ class AltForm:
     def descend(self, D: Subgroup) -> "AltForm":
         """The form on the dual of D <= A whose push along D <= A is b, read
         off lifts of D's dual generators; b must vanish on D's annihilator.
+
+        A lift of D's k-th dual generator is a character rho of A with
+        rho(c_i) = [i = k] / f_i on D's generators c_i; over Q/Z its values
+        v_j = rho(a_j) on A's generators solve sum_j P_ij v_j = [i = k] / f_i
+        and d_j v_j = 0, P_ij the coordinates of c_i over the a_j.
         """
-        restrict = _dual_matrix(D, self.group, lambda a: a)
-        fs = [f for _, f in D.abelian_structure()]
-        lifts = {}
-        for rho in itertools.product(*(range(d) for d in self._orders())):
-            lifts.setdefault(_dual_apply(restrict, rho, fs), rho)
-        out = self.push(D, [lifts[u] for u in _units(len(fs))])
-        if out.push(self.group, restrict) != self:
+        coords = self.group.element_coordinates()
+        ds = self._orders()
+        basis = D.abelian_structure()
+        rows = [list(coords[c]) for c, _ in basis] + [
+            [d if j == i else 0 for j in range(len(ds))]
+            for i, d in enumerate(ds)]
+        lifts = []
+        for u in _units(len(basis)):
+            v, _ = solve_qz(rows, [Fraction(x, f) for x, (_, f) in
+                                   zip(u, basis)] + [0] * len(ds))
+            if v is None:
+                raise VerdictInconsistent("a character of D has no lift")
+            lifts.append(tuple(int(x * d) for x, d in zip(v, ds)))
+        out = self.push(D, lifts)
+        if out.push(self.group, _dual_matrix(D, self.group, lambda a: a)) \
+                != self:
             raise VerdictInconsistent("form does not descend to the subgroup")
         return out
 
@@ -185,7 +206,11 @@ class AltForm:
                 "matrix": [list(row) for row in self.matrix]}
 
 
-def alternating_forms(A: Subgroup, limit: int = 1 << 20) -> list[AltForm]:
+# the most forms alternating_forms and invariant_forms list
+FORM_LIMIT = 1 << 20
+
+
+def alternating_forms(A: Subgroup, limit: int = FORM_LIMIT) -> list[AltForm]:
     """All alternating bilinear forms on the dual of A.
 
     These are exactly the admissible skew matrices; the count is the
@@ -208,7 +233,7 @@ def alternating_forms(A: Subgroup, limit: int = 1 << 20) -> list[AltForm]:
 
 def is_nondegenerate(b: AltForm) -> bool:
     """True iff rho -> b(rho, .) is injective on the dual group."""
-    return len(b.radical()) == 1
+    return not b.radical()[0]
 
 
 def is_symmetric_type(A: Subgroup) -> bool:
@@ -271,19 +296,43 @@ class DualAction:
     def on_exponents(self, g: int, exponents) -> tuple[int, ...]:
         return _dual_apply(self._mats[g], exponents, self._orders)
 
-    def on_form(self, g: int, b: AltForm) -> AltForm:
-        """The transported form (g.b)(rho, sigma) = b(g^-1.rho, g^-1.sigma):
-        the push along a -> g a g^-1."""
-        return b.push(self.A, self._mats[self.G.inverses[g]])
+    def invariance_map(self):
+        """(M, s, t): b is invariant iff M x = 0 mod t for its upper entries
+        x in (+) Z/s, s_kl = gcd(d_k, d_l).  Row (g, i, j) is b(P_g e_i,
+        P_g e_j) - b(e_i, e_j) in exponents over the dual exponent L, for
+        each generator g of G, P_g its matrix on the dual."""
+        ds = self._orders
+        L = lcm(*ds)
+        pairs = list(itertools.combinations(range(len(ds)), 2))
+        s = [gcd(ds[k], ds[l]) for k, l in pairs]
+        M = []
+        for g in self.G.generating_set():
+            P = self._mats[g]
+            for i, j in pairs:
+                M.append([(P[i][k] * P[j][l] - P[i][l] * P[j][k]
+                           - ((k, l) == (i, j))) * (L // m)
+                          for (k, l), m in zip(pairs, s)])
+        return M, s, [L] * len(M)
 
     def is_invariant_form(self, b: AltForm) -> bool:
-        return all(self.on_form(g, b) == b for g in self.G.generating_set())
+        M, _, t = self.invariance_map()
+        x = [b.matrix[i][j]
+             for i, j in itertools.combinations(range(len(self._orders)), 2)]
+        return not any(sum(a * v for a, v in zip(row, x)) % L
+                       for row, L in zip(M, t))
 
 
 def invariant_forms(A: Subgroup, action: DualAction,
                     only_nondegenerate: bool = False) -> list[AltForm]:
-    """G-invariant alternating forms on the dual of A, optionally filtered."""
-    out = [b for b in alternating_forms(A) if action.is_invariant_form(b)]
+    """G-invariant alternating forms on the dual of A, optionally filtered,
+    in the order of their matrices: the kernel of the invariance map."""
+    M, s, t = action.invariance_map()
+    gens, orders = kernel(M, s, t)
+    if prod(orders) > FORM_LIMIT:
+        raise OrderLimitExceeded("too many invariant forms to enumerate")
+    pairs = list(itertools.combinations(range(len(action._orders)), 2))
+    out = sorted((AltForm.from_upper(A, dict(zip(pairs, x)))
+                  for x in span(gens, orders, s)), key=lambda b: b.matrix)
     if only_nondegenerate:
         out = [b for b in out if is_nondegenerate(b)]
     return out
@@ -365,97 +414,81 @@ def cocycle_identity_holds(A: Subgroup, c: dict) -> bool:
 
 @dataclass(frozen=True)
 class CocycleSearch:
-    """Search outcome: witness table (or None) plus which argument decided.
+    """Decision on an invariant cocycle: a witness table, or None.
 
-    argument is "witness" when a table was found, "contradiction" when the
-    forced relations are inconsistent for any k*-valued cocycle (a
-    range-independent non-existence proof), or "range-exhausted" when the
-    bounded value range was searched without success.
+    argument is "witness" when a table was found and checked, and
+    "contradiction" when an integer combination of the linear conditions
+    on lambda (see invariant_cocycle_search) has a right-hand side that is
+    not 0 in Q/Z: no k*-valued invariant cocycle with the form exists.
     """
 
     witness: Optional[dict]
     argument: str
 
 
-def invariant_cocycle_search(A: Subgroup, b: AltForm, action: DualAction,
-                             assignment_cap: int = 1 << 20) -> CocycleSearch:
-    """Search for a normalized action-invariant two-cocycle with form b.
+def invariant_cocycle_search(A: Subgroup, b: AltForm,
+                             action: DualAction) -> CocycleSearch:
+    """Decide whether a normalized action-invariant two-cocycle with form b
+    exists on the dual X of A.
 
-    Values are restricted to roots of unity of order dividing twice the
-    dual exponent; relations forced by normalization, invariance and the
-    prescribed form are propagated first, so a clash is a range-independent
-    proof that no cocycle exists at all.
+    H^2(X, k*) of a finite abelian X is its group of alternating forms
+    (Karpilovsky, Projective Representations of Finite Groups, 1985), so
+    every normalized cocycle with form b is c = beta * d(lambda), beta the
+    bilinear beta(rho, sigma) = prod_{i<j} b(chi_i, chi_j)^(rho_j sigma_i)
+    and lambda: X -> k* with lambda(1) = 1.  For a generator g, f =
+    c(g., g.)/c is a normalized cocycle, and its identity at (rho, sigma,
+    chi_i) reads f(rho, sigma chi_i) = f(rho, sigma) once f = 1 on X x
+    {dual generators}, so then f = 1.  Invariance is thus the linear system
+    over Q/Z, one row per (g, rho, chi_i), in the exponents of lambda; the
+    roots of unity are a direct summand of k*, so its solvability decides
+    existence.  A witness table is checked for the cocycle identity,
+    invariance and its form, an obstruction by solve_qz.
     """
-    if A.order > 16:
-        raise OrderLimitExceeded("cocycle search capped at |A| <= 16")
     ds = [d for _, d in A.abelian_structure()]
+    L = lcm(*ds)
+    W = [[b.matrix[i][j] * (L // gcd(ds[i], ds[j])) if i < j else 0
+          for j in range(len(ds))] for i in range(len(ds))]
     duals = list(itertools.product(*(range(d) for d in ds)))
-    one = tuple(0 for _ in ds)
-    M = 2 * lcm(*ds)
+    zero = duals[0]
+    unknown = {rho: k for k, rho in enumerate(duals[1:])}
 
-    # union-find over ordered pairs with multiplicative offsets in Z_M
-    parent: dict = {}
-    offset: dict = {}
+    def add(x, y):
+        return tuple((u + v) % d for u, v, d in zip(x, y, ds))
 
-    def find(x):
-        if parent[x] == x:
-            return x, 0
-        root, off = find(parent[x])
-        parent[x] = root
-        offset[x] = (offset[x] + off) % M
-        return root, offset[x]
+    def beta(rho, sigma):
+        return sum(W[i][j] * rho[j] * sigma[i] for i in range(len(ds))
+                   for j in range(i + 1, len(ds)))
 
-    def union(x, y, delta) -> bool:
-        # impose value(x) = zeta_M^delta * value(y)
-        rx, ox = find(x)
-        ry, oy = find(y)
-        if rx == ry:
-            return (ox - oy) % M == delta % M
-        parent[rx] = ry
-        offset[rx] = (oy + delta - ox) % M
-        return True
+    # each generator's action on the dual, as a map of exponent tuples
+    moves = [{rho: action.on_exponents(g, rho) for rho in duals}
+             for g in action.G.generating_set()]
+    rows = {}
+    for move in moves:
+        for e in _units(len(ds)):
+            for rho in duals:
+                grho, ge = move[rho], move[e]
+                row = [0] * len(unknown)
+                # c(g rho, g e) - c(rho, e), beta moved to the right
+                for x, sign in ((grho, 1), (ge, 1), (add(grho, ge), -1),
+                                (rho, -1), (e, -1), (add(rho, e), 1)):
+                    if x != zero:
+                        row[unknown[x]] += sign
+                rows[tuple(row), (beta(rho, e) - beta(grho, ge)) % L] = None
+    lam, _ = solve_qz([list(row) for row, _ in rows],
+                      [Fraction(y, L) for _, y in rows])
+    if lam is None:
+        return CocycleSearch(None, "contradiction")
 
-    ONE = "one"
-    parent[ONE] = ONE
-    offset[ONE] = 0
-    for rho in duals:
-        for sigma in duals:
-            key = (rho, sigma)
-            parent[key] = key
-            offset[key] = 0
-
-    ok = True
-    for rho in duals:
-        ok = ok and union((one, rho), ONE, 0) and union((rho, one), ONE, 0)
-    gens = action.G.generating_set()
-    for rho in duals:
-        for sigma in duals:
-            t, L = b.value_exponent(rho, sigma)
-            # c(sigma, rho) = b(rho, sigma) c(rho, sigma)
-            ok = ok and union((sigma, rho), (rho, sigma), t * (M // L))
-            for g in gens:
-                moved = (action.on_exponents(g, rho),
-                         action.on_exponents(g, sigma))
-                ok = ok and union(moved, (rho, sigma), 0)
-            if not ok:
-                return CocycleSearch(None, "contradiction")
-
-    root_one, off_one = find(ONE)
-    roots = sorted({find(key)[0] for key in parent
-                    if key != ONE and find(key)[0] != root_one})
-    count = M ** len(roots)
-    if count > assignment_cap:
-        raise OrderLimitExceeded("cocycle search space too large")
-
-    for combo in itertools.product(range(M), repeat=len(roots)):
-        values = dict(zip(roots, combo))
-        values[root_one] = (-off_one) % M
-        table = {}
-        for rho in duals:
-            for sigma in duals:
-                root, off = find((rho, sigma))
-                base = values.get(root, 0)
-                table[(rho, sigma)] = root_of_unity(M, (base + off) % M)
-        if cocycle_identity_holds(A, table):
-            return CocycleSearch(table, "witness")
-    return CocycleSearch(None, "range-exhausted")
+    Q = lcm(L, *(v.denominator for v in lam))
+    ell = dict(zip(duals, [0] + [int(v * Q) for v in lam]))
+    c = {(rho, sigma): (beta(rho, sigma) * (Q // L) + ell[rho] + ell[sigma]
+                        - ell[add(rho, sigma)]) % Q
+         for rho in duals for sigma in duals}
+    table = {pair: root_of_unity(Q, e) for pair, e in c.items()}
+    if any(c[move[rho], move[sigma]] != e
+           for move in moves for (rho, sigma), e in c.items()) or any(
+               (c[sigma, rho] - e - b.value_exponent(rho, sigma)[0]
+                * (Q // L)) % Q for (rho, sigma), e in c.items()) \
+            or not cocycle_identity_holds(A, table):
+        raise VerdictInconsistent("invariant cocycle witness fails its check")
+    return CocycleSearch(table, "witness")

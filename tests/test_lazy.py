@@ -20,7 +20,7 @@ from lazytwist.fixtures import builtin_group
 from lazytwist.hopf import GTensor, r_from_form
 from lazytwist.lazy import (
     _aut_orbits,
-    _form_group_structure,
+    _candidate_image_sizes,
     _is_abelian_orders,
     _orders_structure,
     _pair_orbits,
@@ -32,7 +32,9 @@ from lazytwist.lazy import (
     has_no_multiplicities,
     lie_complex_check,
 )
-from lazytwist.pontryagin import DualAction, alternating_forms, invariant_forms
+from lazytwist._smith import kernel
+from lazytwist.pontryagin import (DualAction, alternating_forms,
+                                  invariant_cocycle_search, invariant_forms)
 from tests_helpers import (
     SPLIT_GROUPS,
     abelian_order_multisets,
@@ -47,6 +49,7 @@ from tests_helpers import (
     relabelled,
     relabelling,
     stack_pair_orbits,
+    subset_image_sizes,
     tensor_bg_product,
     whole_group_no_multiplicities,
 )
@@ -294,6 +297,23 @@ def test_r5_orbits_match_listing(groups):
             list(range(1, len(bg))), name
 
 
+def test_r5_sizes_match_subset_loop(groups):
+    # the closure checked on one representative per orbit gives the sizes
+    # of the loop over every pair of every chosen subset, with the
+    # witnessed pairs RW finds and with none
+    for name in ["D8", "D8xC2", "D8xC4", "Wr_2xC2", "Q8xC2xC2", "D8xS3",
+                 "C2xC2xD8"]:
+        G = named_group(groups, name)
+        nas = normal_abelian_subgroups(G)
+        bg = bg_enumerate(G, nas=nas)
+        orbits = _aut_orbits(bg, nas, automorphism_generators(G)[0])
+        witnessed = {x.key() for x in bg[1:] if invariant_cocycle_search(
+            x.subgroup, x.form, DualAction(G, x.subgroup)).witness}
+        for keys in (witnessed, set()):
+            assert _candidate_image_sizes(G, bg, nas, keys, 128) == \
+                subset_image_sizes(bg, nas, orbits, keys), (name, keys)
+
+
 def test_has_no_multiplicities(groups):
     for n in [2, 5, 8]:
         G = groups(f"C{n}")
@@ -374,7 +394,7 @@ def test_h2_abelian_closed_form():
         assert (rep.bg_size, rep.int_mod_inn, rep.exact_order,
                 rep.structure, rep.status) == \
             (len(bg_enumerate(G)), class_preserving_auts(G)[1], expected,
-             _form_group_structure(forms), "exact"), ds
+             _orders_structure([f.order() for f in forms]), "exact"), ds
         assert [c["rule"] for c in rep.certificates] == rules, ds
         for seed in [1, 2]:
             assert h2_compute(relabelled(G, seed)).to_json() == \
@@ -508,7 +528,7 @@ def test_has_no_multiplicities_matches_whole_group(groups):
 
 def cayley_table_structure(forms):
     """Invariant factors of a group of forms through its Cayley table: the
-    reference for _form_group_structure."""
+    reference for the Smith form of the invariance map's kernel."""
     index = {f.matrix: i for i, f in enumerate(forms)}
     H = from_table([[index[f.mul(g).matrix] for g in forms] for f in forms])
     return [d for _, d in H.whole_subgroup().abelian_structure()]
@@ -536,14 +556,21 @@ def invariant_factors(cyclic_orders):
     return sorted(out)
 
 
+def form_group_structure(G, A):
+    """R3's structure: the invariant factors of the invariant forms, read
+    from the Smith form of the invariance map's kernel."""
+    return kernel(*DualAction(G, A).invariance_map())[1]
+
+
 def test_form_group_structure_closed_form():
     # the alternating forms on the dual of prod Z/d_i are
-    # (+)_{i<j} Z/gcd(d_i, d_j)
+    # (+)_{i<j} Z/gcd(d_i, d_j); an abelian group acts trivially
     for ds in [(2, 2, 2, 2, 2), (2, 4, 4), (6, 6), (3, 3, 3)]:
-        forms = alternating_forms(product_group(ds).whole_subgroup())
+        G = product_group(ds)
         gcds = [gcd(ds[i], ds[j])
                 for i, j in itertools.combinations(range(len(ds)), 2)]
-        assert _form_group_structure(forms) == invariant_factors(gcds), ds
+        assert form_group_structure(G, G.whole_subgroup()) == \
+            invariant_factors(gcds), ds
 
 
 def test_form_group_structure_matches_cayley_table(groups):
@@ -552,9 +579,8 @@ def test_form_group_structure_matches_cayley_table(groups):
              ("C2x6x6", product_group((2, 6, 6)))]
     for name, G in cases:
         for A in normal_abelian_subgroups(G):
-            forms = invariant_forms(A, DualAction(G, A))
-            assert _form_group_structure(forms) == \
-                cayley_table_structure(forms), (name, A)
+            assert form_group_structure(G, A) == cayley_table_structure(
+                invariant_forms(A, DualAction(G, A))), (name, A)
 
 
 def test_abelian_orders_match_enumerator():

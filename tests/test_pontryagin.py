@@ -1,10 +1,16 @@
 import itertools
+from fractions import Fraction
+from math import prod
 
 import pytest
 
+from lazytwist import _smith, pontryagin
+from lazytwist._smith import kernel, solve_qz, span
 from lazytwist.cyclo import CycNum, root_of_unity
-from lazytwist.groups import VerdictInconsistent, normal_abelian_subgroups
-from lazytwist.fixtures import builtin_group
+from lazytwist.groups import (OrderLimitExceeded, VerdictInconsistent,
+                              normal_abelian_subgroups)
+from lazytwist.fixtures import builtin_group, builtin_names
+from lazytwist.lazy import bg_enumerate, h2_compute
 from lazytwist.hopf import r_from_form
 from lazytwist.pontryagin import (
     AltForm,
@@ -22,7 +28,10 @@ from lazytwist.pontryagin import (
     is_symmetric_type,
 )
 from tests_helpers import (char_mul, char_value, characters, cocycle_form,
-                           form_value, on_character)
+                           direct_product, enumerated_descend,
+                           enumerated_radical, filtered_invariant_forms,
+                           form_value, on_character, on_form, product_group,
+                           union_find_cocycle_search)
 
 
 def _klein_in(groups, name="A4"):
@@ -171,17 +180,22 @@ def test_is_nondegenerate(groups):
 
 
 def test_radical_against_all_pairings():
+    # the radical's generators span every rho with b(rho, sigma) = 1 for
+    # all sigma, and their orders multiply to its size
     from tests_helpers import abelian_types, product_group
     for order in range(1, 17):
         for ds in abelian_types(order):
             A = product_group(ds).whole_subgroup()
-            duals = list(itertools.product(
-                *(range(d) for _, d in A.abelian_structure())))
+            orders = [d for _, d in A.abelian_structure()]
+            duals = list(itertools.product(*(range(d) for d in orders)))
             for b in alternating_forms(A):
-                assert b.radical() == [
-                    rho for rho in duals
-                    if all(b.value_exponent(rho, sigma)[0] == 0
-                           for sigma in duals)], (ds, b.matrix)
+                gens, factors = b.radical()
+                radical = [rho for rho in duals
+                           if all(b.value_exponent(rho, sigma)[0] == 0
+                                  for sigma in duals)]
+                assert sorted(span(gens, factors, orders)) == radical, \
+                    (ds, b.matrix)
+                assert prod(factors) == len(radical), (ds, b.matrix)
 
 
 def test_is_symmetric_type(groups):
@@ -220,6 +234,11 @@ def test_invariant_forms(groups):
     W3 = groups("Wr_3")
     Vw = next(s for s in normal_abelian_subgroups(W3) if s.order == 27)
     assert len(invariant_forms(Vw, DualAction(W3, Vw))) == 3
+    # C2^7 has 2^21 forms, all invariant: past the listing budget
+    C2_7 = product_group((2,) * 7)
+    with pytest.raises(OrderLimitExceeded):
+        invariant_forms(C2_7.whole_subgroup(),
+                        DualAction(C2_7, C2_7.whole_subgroup()))
 
 
 def test_dual_action_is_by_automorphisms(groups):
@@ -250,7 +269,7 @@ def test_on_form_matches_conjugated_tensor(groups):
             for b in alternating_forms(A):
                 R = r_from_form(A, b)
                 for g in range(G.order):
-                    assert r_from_form(A, act.on_form(g, b)) == \
+                    assert r_from_form(A, on_form(act, g, b)) == \
                         R.conjugate_diagonal(g), (name, A, g)
 
 
@@ -398,3 +417,120 @@ def test_invariant_cocycle_search_trivial(groups):
     res = invariant_cocycle_search(A, alternating_forms(A)[0], act)
     assert res.argument == "witness"
     assert all(v == CycNum.one() for v in res.witness.values())
+
+
+# -- integer linear algebra against the enumerations it replaced -------------
+
+# the builtins (Wr_5 is past the order limit), the eight even-search
+# groups, the five abelian-oracle groups, C2xA4 and D8xC3xC3
+ORACLE_PRODUCTS = ["D8xC2", "D8xC4", "D8xC6", "Wr_2xC2", "Q8xC2xC2",
+                   "A4xS3", "S4xC2", "D8xS3", "C2xA4", "D8xC3xC3"]
+ORACLE_ABELIAN = [(2, 2, 2, 2), (2, 4, 4), (6, 6), (3, 9), (3, 3, 3)]
+
+
+def _oracle_groups(groups):
+    out = [groups(name) for name in builtin_names() if name != "Wr_5"]
+    out += [direct_product(*(groups(f) for f in name.split("x")))
+            for name in ORACLE_PRODUCTS]
+    return out + [product_group(ds) for ds in ORACLE_ABELIAN]
+
+
+def test_forms_radicals_descent_match_enumeration(groups):
+    # on every abelian normal subgroup: the invariant forms, each one's
+    # radical and non-degeneracy, and its descent to the annihilator of
+    # its radical, against the filtered listing and the dual sweeps
+    for G in _oracle_groups(groups):
+        for A in normal_abelian_subgroups(G):
+            act = DualAction(G, A)
+            forms = filtered_invariant_forms(A, act)
+            assert invariant_forms(A, act) == forms, (G.name, A)
+            assert invariant_forms(A, act, only_nondegenerate=True) == \
+                filtered_invariant_forms(A, act, True), (G.name, A)
+            orders = [d for _, d in A.abelian_structure()]
+            for b in forms:
+                radical = enumerated_radical(b)
+                assert sorted(span(*b.radical(), orders)) == radical
+                assert is_nondegenerate(b) == (len(radical) == 1)
+                D = G.subgroup(set(A.elements).intersection(*(
+                    pontryagin.Character(A, rho).kernel()
+                    for rho in radical)))
+                assert b.descend(D) == enumerated_descend(b, D), \
+                    (G.name, A, b.matrix)
+
+
+def test_cocycle_decision_matches_union_find(groups):
+    # wherever the union-find search decides, the linear system agrees;
+    # D8xC3xC3's |A| = 36 pairs, past that search's cap, end in
+    # "contradiction": their cocycles would restrict to the V4 part
+    decided = {"witness": 0, "contradiction": 0}
+    for G in _oracle_groups(groups):
+        for x in bg_enumerate(G):
+            if x.is_trivial():
+                continue
+            act = DualAction(G, x.subgroup)
+            res = invariant_cocycle_search(x.subgroup, x.form, act)
+            assert (res.witness is None) == (res.argument == "contradiction")
+            if G.name == "D8xC3xC3" and x.subgroup.order == 36:
+                assert res.argument == "contradiction"
+            try:
+                old = union_find_cocycle_search(x.subgroup, x.form, act)
+            except OrderLimitExceeded:
+                continue
+            if old.argument != "range-exhausted":
+                assert res.argument == old.argument, (G.name, x.key())
+                decided[old.argument] += 1
+    assert decided["witness"] and decided["contradiction"], decided
+
+
+def test_d8_c3_c3_pinned(groups):
+    G = direct_product(groups("D8"), groups("C3"), groups("C3"))
+    rep = h2_compute(G, name="D8xC3xC3")
+    assert (rep.status, rep.order_lower, rep.order_upper, rep.bg_size) == \
+        ("undetermined", 3, 9, 9)
+
+
+def test_odd_pairs_are_witnessed(groups):
+    # the square-root cocycle is invariant whenever its form is, so every
+    # odd pair has an invariant cocycle
+    cases = [groups(name) for name in builtin_names() if name != "Wr_5"]
+    count = 0
+    for G in cases + [product_group((3, 3, 3))]:
+        for x in bg_enumerate(G):
+            if x.is_trivial() or x.subgroup.order % 2 == 0:
+                continue
+            res = invariant_cocycle_search(
+                x.subgroup, x.form, DualAction(G, x.subgroup))
+            assert res.argument == "witness", (G.name, x.key())
+            count += 1
+    assert count >= 26 + 2 + 6
+
+
+def test_witness_check_raises(groups, monkeypatch):
+    # a witness table failing the cocycle identity raises, also under -O
+    A4 = groups("A4")
+    x = bg_enumerate(A4)[1]
+    act = DualAction(A4, x.subgroup)
+    assert invariant_cocycle_search(x.subgroup, x.form, act).argument == \
+        "witness"
+    monkeypatch.setattr(pontryagin, "cocycle_identity_holds",
+                        lambda A, c: False)
+    with pytest.raises(VerdictInconsistent):
+        invariant_cocycle_search(x.subgroup, x.form, act)
+
+
+def test_checks_raise_on_a_wrong_smith_form(monkeypatch):
+    # 2x = 1/2 is solvable (x = 1/4); a Smith form claiming d = 0 yields
+    # the obstruction u = (1), with u A != 0, and one claiming d = 1 the
+    # solution 1/2, with 2 * 1/2 != 1/2: both checks raise, also under -O
+    for D in ([[0]], [[1]]):
+        monkeypatch.setattr(_smith, "smith", lambda A, D=D: ([[1]], D, [[1]]))
+        with pytest.raises(VerdictInconsistent):
+            solve_qz([[2]], [Fraction(1, 2)])
+    # x -> 2x on Z/4 has the kernel {0, 2}; a Smith form of zero claims all
+    # of Z/4
+    monkeypatch.setattr(_smith, "smith", lambda A: (
+        [[int(i == j) for j in range(len(A))] for i in range(len(A))],
+        [[0] * len(A[0]) for _ in A],
+        [[int(i == j) for j in range(len(A[0]))] for i in range(len(A[0]))]))
+    with pytest.raises(VerdictInconsistent):
+        kernel([[2]], [4], [4])

@@ -6,15 +6,18 @@ CycNum-loop tensor product, Drinfeld element and character sums, the
 Galois-substitution normal form, the closure loops, the whole-group
 multiplicity test, the n^3 associativity check, the order-only listing of
 Aut(G) and the R5 pair orbits along that listing the library replaced,
-random loops, and the test-only API moved out of the library: character
-products, the dual action on characters, the form of a cocycle and the
-homomorphism and bijection checks of a map."""
+random loops, the enumerations that integer linear algebra replaced (the
+filtered alternating forms, the radical over the whole dual, descent
+through enumerated lifts, the union-find cocycle search and R5's
+per-subset closure loop), and the test-only API moved out of the library:
+character products, the dual action on characters, the form of a cocycle
+and the homomorphism and bijection checks of a map."""
 
 import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from lazytwist.cyclo import (CycNum, _phi, _power_table, _prime_factors,
                              root_of_unity)
@@ -22,8 +25,11 @@ from lazytwist.fixtures import _group_from_elements
 from lazytwist.groups import (FiniteGroup, OrderLimitExceeded,
                               VerdictInconsistent, _hom_search)
 from lazytwist.hopf import GTensor, form_from_r, socle
-from lazytwist.lazy import BGElement, _pair_orbits, _transport
-from lazytwist.pontryagin import AltForm, Character, _units
+from lazytwist.lazy import (BGElement, _is_abelian_orders, _pair_orbits,
+                            _transport, bg_product)
+from lazytwist.pontryagin import (AltForm, Character, CocycleSearch,
+                                  _dual_apply, _dual_matrix, _units,
+                                  alternating_forms, cocycle_identity_holds)
 
 
 def abelian_types(order):
@@ -682,3 +688,136 @@ def galois_normalize(n, raw):
                 changed = True
                 break
     return n, coeffs
+
+
+# -- the enumerations integer linear algebra replaced -------------------------
+
+
+def on_form(action, g, b):
+    """The transported form (g.b)(rho, sigma) = b(g^-1.rho, g^-1.sigma):
+    the push along a -> g a g^-1."""
+    return b.push(action.A, action._mats[action.G.inverses[g]])
+
+
+def enumerated_radical(b):
+    """The radical of b by sweeping the whole dual: every rho with
+    b(rho, chi_j) = 1 on the dual generators."""
+    ds = [d for _, d in b.group.abelian_structure()]
+    units = _units(len(ds))
+    return [rho for rho in itertools.product(*(range(d) for d in ds))
+            if all(b.value_exponent(rho, u)[0] == 0 for u in units)]
+
+
+def filtered_invariant_forms(A, action, only_nondegenerate=False):
+    """Every alternating form on the dual of A, kept when its push along
+    each generator of G is itself (and, optionally, its enumerated radical
+    is trivial)."""
+    gens = action.G.generating_set()
+    return [b for b in alternating_forms(A)
+            if all(on_form(action, g, b) == b for g in gens)
+            and (not only_nondegenerate or len(enumerated_radical(b)) == 1)]
+
+
+def enumerated_descend(b, D):
+    """b descended to D <= A through lifts of D's dual generators found by
+    sweeping the whole dual of A."""
+    restrict = _dual_matrix(D, b.group, lambda a: a)
+    fs = [f for _, f in D.abelian_structure()]
+    lifts = {}
+    for rho in itertools.product(
+            *(range(d) for _, d in b.group.abelian_structure())):
+        lifts.setdefault(_dual_apply(restrict, rho, fs), rho)
+    out = b.push(D, [lifts[u] for u in _units(len(fs))])
+    if out.push(b.group, restrict) != b:
+        raise VerdictInconsistent("form does not descend to the subgroup")
+    return out
+
+
+def union_find_cocycle_search(A, b, action, assignment_cap=1 << 20):
+    """The bounded invariant-cocycle search: values are roots of unity of
+    order dividing twice the dual exponent; normalization, invariance and
+    the form are propagated by union-find with offsets, a clash proves that
+    no cocycle exists ("contradiction"), and otherwise every assignment of
+    the free classes is tried ("witness" or "range-exhausted").  Raises
+    OrderLimitExceeded beyond |A| = 16 or assignment_cap assignments."""
+    if A.order > 16:
+        raise OrderLimitExceeded("cocycle search capped at |A| <= 16")
+    ds = [d for _, d in A.abelian_structure()]
+    duals = list(itertools.product(*(range(d) for d in ds)))
+    one = tuple(0 for _ in ds)
+    M = 2 * lcm(*ds)
+    parent, offset = {}, {}
+
+    def find(x):
+        if parent[x] == x:
+            return x, 0
+        root, off = find(parent[x])
+        parent[x] = root
+        offset[x] = (offset[x] + off) % M
+        return root, offset[x]
+
+    def union(x, y, delta):
+        # impose value(x) = zeta_M^delta * value(y)
+        rx, ox = find(x)
+        ry, oy = find(y)
+        if rx == ry:
+            return (ox - oy) % M == delta % M
+        parent[rx] = ry
+        offset[rx] = (oy + delta - ox) % M
+        return True
+
+    for key in ["one"] + [(r, s) for r in duals for s in duals]:
+        parent[key], offset[key] = key, 0
+    ok = all(union((one, r), "one", 0) and union((r, one), "one", 0)
+             for r in duals)
+    gens = action.G.generating_set()
+    for rho in duals:
+        for sigma in duals:
+            t, L = b.value_exponent(rho, sigma)
+            # c(sigma, rho) = b(rho, sigma) c(rho, sigma)
+            ok = ok and union((sigma, rho), (rho, sigma), t * (M // L))
+            for g in gens:
+                moved = (action.on_exponents(g, rho),
+                         action.on_exponents(g, sigma))
+                ok = ok and union(moved, (rho, sigma), 0)
+            if not ok:
+                return CocycleSearch(None, "contradiction")
+    root_one, off_one = find("one")
+    roots = sorted({find(key)[0] for key in parent
+                    if key != "one" and find(key)[0] != root_one})
+    if M ** len(roots) > assignment_cap:
+        raise OrderLimitExceeded("cocycle search space too large")
+    for combo in itertools.product(range(M), repeat=len(roots)):
+        values = dict(zip(roots, combo))
+        values[root_one] = (-off_one) % M
+        table = {}
+        for rho in duals:
+            for sigma in duals:
+                root, off = find((rho, sigma))
+                table[(rho, sigma)] = root_of_unity(
+                    M, (values.get(root, 0) + off) % M)
+        if cocycle_identity_holds(A, table):
+            return CocycleSearch(table, "witness")
+    return CocycleSearch(None, "range-exhausted")
+
+
+def subset_image_sizes(bg, nas, orbits, witness_keys):
+    """R5's candidate image sizes by checking, for each union of orbits,
+    the inverse and the partial product of every chosen pair with every
+    chosen pair."""
+    by_key = {x.key(): i for i, x in enumerate(bg)}
+    sizes = set()
+    for pick in itertools.product((False, True), repeat=len(orbits)):
+        chosen = {j for take, orbit in zip(pick, orbits) if take
+                  for j in orbit}
+        if not witness_keys <= {bg[j].key() for j in chosen}:
+            continue
+        if all(by_key[BGElement(bg[i].subgroup, bg[i].form.inv()).key()]
+               in chosen for i in chosen) and all(
+                   p is None or by_key[p.key()] in chosen | {0}
+                   for i in chosen for j in chosen
+                   for p in [bg_product(bg[i], bg[j], nas)]) and \
+                _is_abelian_orders([1] + [bg[i].form.order()
+                                          for i in chosen]):
+            sizes.add(1 + len(chosen))
+    return sizes
