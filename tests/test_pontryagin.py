@@ -502,7 +502,7 @@ def test_odd_pairs_are_witnessed(groups):
                 x.subgroup, x.form, DualAction(G, x.subgroup))
             assert res.argument == "witness", (G.name, x.key())
             count += 1
-    assert count >= 26 + 2 + 6
+    assert count == 8 + 2 + 26     # C27sd, Wr_3, C3^3
 
 
 def test_witness_check_raises(groups, monkeypatch):
