@@ -3,7 +3,8 @@
 `smith` is the Smith normal form with its transforms (Cohen, A Course in
 Computational Algebraic Number Theory, GTM 138, 1993, section 2.4).  Two
 thin helpers sit on it: the kernel of a Z-linear map between finite
-abelian groups, and solvability of an integer system over Q/Z, which
+abelian groups, from two Smith forms (one for the image order, one for
+the generators), and solvability of an integer system over Q/Z, which
 returns either a solution or an obstruction vector.  Matrices are lists
 of integer rows; both helpers check their answer before returning it.
 """
@@ -109,21 +110,17 @@ def smith(A):
     return [[row.get(c, 0) for c in range(m)] for row in U], D, V
 
 
-def _matmul(X, Y):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Y)]
-            for row in X]
-
-
 def kernel(M, s, t) -> tuple[list[tuple[int, ...]], list[int]]:
     """The kernel of x -> M x mod t on (+) Z/s_j, for an integer matrix M
     with one row per modulus t_i and s_j M[i][j] = 0 mod t_i.
 
     Returns (gens, orders): gens[k] has order orders[k], the orders are the
     invariant factors d_1 | d_2 | ... > 1, and the kernel is the direct sum
-    of the cyclic groups the gens generate.  With N = lcm(t) the kernel is
-    K / sZ^n for K = {x : B x = 0 mod N}, B the rows of M scaled to N.  If
-    U B V = D then K = V diag(e) Z^n, e_k = N / gcd(d_k, N); s e_j = V
-    diag(e) C e_j defines C, and if U2 C V2 = D2 the k-th generator is
+    of the cyclic groups the gens generate.  B, the rows of M scaled to
+    N = lcm(t), has U B V = D, and the image is (+) Z/e_k, e_k =
+    N / gcd(d_k, N).  With x_j = s_j y_j, y in (Q/Z)^n, the kernel is
+    {y : C y = 0 mod 1} for C the rows s_j M[i][j] / t_i over diag(s); if
+    U2 C V2 = D2 it is V2 (+) (1/d2_k)Z/Z, and the k-th generator is
     diag(s) V2 e_k / d2_k, of order d2_k.
     """
     n = len(s)
@@ -131,16 +128,16 @@ def kernel(M, s, t) -> tuple[list[tuple[int, ...]], list[int]]:
         return [], []
     N = lcm(*t)
     B = [[a * (N // ti) for a in row] for row, ti in zip(M, t)] or [[0] * n]
-    _, D, V = smith(B)
+    _, D, _ = smith(B)
     e = [N // gcd(D[k][k], N) if k < len(D) else 1 for k in range(n)]
     if prod(e) == prod(s):                      # the map is injective
         return [], []
-    Ui, _, Vi = smith(V)
-    Vinv = _matmul(Vi, Ui)                  # Ui V Vi = 1
-    if any(v * sj % ek for row, ek in zip(Vinv, e) for v, sj in zip(row, s)):
+    if any(a * sj % ti for row, ti in zip(M, t) for a, sj in zip(row, s)):
         raise VerdictInconsistent("map is not defined on the source")
-    _, D2, V2 = smith([[v * sj // ek for v, sj in zip(row, s)]
-                       for row, ek in zip(Vinv, e)])
+    _, D2, V2 = smith([[a * sj // ti for a, sj in zip(row, s)]
+                       for row, ti in zip(M, t)]
+                      + [[sj * (j == k) for j, sj in enumerate(s)]
+                         for k in range(n)])
     gens, orders = [], []
     for k in range(n):
         d = D2[k][k]

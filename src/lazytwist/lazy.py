@@ -4,7 +4,11 @@ bg_enumerate lists the socle-form pairs (abelian normal subgroup with a
 conjugation-invariant non-degenerate alternating form on its dual);
 h2_compute assembles certified rules into an exact order/structure verdict,
 bounds, or an honest "undetermined"; an abelian group is answered from its
-invariant factors alone, with no pair listed.
+invariant factors alone, with no pair listed.  Each rule gives an order,
+and a structure only where it says more: R0 and R3 read invariant
+factors, R2 and R4 read [p, p] off the pair orders.  The final block
+alone turns an exact order of 1 or a prime into [] or [p], and refuses a
+structure that does not multiply to the exact order.
 
 Pairs are compared by (socle elements, form matrix): the map
 (A, b) -> R(A, b) is injective, so this is the same equality as comparing
@@ -107,26 +111,22 @@ class BGElement:
 
 def bg_enumerate(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
                  nas=None) -> list[BGElement]:
-    """All socle-form pairs, deduplicated by (socle, form).
+    """All socle-form pairs, sorted by (socle order, socle, form).
 
-    Only subgroups of symmetric type can carry a non-degenerate alternating
-    form, so the rest are pruned before form enumeration.
+    The subgroups are distinct and so are the forms on each, so no pair
+    repeats.  Only subgroups of symmetric type can carry a non-degenerate
+    alternating form, so the rest are pruned before form enumeration.
     """
     if G.order > limit:
         raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
     if nas is None:
         nas = normal_abelian_subgroups(G, limit)
     out = [BGElement.trivial(G)]
-    seen = {out[0].key()}
     for A in nas:
         if A.order == 1 or not is_symmetric_type(A):
             continue
-        action = DualAction(G, A)
-        for b in invariant_forms(A, action, only_nondegenerate=True):
-            el = BGElement(A, b)
-            if el.key() not in seen:
-                seen.add(el.key())
-                out.append(el)
+        out.extend(BGElement(A, b) for b in invariant_forms(
+            A, DualAction(G, A), only_nondegenerate=True))
     out.sort(key=lambda e: (e.subgroup.order, e.subgroup.elements,
                             e.form.matrix))
     return out
@@ -402,25 +402,13 @@ def _is_abelian_orders(orders: list[int]) -> bool:
     return sorted(rebuilt) == sorted(orders)
 
 
-def _structure_from_order_and_exponent(order, element_orders):
-    """Invariant factors when they are forced by order and element orders."""
-    if order == 1:
-        return []
-    dist = sorted(set(element_orders) - {1})
-    if len(dist) != 1:
-        return None
-    p = dist[0]
-    k = 0
-    n = order
-    while n % p == 0:
-        n //= p
-        k += 1
-    if n != 1:
-        return None
-    if order == p:
-        return [p]
-    if order == p * p:
-        return [p, p]
+def _structure_from_order_and_exponent(order, bg, nas):
+    """[p, p] when the order is p^2 and every non-trivial pair has order p,
+    read through `bg_element_order`; else None.  No element of order p^2
+    means the group is not cyclic."""
+    orders = {bg_element_order(x, nas) for x in bg} - {1}
+    if len(orders) == 1 and order == min(orders) ** 2:
+        return [min(orders)] * 2
     return None
 
 
@@ -446,6 +434,7 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
         bg = bg_enumerate(G, limit, nas=nas)
         bg_size = len(bg)
         _, int_mod_inn = class_preserving_auts(G, limit)
+    odd_outer_trivial = G.order % 2 == 1 and int_mod_inn == 1
     exact: Optional[int] = None
     structure: Optional[list[int]] = None
     excluded_any = False
@@ -472,25 +461,19 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
 
     # R1: trivial pair set
     if exact is None and bg_size == 1:
-        struct = [] if int_mod_inn == 1 else (
-            [int_mod_inn] if _is_prime(int_mod_inn) else None)
-        conclude(int_mod_inn, struct, "R1",
+        conclude(int_mod_inn, None, "R1",
                  "trivial socle-form set: twist classes = class-preserving "
                  "outer automorphisms")
 
-    element_orders = None
-    if exact is None and G.order % 2 == 1 and int_mod_inn == 1:
-        element_orders = sorted(bg_element_order(x, nas) for x in bg)
-
     # R2: odd order with trivial class-preserving outer part
-    if element_orders is not None:
-        struct = _structure_from_order_and_exponent(len(bg), element_orders)
-        conclude(len(bg), struct, "R2",
+    if exact is None and odd_outer_trivial:
+        conclude(bg_size,
+                 _structure_from_order_and_exponent(bg_size, bg, nas), "R2",
                  "odd order and class-preserving outer part trivial: the "
                  "socle-form map is a bijection")
 
     # R3: unique maximal abelian normal subgroup at odd order
-    if G.order % 2 == 1 and int_mod_inn == 1:
+    if odd_outer_trivial:
         r3 = None
         if abelian:
             # G is its own unique maximal abelian normal subgroup, and it
@@ -527,17 +510,10 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
                        f"{witnessed} non-trivial socle-form pair(s) as twists"})
 
     # R4: the free coset action brackets the order
-    lower = int_mod_inn * (1 + witnessed) if exact is None else exact
-    upper = int_mod_inn * bg_size if exact is None else exact
+    lower, upper = int_mod_inn * (1 + witnessed), int_mod_inn * bg_size
     if exact is None and lower == upper:
-        struct = _structure_from_order_and_exponent(
-            lower, [1] + [bg_element_order(x, nas) for x in bg
-                          if not x.is_trivial()]) if int_mod_inn == 1 else None
-        if lower == 1:
-            struct = []
-        elif struct is None and _is_prime(lower):
-            struct = [lower]
-        conclude(lower, struct, "R4",
+        conclude(lower, _structure_from_order_and_exponent(lower, bg, nas)
+                 if int_mod_inn == 1 else None, "R4",
                  "bounds from the free coset action coincide: every "
                  "socle-form pair is witnessed")
     else:
@@ -552,9 +528,7 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
         sizes = _candidate_image_sizes(G, bg, nas, witness_keys, limit)
         all_sizes = set(range(1 + witnessed, bg_size + 1))
         if sizes and len(sizes) == 1:
-            size = sizes.pop()
-            struct = [] if size == 1 else None
-            conclude(size * int_mod_inn, struct, "R5",
+            conclude(sizes.pop() * int_mod_inn, None, "R5",
                      "multiplicity-free tensor products force an abelian "
                      "class group; the only automorphism-stable candidate "
                      "image has this size")
@@ -577,17 +551,21 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
                 raise VerdictInconsistent(
                     "symmetric groups have no outer class-preserving "
                     "automorphisms")
-            conclude(1, [], "RT",
+            conclude(1, None, "RT",
                      f"isomorphic to the symmetric group on {n_fact} letters, "
                      "whose twist class group is trivial")
 
     if exact is not None:
         lower = upper = exact
         status = "exact"
-        if structure is None and _is_prime(exact):
-            structure = [exact]
-        if exact == 1:
-            structure = []
+        # the one place where an order alone gives a structure
+        if structure is None:
+            structure = [] if exact == 1 else (
+                [exact] if _is_prime(exact) else None)
+        if structure is not None and prod(structure) != exact:
+            raise VerdictInconsistent(
+                f"structure {structure} does not multiply to the exact "
+                f"order {exact}")
     else:
         status = "bounded" if excluded_any else "undetermined"
 

@@ -10,6 +10,7 @@ from lazytwist import hopf, lazy
 from lazytwist.cli import _EXPECTED_SUITE, main
 from lazytwist.groups import (
     OrderLimitExceeded,
+    VerdictInconsistent,
     automorphism_generators,
     automorphism_group,
     class_preserving_auts,
@@ -483,6 +484,17 @@ def test_theta_surjective_construction_odd(groups):
             tv = theta(F)
             assert tv.socle == x.subgroup
             assert tv.form == x.form
+
+
+def test_h2_structure_must_multiply_to_exact_order(groups, monkeypatch):
+    # a structure that does not multiply to the exact order is refused,
+    # also under -O: V4's forms forged as order 4 with structure [2], then
+    # as order 1 with structure [3]
+    for forged in [(4, [2]), (1, [3])]:
+        monkeypatch.setattr(lazy, "_alternating_form_group",
+                            lambda ds, forged=forged: forged)
+        with pytest.raises(VerdictInconsistent):
+            h2_compute(groups("V4"))
 
 
 def test_order_limit(groups):

@@ -5,6 +5,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lazytwist import _smith
 from lazytwist._smith import kernel, smith, solve_qz, span
 
 
@@ -90,6 +91,23 @@ def test_kernel_matches_enumeration(case):
         # g has order exactly d
         assert [c for c in range(1, d + 1)
                 if all(c * v % q == 0 for v, q in zip(g, s))][0] == d
+
+
+def test_kernel_smith_form_count(monkeypatch):
+    # one Smith form decides that x -> x on Z/4 is injective; x -> 2x takes
+    # one more for the generator of its kernel {0, 2}
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return smith(A)
+
+    monkeypatch.setattr(_smith, "smith", counted)
+    for M, expected, count in [([[1]], ([], []), 1),
+                               ([[2]], ([(2,)], [2]), 2)]:
+        calls.clear()
+        assert kernel(M, [4], [4]) == expected
+        assert len(calls) == count
 
 
 def _minor_gcd(A, r):
