@@ -12,7 +12,8 @@ size, numbers of square and cube roots).  `automorphism_generators` gives
 generators of Aut(G) and its order from a stabilizer chain, with one
 first-hit search per candidate image outside the orbit found so far, and
 never lists Aut(G).  Every closure and orbit walk, here and in `hopf` and
-`lazy`, goes through one breadth-first orbit routine, `_orbit`.  The
+`lazy`, goes through one breadth-first orbit routine, `_orbit`; `_orbits`
+cuts a point set into such orbits, the conjugacy classes among them.  The
 subgroups generated by conjugacy classes, the normal subgroups behind the
 direct-factor split and the abelian normal subgroups alike, come from one
 such orbit, `_class_subgroups`.  Certifying checks raise
@@ -85,6 +86,18 @@ def _orbit(start, gens, act, limit=None) -> list:
                 seen.add(y)
                 out.append(y)
     return out
+
+
+def _orbits(points, gens, act) -> list[list]:
+    """The orbits of the generators through `points`, each sorted, in the
+    order of their first points."""
+    seen, orbits = set(), []
+    for p in points:
+        if p not in seen:
+            orbit = _orbit(p, gens, act)
+            seen.update(orbit)
+            orbits.append(sorted(orbit))
+    return orbits
 
 
 def _right_generators(table) -> tuple[int, ...]:
@@ -256,18 +269,9 @@ def from_permutations(degree: int, generators, limit: int = 256,
 
 
 def conjugacy_classes(G: FiniteGroup):
-    """Sorted conjugation orbits, identity class first."""
-    seen = set()
-    classes = []
-    for x in range(G.order):
-        if x in seen:
-            continue
-        orbit = sorted({G.conjugate(g, x) for g in range(G.order)})
-        seen.update(orbit)
-        classes.append(tuple(orbit))
-    ident = [c for c in classes if 0 in c]
-    rest = sorted((c for c in classes if 0 not in c), key=min)
-    return [ident[0]] + rest
+    """Sorted conjugation orbits by least element, so the identity's first."""
+    return [tuple(c) for c in _orbits(range(G.order), G.generating_set(),
+                                      lambda x, g: G.conjugate(g, x))]
 
 
 def center(G: FiniteGroup) -> "Subgroup":

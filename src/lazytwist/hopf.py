@@ -300,18 +300,18 @@ class GTensor:
         return GTensor(group, degree, terms)
 
 
-def _tuple_group(G: FiniteGroup, degree: int, tuples,
-                 cap: int = _DENSE_SOLVE_CAP):
+def _tuple_group(G: FiniteGroup, degree: int, tuples):
     """Subgroup of G^degree generated by the given tuples, with its table.
 
-    Raises OrderLimitExceeded when the subgroup has more than `cap`
-    elements, also when the tuples already are that subgroup."""
+    Raises OrderLimitExceeded when the subgroup has more than
+    _DENSE_SOLVE_CAP elements, also when the tuples already are it."""
     t = G.table
 
     def times(a, b):
         return tuple(t[x][y] for x, y in zip(a, b))
 
-    order = sorted(_orbit((0,) * degree, list(tuples), times, cap))
+    order = sorted(_orbit((0,) * degree, list(tuples), times,
+                          _DENSE_SOLVE_CAP))
     index = {a: i for i, a in enumerate(order)}
     table = [[index[times(a, b)] for b in order] for a in order]
     return FiniteGroup(table, name=None), order, index

@@ -16,13 +16,14 @@ bicharacter tensors.  Since R(A, b)^k = R(A, b^k), the order of a pair is
 the order of its form.  The partial product and the Aut(G) orbits of rule
 R5 act on the forms too, by pushing them along homomorphisms of socles
 (R(B, psi_* b) = (psi x psi) R(A, b)), so no verdict builds R(A, b).
-R5 walks each orbit along generators of Aut(G) from a stabilizer chain
-(`groups.automorphism_generators`); it never lists Aut(G), and it checks
-closure under the partial product on one representative per orbit.  RW
-decides for every non-trivial pair, odd or even, whether an invariant
-cocycle realizes it (`pontryagin.invariant_cocycle_search`), and R3 reads
-the invariant factors of the invariant forms off the Smith form of the
-invariance map's kernel.
+RW decides for every non-trivial pair, odd or even, whether an invariant
+cocycle realizes it (`pontryagin.invariant_cocycle_search`); R4 counts the
+witnessed pairs, and R5 takes their indices in the pair list.  R5 walks
+each Aut(G) orbit along generators from a stabilizer chain
+(`groups.automorphism_generators`), checks closure under the partial
+product on one representative per orbit, and refuses an empty candidate
+set.  R3 reads the invariant factors of the invariant forms off the Smith
+form of the invariance map's kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .groups import (
     Subgroup,
     VerdictInconsistent,
     _direct_factors,
-    _orbit,
+    _orbits,
     automorphism_generators,
     class_preserving_auts,
     find_isomorphism,
@@ -57,6 +58,7 @@ from .pontryagin import (
     _dual_matrix,
     invariant_cocycle_search,
     invariant_forms,
+    is_nondegenerate,
     is_symmetric_type,
 )
 from .hopf import r_from_form
@@ -126,14 +128,10 @@ def bg_enumerate(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
         if A.order == 1 or not is_symmetric_type(A):
             continue
         out.extend(BGElement(A, b) for b in invariant_forms(
-            A, DualAction(G, A), only_nondegenerate=True))
+            A, DualAction(G, A)) if is_nondegenerate(b))
     out.sort(key=lambda e: (e.subgroup.order, e.subgroup.elements,
                             e.form.matrix))
     return out
-
-
-def _inclusion(A: Subgroup, C: Subgroup):
-    return _dual_matrix(A, C, lambda a: a)
 
 
 def bg_product(x: BGElement, y: BGElement, nas) -> Optional[BGElement]:
@@ -146,8 +144,8 @@ def bg_product(x: BGElement, y: BGElement, nas) -> Optional[BGElement]:
     C = next((C for C in nas if need <= set(C.elements)), None)
     if C is None:
         return None
-    b = x.form.push(C, _inclusion(x.subgroup, C)).mul(
-        y.form.push(C, _inclusion(y.subgroup, C)))
+    b = x.form.push(C, _dual_matrix(x.subgroup, C, lambda a: a)).mul(
+        y.form.push(C, _dual_matrix(y.subgroup, C, lambda a: a)))
     gens, orders = b.radical()
     socle = tuple(sorted(set(C.elements).intersection(
         *(Character(C, rho).kernel() for rho in gens))))
@@ -158,7 +156,7 @@ def bg_product(x: BGElement, y: BGElement, nas) -> Optional[BGElement]:
     return BGElement(D, b.descend(D))
 
 
-def bg_element_order(x: BGElement, nas) -> int:
+def bg_element_order(x: BGElement) -> int:
     """Order of x under the partial product: R(A, b)^k = R(A, b^k), so it
     is the order of the form b."""
     return x.form.order()
@@ -167,18 +165,6 @@ def bg_element_order(x: BGElement, nas) -> int:
 # ---------------------------------------------------------------------------
 # Multiplicity-freeness via commutativity of the diagonal-conjugation
 # invariant subalgebra of k[G] x k[G]; no character table is computed.
-
-
-def _orbits(points, gens, act) -> list[list]:
-    """The orbits of the generators through `points`, each sorted, in the
-    order of their first points."""
-    seen, orbits = set(), []
-    for p in points:
-        if p not in seen:
-            orbit = _orbit(p, gens, act)
-            seen.update(orbit)
-            orbits.append(sorted(orbit))
-    return orbits
 
 
 def _pair_orbits(G: FiniteGroup):
@@ -402,11 +388,11 @@ def _is_abelian_orders(orders: list[int]) -> bool:
     return sorted(rebuilt) == sorted(orders)
 
 
-def _structure_from_order_and_exponent(order, bg, nas):
+def _structure_from_order_and_exponent(order, bg):
     """[p, p] when the order is p^2 and every non-trivial pair has order p,
     read through `bg_element_order`; else None.  No element of order p^2
     means the group is not cyclic."""
-    orders = {bg_element_order(x, nas) for x in bg} - {1}
+    orders = {bg_element_order(x) for x in bg} - {1}
     if len(orders) == 1 and order == min(orders) ** 2:
         return [min(orders)] * 2
     return None
@@ -468,7 +454,7 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
     # R2: odd order with trivial class-preserving outer part
     if exact is None and odd_outer_trivial:
         conclude(bg_size,
-                 _structure_from_order_and_exponent(bg_size, bg, nas), "R2",
+                 _structure_from_order_and_exponent(bg_size, bg), "R2",
                  "odd order and class-preserving outer part trivial: the "
                  "socle-form map is a bijection")
 
@@ -494,25 +480,23 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
                      "twist classes = invariant alternating forms on its dual")
 
     # RW: explicit invariant-cocycle witnesses realize socle-form pairs
-    witnessed = 0
-    witness_keys = set()
+    witnessed: list[int] = []
     if exact is None:
-        for x in bg:
-            if not x.is_trivial() and invariant_cocycle_search(
-                    x.subgroup, x.form,
-                    DualAction(G, x.subgroup)).witness is not None:
-                witnessed += 1
-                witness_keys.add(x.key())
+        witnessed = [i for i, x in enumerate(bg) if not x.is_trivial()
+                     and invariant_cocycle_search(
+                         x.subgroup, x.form,
+                         DualAction(G, x.subgroup)).witness is not None]
         if witnessed:
             certs.append({
                 "rule": "RW",
                 "ref": "explicit invariant cocycles on the socle realize "
-                       f"{witnessed} non-trivial socle-form pair(s) as twists"})
+                       f"{len(witnessed)} non-trivial socle-form pair(s) as "
+                       "twists"})
 
     # R4: the free coset action brackets the order
-    lower, upper = int_mod_inn * (1 + witnessed), int_mod_inn * bg_size
+    lower, upper = int_mod_inn * (1 + len(witnessed)), int_mod_inn * bg_size
     if exact is None and lower == upper:
-        conclude(lower, _structure_from_order_and_exponent(lower, bg, nas)
+        conclude(lower, _structure_from_order_and_exponent(lower, bg)
                  if int_mod_inn == 1 else None, "R4",
                  "bounds from the free coset action coincide: every "
                  "socle-form pair is witnessed")
@@ -525,15 +509,17 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
     # R5: even-order exclusion through multiplicity-freeness
     if exact is None and int_mod_inn == 1 and G.order <= 64 \
             and has_no_multiplicities(G, limit):
-        sizes = _candidate_image_sizes(G, bg, nas, witness_keys, limit)
-        all_sizes = set(range(1 + witnessed, bg_size + 1))
-        if sizes and len(sizes) == 1:
+        sizes = _candidate_image_sizes(G, bg, nas, witnessed)
+        if not sizes:
+            # under R5's premises the image of the socle-form map is one
+            raise VerdictInconsistent("no candidate image for R5")
+        if len(sizes) == 1:
             conclude(sizes.pop() * int_mod_inn, None, "R5",
                      "multiplicity-free tensor products force an abelian "
                      "class group; the only automorphism-stable candidate "
                      "image has this size")
             excluded_any = True
-        elif sizes and sizes != all_sizes:
+        elif sizes != set(range(1 + len(witnessed), bg_size + 1)):
             lower = max(lower, int_mod_inn * min(sizes))
             upper = min(upper, int_mod_inn * max(sizes))
             excluded_any = True
@@ -623,21 +609,17 @@ def _aut_orbits(bg, nas, auts) -> list[list[int]]:
                    auts, act)
 
 
-def _candidate_image_sizes(G, bg, nas, witness_keys, limit):
+def _candidate_image_sizes(G, bg, nas, witnessed):
     """Sizes of subsets of the socle-form pairs that could be the image of
     the socle-form map: automorphism-stable, closed under the partial
-    product and inverses, containing the witnessed pairs, with element
-    orders realizable by an abelian group.
+    product and inverses, containing the pairs bg[i] for i in `witnessed`,
+    with element orders realizable by an abelian group.
 
     The partial product and the inverse are Aut(G)-equivariant, so a union
     of orbits is closed iff it holds the inverse of one representative of
     each chosen orbit and its products with every chosen pair; these are
     tabulated once, one representative against every pair."""
-    try:
-        auts, _ = automorphism_generators(G, limit)
-    except OrderLimitExceeded:
-        return None
-    orbits = _aut_orbits(bg, nas, auts)
+    orbits = _aut_orbits(bg, nas, automorphism_generators(G)[0])
     by_key = {x.key(): i for i, x in enumerate(bg)}
     orbit_of = {i: oi for oi, orbit in enumerate(orbits) for i in orbit}
 
@@ -658,13 +640,13 @@ def _candidate_image_sizes(G, bg, nas, witness_keys, limit):
         reach.append([{orbit_of[k] for k in (
             index(p, "partial product") for p in row if p is not None)
             if k != 0} for row in products])
-    witnessed = {orbit_of[by_key[key]] for key in witness_keys}
-    order_of = {i: bg_element_order(bg[i], nas) for i in orbit_of}
+    needed = {orbit_of[i] for i in witnessed}
+    order_of = {i: bg_element_order(bg[i]) for i in orbit_of}
 
     sizes = set()
     for pick in itertools.product((False, True), repeat=len(orbits)):
         chosen = {oi for oi, take in enumerate(pick) if take}
-        if not witnessed <= chosen or not all(
+        if not needed <= chosen or not all(
                 inverse[oi] in chosen
                 and all(reach[oi][oj] <= chosen for oj in chosen)
                 for oi in chosen):

@@ -7,7 +7,8 @@ at the edges.  Every condition on a form, and on a cocycle that realizes
 it, is Z-linear in these exponents, so the invariant forms, radicals,
 descent and the invariant-cocycle decision are kernels and systems over
 Q/Z solved through the Smith normal form (`_smith`); nothing sweeps the
-whole dual or lists forms to filter them.
+whole dual.  All forms and the invariant ones are listed by one span,
+`_forms`; `invariant_forms` filters nothing, callers test non-degeneracy.
 """
 
 from __future__ import annotations
@@ -210,25 +211,25 @@ class AltForm:
 FORM_LIMIT = 1 << 20
 
 
-def alternating_forms(A: Subgroup, limit: int = FORM_LIMIT) -> list[AltForm]:
-    """All alternating bilinear forms on the dual of A.
+def _forms(A: Subgroup, gens, orders, s) -> list[AltForm]:
+    """The forms whose upper entries in (+)_{i<j} Z/s_ij, s_ij = gcd(d_i,
+    d_j), are the span of `gens` of these orders, sorted by matrix."""
+    if prod(orders) > FORM_LIMIT:
+        raise OrderLimitExceeded("too many alternating forms to enumerate")
+    pairs = list(itertools.combinations(range(len(A.abelian_structure())), 2))
+    return sorted((AltForm.from_upper(A, dict(zip(pairs, x)))
+                   for x in span(gens, orders, s)), key=lambda b: b.matrix)
+
+
+def alternating_forms(A: Subgroup) -> list[AltForm]:
+    """All alternating bilinear forms on the dual of A, sorted by matrix.
 
     These are exactly the admissible skew matrices; the count is the
     product of gcd(d_i, d_j) over i < j.
     """
-    basis = A.abelian_structure()
-    r = len(basis)
-    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    total = 1
-    for i, j in pairs:
-        total *= gcd(basis[i][1], basis[j][1])
-        if total > limit:
-            raise OrderLimitExceeded("too many alternating forms to enumerate")
-    out = []
-    for combo in itertools.product(*(range(gcd(basis[i][1], basis[j][1]))
-                                     for i, j in pairs)):
-        out.append(AltForm.from_upper(A, dict(zip(pairs, combo))))
-    return out
+    s = [gcd(a, b) for a, b in itertools.combinations(
+        [d for _, d in A.abelian_structure()], 2)]
+    return _forms(A, _units(len(s)), s, s)
 
 
 def is_nondegenerate(b: AltForm) -> bool:
@@ -322,20 +323,11 @@ class DualAction:
                        for row, L in zip(M, t))
 
 
-def invariant_forms(A: Subgroup, action: DualAction,
-                    only_nondegenerate: bool = False) -> list[AltForm]:
-    """G-invariant alternating forms on the dual of A, optionally filtered,
-    in the order of their matrices: the kernel of the invariance map."""
+def invariant_forms(A: Subgroup, action: DualAction) -> list[AltForm]:
+    """G-invariant alternating forms on the dual of A, in the order of
+    their matrices: the kernel of the invariance map."""
     M, s, t = action.invariance_map()
-    gens, orders = kernel(M, s, t)
-    if prod(orders) > FORM_LIMIT:
-        raise OrderLimitExceeded("too many invariant forms to enumerate")
-    pairs = list(itertools.combinations(range(len(action._orders)), 2))
-    out = sorted((AltForm.from_upper(A, dict(zip(pairs, x)))
-                  for x in span(gens, orders, s)), key=lambda b: b.matrix)
-    if only_nondegenerate:
-        out = [b for b in out if is_nondegenerate(b)]
-    return out
+    return _forms(A, *kernel(M, s, t), s)
 
 
 # ---------------------------------------------------------------------------

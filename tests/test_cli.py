@@ -264,6 +264,16 @@ def test_output_byte_stable(capsys):
     assert out1 == out2
 
 
+def test_pretty_output_parses_to_compact(capsys):
+    # --pretty only indents: both outputs parse to the same object
+    for argv in (["h2", "A4"], ["twist-theta", "A4", "A4_twist"]):
+        code, compact, _ = run_cli(capsys, *argv)
+        assert code == 0 and compact.count("\n") == 1
+        code, pretty, _ = run_cli(capsys, "--pretty", *argv)
+        assert code == 0 and pretty.startswith("{\n  ")
+        assert json.loads(pretty) == json.loads(compact), argv
+
+
 def test_fixture_dir_flag(tmp_path, capsys):
     from lazytwist.fixtures import builtin_group
     from lazytwist.cli import packaged_tensor

@@ -18,13 +18,14 @@ from lazytwist.groups import (
     automorphism_group,
     center,
     class_preserving_auts,
+    conjugacy_classes,
     find_isomorphism,
     from_permutations,
     from_table,
     normal_abelian_subgroups,
 )
 from lazytwist.fixtures import (_group_from_elements, builtin_group,
-                                wall_named_elements)
+                                builtin_names, wall_named_elements)
 from tests_helpers import (
     SPLIT_GROUPS,
     all_subgroups,
@@ -38,6 +39,7 @@ from tests_helpers import (
     queue_permutations,
     random_loop,
     relabelled,
+    sweep_conjugacy_classes,
 )
 
 
@@ -141,6 +143,14 @@ def test_conjugacy_classes(groups):
     assert [len(c) for c in C6.conjugacy_classes()] == [1] * 6
     # identity class first
     assert groups("A4").conjugacy_classes()[0] == (0,)
+    # the orbit walk gives the classes of the sweep over all of G, tuples
+    # and order, on the builtins (Wr_5 is past the order limit) and the
+    # eight even-search products, in their own and two other labellings
+    for name in [n for n in builtin_names() if n != "Wr_5"] + \
+            SPLIT_GROUPS[:8]:
+        G = named_group(groups, name)
+        for H in (G, relabelled(G, 1), relabelled(G, 2)):
+            assert conjugacy_classes(H) == sweep_conjugacy_classes(H), name
 
 
 def test_center(groups):

@@ -12,6 +12,7 @@ from lazytwist.pontryagin import (
     cocycle_from_form_odd,
     invariant_cocycle_search,
     invariant_forms,
+    is_nondegenerate,
 )
 from lazytwist.hopf import (
     DegreeMismatch,
@@ -366,7 +367,7 @@ def test_r_matrix_examples(groups):
     F = _a4_twist(groups)
     V = _klein(groups)
     act = DualAction(A4, V)
-    b = invariant_forms(V, act, only_nondegenerate=True)[0]
+    b = next(f for f in invariant_forms(V, act) if is_nondegenerate(f))
     assert r_matrix(F) == r_from_form(V, b)
 
 
@@ -387,7 +388,7 @@ def test_socle(groups):
     V = _klein(groups)
     assert socle(r_matrix(F)) == V
     act = DualAction(A4, V)
-    b = invariant_forms(V, act, only_nondegenerate=True)[0]
+    b = next(f for f in invariant_forms(V, act) if is_nondegenerate(f))
     assert socle(r_from_form(V, b)) == V
 
 
@@ -432,7 +433,7 @@ def test_twist_from_cocycle_matches_shipped_tensor(groups):
     A4 = groups("A4")
     V = _klein(groups)
     act = DualAction(A4, V)
-    b = invariant_forms(V, act, only_nondegenerate=True)[0]
+    b = next(f for f in invariant_forms(V, act) if is_nondegenerate(f))
     chars = characters(V)
     e1 = A4.label_index("(1 2)(3 4)")
     e2 = A4.label_index("(1 3)(2 4)")
@@ -632,7 +633,7 @@ def test_r_multiplicative_on_common_socle(groups):
     C27 = groups("C27sd")
     E = next(s for s in normal_abelian_subgroups(C27) if s.order == 9)
     act = DualAction(C27, E)
-    b1, b2 = invariant_forms(E, act, only_nondegenerate=True)
+    b1, b2 = [f for f in invariant_forms(E, act) if is_nondegenerate(f)]
     F1 = twist_from_cocycle(E, cocycle_from_form_odd(E, b1))
     F2 = twist_from_cocycle(E, cocycle_from_form_odd(E, b2))
     assert r_matrix(F1.mul(F2)) == r_matrix(F1).mul(r_matrix(F2))

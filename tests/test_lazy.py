@@ -91,7 +91,7 @@ def test_bg_element_order_matches_tensor_powers(groups):
         G = product_group((3, 9)) if name == "C3xC9" else groups(name)
         nas = normal_abelian_subgroups(G)
         for x in bg_enumerate(G, nas=nas):
-            assert bg_element_order(x, nas) == tensor_power_order(x, nas)
+            assert bg_element_order(x) == tensor_power_order(x, nas)
 
 
 def test_bg_equality_by_canonical_r(groups):
@@ -117,7 +117,7 @@ def test_bg_product_identity_and_square(groups):
     assert bg_product(x, triv, nas) == x
     # b has order two on a 2-group socle
     assert bg_product(x, x, nas).is_trivial()
-    assert bg_element_order(x, nas) == 2
+    assert bg_element_order(x) == 2
 
 
 def test_bg_product_undefined_across_disjoint_socles(groups):
@@ -134,7 +134,7 @@ def test_bg_product_undefined_across_disjoint_socles(groups):
     # same E_i: defined, with order-3 powers
     same = by_subgroup[reps[0].subgroup.elements]
     assert bg_product(same[0], same[1], nas) is not None
-    assert bg_element_order(reps[0], nas) == 3
+    assert bg_element_order(reps[0]) == 3
 
 
 def test_bg_product_independent_of_witness(groups):
@@ -308,11 +308,12 @@ def test_r5_sizes_match_subset_loop(groups):
         nas = normal_abelian_subgroups(G)
         bg = bg_enumerate(G, nas=nas)
         orbits = _aut_orbits(bg, nas, automorphism_generators(G)[0])
-        witnessed = {x.key() for x in bg[1:] if invariant_cocycle_search(
-            x.subgroup, x.form, DualAction(G, x.subgroup)).witness}
-        for keys in (witnessed, set()):
-            assert _candidate_image_sizes(G, bg, nas, keys, 128) == \
-                subset_image_sizes(bg, nas, orbits, keys), (name, keys)
+        witnessed = [i for i, x in enumerate(bg) if i and
+                     invariant_cocycle_search(x.subgroup, x.form, DualAction(
+                         G, x.subgroup)).witness]
+        for pairs in (witnessed, []):
+            assert _candidate_image_sizes(G, bg, nas, pairs) == \
+                subset_image_sizes(bg, nas, orbits, pairs), (name, pairs)
 
 
 def test_has_no_multiplicities(groups):
@@ -495,6 +496,15 @@ def test_h2_structure_must_multiply_to_exact_order(groups, monkeypatch):
                             lambda ds, forged=forged: forged)
         with pytest.raises(VerdictInconsistent):
             h2_compute(groups("V4"))
+
+
+def test_h2_refuses_empty_r5_candidate_set(groups, monkeypatch):
+    # under R5's premises the image of the socle-form map is a candidate,
+    # so no candidate at all is refused, also under -O: D8 reaches R5, and
+    # with no element orders read as abelian every candidate is dropped
+    monkeypatch.setattr(lazy, "_is_abelian_orders", lambda orders: False)
+    with pytest.raises(VerdictInconsistent, match="no candidate image"):
+        h2_compute(groups("D8"))
 
 
 def test_order_limit(groups):

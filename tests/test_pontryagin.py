@@ -30,7 +30,8 @@ from lazytwist.pontryagin import (
 from tests_helpers import (char_mul, char_value, characters, cocycle_form,
                            direct_product, enumerated_descend,
                            enumerated_radical, filtered_invariant_forms,
-                           form_value, on_character, on_form, product_group,
+                           form_value, on_character, on_form,
+                           product_alternating_forms, product_group,
                            union_find_cocycle_search)
 
 
@@ -225,12 +226,12 @@ def test_nondegenerate_implies_symmetric_type_exhaustive():
 def test_invariant_forms(groups):
     A4 = groups("A4")
     V = _klein_in(groups)
-    assert len(invariant_forms(V, DualAction(A4, V),
-                               only_nondegenerate=True)) == 1
+    assert [is_nondegenerate(b) for b in invariant_forms(
+        V, DualAction(A4, V))] == [False, True]
     C27 = groups("C27sd")
     for E in (s for s in normal_abelian_subgroups(C27) if s.order == 9):
         act = DualAction(C27, E)
-        assert len(invariant_forms(E, act, only_nondegenerate=True)) == 2
+        assert sum(map(is_nondegenerate, invariant_forms(E, act))) == 2
     W3 = groups("Wr_3")
     Vw = next(s for s in normal_abelian_subgroups(W3) if s.order == 27)
     assert len(invariant_forms(Vw, DualAction(W3, Vw))) == 3
@@ -318,7 +319,7 @@ def test_cocycle_from_form_odd(groups):
     C27 = groups("C27sd")
     E = next(s for s in normal_abelian_subgroups(C27) if s.order == 9)
     act = DualAction(C27, E)
-    for b in invariant_forms(E, act, only_nondegenerate=True):
+    for b in filter(is_nondegenerate, invariant_forms(E, act)):
         c = cocycle_from_form_odd(E, b)
         assert cocycle_identity_holds(E, c)
         assert cocycle_form(E, c) == b
@@ -354,7 +355,7 @@ def test_invariant_cocycle_search_a4(groups):
     A4 = groups("A4")
     V = _klein_in(groups)
     act = DualAction(A4, V)
-    b = invariant_forms(V, act, only_nondegenerate=True)[0]
+    b = next(f for f in invariant_forms(V, act) if is_nondegenerate(f))
     res = invariant_cocycle_search(V, b, act)
     assert res.argument == "witness"
     assert cocycle_identity_holds(V, res.witness)
@@ -367,7 +368,7 @@ def test_invariant_cocycle_search_explicit_witness(groups):
     A4 = groups("A4")
     V = _klein_in(groups)
     act = DualAction(A4, V)
-    b = invariant_forms(V, act, only_nondegenerate=True)[0]
+    b = next(f for f in invariant_forms(V, act) if is_nondegenerate(f))
     chars = characters(V)
     lookup = {}
     for a in V.elements[1:]:
@@ -404,7 +405,7 @@ def test_invariant_cocycle_search_negative(groups):
     for K in (s for s in normal_abelian_subgroups(D8)
               if s.order == 4 and is_symmetric_type(s)):
         act = DualAction(D8, K)
-        b = invariant_forms(K, act, only_nondegenerate=True)[0]
+        b = next(f for f in invariant_forms(K, act) if is_nondegenerate(f))
         res = invariant_cocycle_search(K, b, act)
         assert res.witness is None
         assert res.argument == "contradiction"
@@ -436,15 +437,18 @@ def _oracle_groups(groups):
 
 
 def test_forms_radicals_descent_match_enumeration(groups):
-    # on every abelian normal subgroup: the invariant forms, each one's
-    # radical and non-degeneracy, and its descent to the annihilator of
-    # its radical, against the filtered listing and the dual sweeps
+    # on every abelian normal subgroup: all forms, in order, against the
+    # itertools.product listing; the invariant forms, each one's radical
+    # and non-degeneracy, and its descent to the annihilator of its
+    # radical, against the filtered listing and the dual sweeps
     for G in _oracle_groups(groups):
         for A in normal_abelian_subgroups(G):
+            assert alternating_forms(A) == product_alternating_forms(A), \
+                (G.name, A)
             act = DualAction(G, A)
             forms = filtered_invariant_forms(A, act)
             assert invariant_forms(A, act) == forms, (G.name, A)
-            assert invariant_forms(A, act, only_nondegenerate=True) == \
+            assert [b for b in forms if is_nondegenerate(b)] == \
                 filtered_invariant_forms(A, act, True), (G.name, A)
             orders = [d for _, d in A.abelian_structure()]
             for b in forms:

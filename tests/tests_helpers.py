@@ -29,7 +29,7 @@ from lazytwist.lazy import (BGElement, _is_abelian_orders, _pair_orbits,
                             _transport, bg_product)
 from lazytwist.pontryagin import (AltForm, Character, CocycleSearch,
                                   _dual_apply, _dual_matrix, _units,
-                                  alternating_forms, cocycle_identity_holds)
+                                  cocycle_identity_holds)
 
 
 def abelian_types(order):
@@ -234,6 +234,19 @@ def loop_tuple_group(G, degree, tuples, cap=200):
                     if len(elems) > cap:
                         raise OrderLimitExceeded(f"beyond {cap} elements")
     return sorted(elems)
+
+
+def sweep_conjugacy_classes(G):
+    """Conjugacy classes by conjugating each new element by all of G,
+    identity class first, the rest by least element."""
+    seen, classes = set(), []
+    for x in range(G.order):
+        if x not in seen:
+            orbit = sorted({G.conjugate(g, x) for g in range(G.order)})
+            seen.update(orbit)
+            classes.append(tuple(orbit))
+    ident = [c for c in classes if 0 in c]
+    return ident + sorted((c for c in classes if 0 not in c), key=min)
 
 
 def stack_pair_orbits(G):
@@ -708,12 +721,22 @@ def enumerated_radical(b):
             if all(b.value_exponent(rho, u)[0] == 0 for u in units)]
 
 
+def product_alternating_forms(A):
+    """Every alternating form on the dual of A, one per choice of upper
+    entries in the itertools.product of the ranges Z/gcd(d_i, d_j)."""
+    ds = [d for _, d in A.abelian_structure()]
+    pairs = list(itertools.combinations(range(len(ds)), 2))
+    return [AltForm.from_upper(A, dict(zip(pairs, combo)))
+            for combo in itertools.product(
+                *(range(gcd(ds[i], ds[j])) for i, j in pairs))]
+
+
 def filtered_invariant_forms(A, action, only_nondegenerate=False):
     """Every alternating form on the dual of A, kept when its push along
     each generator of G is itself (and, optionally, its enumerated radical
     is trivial)."""
     gens = action.G.generating_set()
-    return [b for b in alternating_forms(A)
+    return [b for b in product_alternating_forms(A)
             if all(on_form(action, g, b) == b for g in gens)
             and (not only_nondegenerate or len(enumerated_radical(b)) == 1)]
 
@@ -801,16 +824,16 @@ def union_find_cocycle_search(A, b, action, assignment_cap=1 << 20):
     return CocycleSearch(None, "range-exhausted")
 
 
-def subset_image_sizes(bg, nas, orbits, witness_keys):
-    """R5's candidate image sizes by checking, for each union of orbits,
-    the inverse and the partial product of every chosen pair with every
-    chosen pair."""
+def subset_image_sizes(bg, nas, orbits, witnessed):
+    """R5's candidate image sizes by checking, for each union of orbits
+    holding the pairs bg[i], i in `witnessed`, the inverse and the partial
+    product of every chosen pair with every chosen pair."""
     by_key = {x.key(): i for i, x in enumerate(bg)}
     sizes = set()
     for pick in itertools.product((False, True), repeat=len(orbits)):
         chosen = {j for take, orbit in zip(pick, orbits) if take
                   for j in orbit}
-        if not witness_keys <= {bg[j].key() for j in chosen}:
+        if not set(witnessed) <= chosen:
             continue
         if all(by_key[BGElement(bg[i].subgroup, bg[i].form.inv()).key()]
                in chosen for i in chosen) and all(
