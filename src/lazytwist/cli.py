@@ -14,7 +14,6 @@ from importlib import resources
 from pathlib import Path
 
 from .groups import (
-    NotAGroup,
     OrderLimitExceeded,
     center,
     class_preserving_auts,
@@ -24,8 +23,6 @@ from .groups import (
 from .fixtures import builtin_group, builtin_names
 from .hopf import (
     GTensor,
-    NotATwist,
-    NotInvariant,
     is_invariant,
     is_normalized,
     is_twist,
@@ -60,13 +57,6 @@ for _n in range(2, 9):
                                  "status": "exact"}
 
 
-def _emit(obj, pretty: bool):
-    if pretty:
-        print(json.dumps(obj, indent=2))
-    else:
-        print(json.dumps(obj, separators=(",", ":")))
-
-
 def _exists(path: Path) -> bool:
     """Path.exists, reading a name the OS rejects (too long, say) as no
     file: inline JSON specs are often longer than a file name may be."""
@@ -82,8 +72,6 @@ def _load_group(spec: str, limit: int):
         return builtin_group(spec, limit)
     except KeyError:
         pass
-    except OrderLimitExceeded:
-        raise
     path = Path(spec)
     if _exists(path):
         obj = json.loads(path.read_text())
@@ -131,7 +119,9 @@ def _group_from_json(obj, limit: int):
     raise MalformedGroup("group JSON needs 'table' or 'perm_generators'")
 
 
-def _load_tensor(spec: str, G, fixture_dir):
+def _load_tensor(spec: str, G, fixture_dir) -> GTensor:
+    """Resolve a tensor file path, a name in --fixture-dir (with or without
+    .json), or a shipped fixture name."""
     path = Path(spec)
     if not _exists(path) and fixture_dir is not None:
         alt = Path(fixture_dir) / spec
@@ -139,16 +129,12 @@ def _load_tensor(spec: str, G, fixture_dir):
             path = alt
         elif _exists(Path(fixture_dir) / f"{spec}.json"):
             path = Path(fixture_dir) / f"{spec}.json"
-    if not _exists(path):
-        try:
-            text = resources.files("lazytwist.data").joinpath(
-                f"{spec}.json").read_text()
-            obj = json.loads(text)
-            return GTensor.from_json(obj, G), obj.get("group")
-        except OSError:
-            raise ValueError(f"tensor file {spec!r} not found")
-    obj = json.loads(path.read_text())
-    return GTensor.from_json(obj, G), obj.get("group")
+    if _exists(path):
+        return GTensor.from_json(json.loads(path.read_text()), G)
+    try:
+        return packaged_tensor(spec, G)
+    except OSError:
+        raise ValueError(f"tensor file {spec!r} not found")
 
 
 def packaged_tensor(name: str, G) -> GTensor:
@@ -158,88 +144,76 @@ def packaged_tensor(name: str, G) -> GTensor:
     return GTensor.from_json(json.loads(text), G)
 
 
-def _cmd_group_info(args):
-    G = _load_group(args.group, args.max_order)
+# Each handler takes the parsed arguments, the loaded group and its display
+# name (None for a command without operands) and returns the JSON object.
+
+
+def _group_info(args, G, name):
     classes = G.conjugacy_classes()
-    _emit({
-        "name": G.name or args.group,
+    return {
+        "name": name,
         "order": G.order,
         "abelian": G.is_abelian(),
         "exponent": G.exponent(),
         "class_sizes": sorted(len(c) for c in classes),
         "center_order": center(G).order,
-    }, args.pretty)
-    return 0
+    }
 
 
-def _cmd_autc(args):
-    G = _load_group(args.group, args.max_order)
+def _autc(args, G, name):
     auts, inn_index = class_preserving_auts(G, args.max_order)
-    _emit({
-        "group": G.name or args.group,
+    return {
+        "group": name,
         "autc_order": len(auts),
         "inn_order": len(auts) // inn_index,
         "inn_index": inn_index,
-    }, args.pretty)
-    return 0
+    }
 
 
-def _cmd_bg(args):
-    G = _load_group(args.group, args.max_order)
+def _bg(args, G, name):
     bg = bg_enumerate(G, args.max_order)
-    _emit({
-        "group": G.name or args.group,
+    return {
+        "group": name,
         "bg_size": len(bg),
         "elements": [{"subgroup_order": x.subgroup.order,
                       **x.form.to_json()} for x in bg],
-    }, args.pretty)
-    return 0
+    }
 
 
-def _cmd_h2(args):
-    G = _load_group(args.group, args.max_order)
-    rep = h2_compute(G, args.max_order, name=G.name or args.group)
-    _emit(rep.to_json(), args.pretty)
-    return 0
+def _h2(args, G, name):
+    return h2_compute(G, args.max_order, name=name).to_json()
 
 
-def _cmd_twist_verify(args):
-    G = _load_group(args.group, args.max_order)
-    F, _ = _load_tensor(args.tensor, G, args.fixture_dir)
-    _emit({
+def _twist_verify(args, G, name):
+    F = _load_tensor(args.tensor, G, args.fixture_dir)
+    return {
         "twist": is_twist(F),
         "invariant": is_invariant(F),
         "normalized": is_normalized(F),
-    }, args.pretty)
-    return 0
+    }
 
 
-def _cmd_twist_theta(args):
-    G = _load_group(args.group, args.max_order)
-    F, _ = _load_tensor(args.tensor, G, args.fixture_dir)
-    value = theta(F)
-    _emit({
-        "group": G.name or args.group,
+def _twist_theta(args, G, name):
+    value = theta(_load_tensor(args.tensor, G, args.fixture_dir))
+    return {
+        "group": name,
         "socle": list(value.socle.elements),
         "socle_order": value.socle.order,
         "form": value.form.to_json(),
-    }, args.pretty)
-    return 0
+    }
 
 
-def _cmd_liecheck(args):
-    G = _load_group(args.group, args.max_order)
+def _liecheck(args, G, name):
     injective, exact, kernel_dim = lie_complex_check(G, limit=args.max_order)
-    _emit({
-        "group": G.name or args.group,
+    return {
+        "group": name,
         "injective": injective,
         "exact": exact,
         "kernel_dim": kernel_dim,
-    }, args.pretty)
-    return 0
+    }
 
 
-def _cmd_paper_suite(args):
+def _paper_suite(args, G, name):
     reports = []
     checks = []
     failed = []
@@ -254,73 +228,77 @@ def _cmd_paper_suite(args):
                        "mismatches": mismatches})
         if mismatches:
             failed.append(name)
-    _emit({
+    return {
         "reports": reports,
         "checks": checks,
         "summary": {"total": len(checks), "passed": len(checks) - len(failed),
                     "failed": failed},
-    }, args.pretty)
-    return 1 if failed else 0
+    }
+
+
+# command -> (handler, operand names, help line)
+_COMMANDS = {
+    "group-info": (_group_info, ("group",), "order, classes, centre"),
+    "autc": (_autc, ("group",), "class-preserving automorphisms"),
+    "bg": (_bg, ("group",), "socle-form pairs"),
+    "h2": (_h2, ("group",), "verdict on the twist class group"),
+    "twist-verify": (_twist_verify, ("group", "tensor"),
+                     "twist/invariant/normalized flags"),
+    "twist-theta": (_twist_theta, ("group", "tensor"),
+                    "socle and braiding form"),
+    "liecheck": (_liecheck, ("group",), "tangent-complex exactness"),
+    "paper-suite": (_paper_suite, (),
+                    "run the whole battery against expected values"),
+}
+
+
+def _usage(command: str) -> str:
+    return " ".join([command, *(op.upper() for op in _COMMANDS[command][1])])
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lazytwist",
-        description="Exact computation of the group of invariant twist "
-                    "classes on finite group algebras.")
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Exact computation of the group of invariant twist\n"
+                    "classes on finite group algebras.",
+        epilog="commands:\n" + "\n".join(
+            f"  {_usage(c):<27} {h}" for c, (_, _, h) in _COMMANDS.items()))
     parser.add_argument("--max-order", type=int, default=128,
                         help="bound guarding exponential searches")
     parser.add_argument("--fixture-dir", default=None,
                         help="directory searched for named tensor files")
     parser.add_argument("--pretty", action="store_true",
                         help="indent JSON output")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("group-info", help="order, classes, centre")
-    p.add_argument("group")
-    p.set_defaults(fn=_cmd_group_info)
-
-    p = sub.add_parser("autc", help="class-preserving automorphisms")
-    p.add_argument("group")
-    p.set_defaults(fn=_cmd_autc)
-
-    p = sub.add_parser("bg", help="socle-form pairs")
-    p.add_argument("group")
-    p.set_defaults(fn=_cmd_bg)
-
-    p = sub.add_parser("h2", help="verdict on the twist class group")
-    p.add_argument("group")
-    p.set_defaults(fn=_cmd_h2)
-
-    p = sub.add_parser("twist-verify", help="twist/invariant/normalized flags")
-    p.add_argument("group")
-    p.add_argument("tensor")
-    p.set_defaults(fn=_cmd_twist_verify)
-
-    p = sub.add_parser("twist-theta", help="socle and braiding form")
-    p.add_argument("group")
-    p.add_argument("tensor")
-    p.set_defaults(fn=_cmd_twist_theta)
-
-    p = sub.add_parser("liecheck", help="tangent-complex exactness")
-    p.add_argument("group")
-    p.set_defaults(fn=_cmd_liecheck)
-
-    p = sub.add_parser("paper-suite",
-                       help="run the whole battery against expected values")
-    p.set_defaults(fn=_cmd_paper_suite)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("operands", nargs="*", metavar="operand",
+                        help="the command's GROUP and TENSOR")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
+    handler, names, _ = _COMMANDS[args.command]
+    if len(args.operands) != len(names):
+        parser.error(f"expected {_usage(args.command)}")
+    vars(args).update(zip(names, args.operands))
     try:
-        return args.fn(args)
-    except (NotAGroup, NotATwist, NotInvariant, OrderLimitExceeded,
-            ValueError, KeyError, json.JSONDecodeError) as exc:
+        G = name = None
+        if names:
+            G = _load_group(args.group, args.max_order)
+            name = G.name or args.group
+        obj = handler(args, G, name)
+    except (ValueError, OrderLimitExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.pretty:
+        print(json.dumps(obj, indent=2))
+    else:
+        print(json.dumps(obj, separators=(",", ":")))
+    # only paper-suite has a summary: it lists the groups that failed
+    return 1 if obj.get("summary", {}).get("failed") else 0
 
 
 if __name__ == "__main__":

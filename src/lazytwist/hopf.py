@@ -24,7 +24,7 @@ from operator import getitem, mul
 
 from .cyclo import CycNum, from_counts, lift, root_of_unity
 from .groups import FiniteGroup, Subgroup, _orbit
-from .pontryagin import (AltForm, DualAction,
+from .pontryagin import (AltForm, DualAction, _units,
                          cocycle_identity_holds, is_nondegenerate)
 
 __all__ = [
@@ -537,7 +537,7 @@ def form_from_r(A: Subgroup, R: GTensor) -> AltForm:
         raise NotSupported("tensor not supported in the subgroup square")
     basis = A.abelian_structure()
     r = len(basis)
-    unit = [tuple(int(k == i) for k in range(r)) for i in range(r)]
+    unit = _units(r)
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
     values = _evaluate(R.terms, _char_table(A),
                        [(unit[i], unit[j]) for i, j in pairs])

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lazytwist
 from lazytwist.cli import main
 
@@ -312,3 +314,68 @@ def test_twist_theta_rejects_non_invariant(tmp_path, capsys):
     code = main(["twist-theta", "A4", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and "error" in captured.err
+
+
+def test_unreadable_paths_exit_2(tmp_path, capsys):
+    # a path the OS cannot read (a directory here) is an input error
+    code, out, err = run_cli(capsys, "h2", str(tmp_path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    code, out, err = run_cli(capsys, "twist-verify", "A4", str(tmp_path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_internal_key_error_is_not_an_input_error(monkeypatch):
+    # an unknown builtin name is caught where groups are loaded; any other
+    # KeyError is a fault of the program and must surface
+    import lazytwist.cli as cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "h2_compute", broken)
+    with pytest.raises(KeyError):
+        main(["h2", "A4"])
+
+
+_OPERANDS = {"group-info": ["A4"], "autc": ["A4"], "bg": ["A4"],
+             "h2": ["A4"], "twist-verify": ["A4", "A4_twist"],
+             "twist-theta": ["A4", "A4_twist"], "liecheck": ["A4"],
+             "paper-suite": []}
+
+
+def test_wrong_operand_count_exits_2(capsys):
+    for command, operands in _OPERANDS.items():
+        wrong = [operands + ["A4"]] + ([operands[:-1]] if operands else [])
+        for argv in wrong:
+            with pytest.raises(SystemExit) as exc:
+                main([command, *argv])
+            assert exc.value.code == 2, (command, argv)
+            assert capsys.readouterr().out == "", (command, argv)
+
+
+def test_unknown_or_missing_command_exits_2(capsys):
+    for argv in (["no-such-command", "A4"], [], ["--pretty"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
+
+
+def test_help_lists_every_command_with_operands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command, operands in _OPERANDS.items():
+        usage = " ".join([command, *["GROUP", "TENSOR"][:len(operands)]])
+        assert f"  {usage}  " in out, command
+
+
+def test_options_may_follow_the_command(capsys):
+    code, before, _ = run_cli(capsys, "--pretty", "h2", "A4")
+    assert code == 0 and before.startswith("{\n  ")
+    for argv in (["h2", "A4", "--pretty"], ["h2", "--pretty", "A4"]):
+        code, after, _ = run_cli(capsys, *argv)
+        assert code == 0 and after == before, argv
+    code, out, err = run_cli(capsys, "h2", "C600", "--max-order", "1024")
+    assert code == 0 and json.loads(out)["exact_order"] == 1
