@@ -6,6 +6,17 @@ inside the subalgebra spanned by the subgroup generated by the support:
 Fourier inversion when that subgroup is abelian, a dense linear solve
 otherwise.
 
+`is_twist` and `r_matrix` check a degree-2 tensor F on the dual of the
+subgroup A its support generates when A is abelian (Movshev 1993;
+Etingof-Gelaki 1998).  The Fourier transform k[A^d] -> k^(dual of A)^d is
+an algebra isomorphism, so on the table F^(rho, sigma) = (rho x sigma)(F)
+F is invertible iff no value is 0, satisfies the twist equation iff F^ is
+a 2-cocycle (not normalized), R^(rho, sigma) = F^(sigma, rho) /
+F^(rho, sigma), and the R-matrix axioms say R^ is a bicharacter; R comes
+back to the group basis once.  When A is not abelian both keep to tensors
+in k[G]^(tensor 3): `tensor_inv`, `delta2_left`/`delta2_right` and
+products, under the 200-element cap on the span of the support.
+
 Every Fourier sum goes through one character-sum routine: character values
 come from an integer exponent table, terms are added as exponent counts
 over one root of unity, and each output value is normalized once.  Products
@@ -24,8 +35,9 @@ from operator import getitem, mul
 
 from .cyclo import CycNum, from_counts, lift, root_of_unity
 from .groups import FiniteGroup, Subgroup, _orbit
-from .pontryagin import (AltForm, DualAction, _units,
-                         cocycle_identity_holds, is_nondegenerate)
+from .pontryagin import (_COCYCLE_IDENTITY, AltForm, DualAction,
+                         _products_agree, _units, cocycle_identity_holds,
+                         is_nondegenerate)
 
 __all__ = [
     "DegreeMismatch",
@@ -447,8 +459,36 @@ def _twist_inverse(F: GTensor):
     return Finv if delta2_left(F) == delta2_right(F) else None
 
 
+def _abelian_support(F: GTensor):
+    """The subgroup generated by the support of F when F has degree 2 and
+    that subgroup is abelian (its generators commute), else None."""
+    if F.degree != 2:
+        return None
+    G, support = F.group, F.support_elements()
+    t = G.table
+    if any(t[a][b] != t[b][a] for a in support for b in support):
+        return None
+    return Subgroup(G, G.closure(support))
+
+
+def _dual_twist(A: Subgroup, F: GTensor):
+    """(table, hat) with hat[(rho, sigma)] = (rho x sigma)(F) on the dual of
+    A when F, supported in k[A] x k[A], is a twist, else None.  F is
+    invertible iff no value of hat is 0, and satisfies the twist equation
+    iff hat satisfies the 2-cocycle identity (not normalized)."""
+    table = _char_table(A)
+    hat = _to_dual_square(table, F.terms)
+    if any(v.is_zero() for v in hat.values()) or \
+            not _products_agree(A, hat, *_COCYCLE_IDENTITY):
+        return None
+    return table, hat
+
+
 def is_twist(F: GTensor) -> bool:
-    return _twist_inverse(F) is not None
+    A = _abelian_support(F)
+    if A is None:
+        return _twist_inverse(F) is not None
+    return _dual_twist(A, F) is not None
 
 
 def is_invariant(F: GTensor) -> bool:
@@ -474,18 +514,55 @@ def gauge(a: GTensor, F: GTensor) -> GTensor:
     return a.outer(a).mul(F).mul(coproduct(ainv))
 
 
+# R(xy, z) = R(x, z) R(y, z) and R(x, yz) = R(x, y) R(x, z), the dual
+# forms of (Delta x id)(R) = R13 R23 and (id x Delta)(R) = R13 R12
+_R_AXIOMS = ((((3, 2),), ((0, 2), (1, 2))), (((0, 4),), ((0, 1), (0, 2))))
+
+
+def _r_on_tensors(F: GTensor):
+    """(R, axioms) for R = F_21 F^-1 in k[G] x k[G], axioms telling whether
+    (Delta x id)(R) = R13 R23 and (id x Delta)(R) = R13 R12; None when F
+    is not a twist."""
+    Finv = _twist_inverse(F)
+    if Finv is None:
+        return None
+    R = F.flip().mul(Finv)
+    R13 = R.embed((0, 2), 3)
+    return R, (_coproduct_leg(R, 0) == R13.mul(R.embed((1, 2), 3)),
+               _coproduct_leg(R, 1) == R13.mul(R.embed((0, 1), 3)))
+
+
+def _r_on_dual(A: Subgroup, F: GTensor):
+    """(R, axioms) as _r_on_tensors, read on the dual of the abelian A that
+    the support of F generates: R^(rho, sigma) = F^(sigma, rho) /
+    F^(rho, sigma), and the axioms say that R^ is a bicharacter.  R
+    returns to the group basis once."""
+    found = _dual_twist(A, F)
+    if found is None:
+        return None
+    table, hat = found
+    # one inversion per distinct value of hat
+    inverse = {v.key(): v for v in hat.values()}
+    inverse = {k: v.inv() for k, v in inverse.items()}
+    r = {(rho, sigma): hat[(sigma, rho)] * inverse[v.key()]
+         for (rho, sigma), v in hat.items()}
+    M, d, counts = _counts(r, table[0])
+    return _from_dual_square(A, table, counts, M, d), tuple(
+        _products_agree(A, r, *axiom) for axiom in _R_AXIOMS)
+
+
 def r_matrix(F: GTensor) -> GTensor:
     """R_F = F_21 F^-1 for an invariant twist; checks the braiding axioms."""
     if not is_invariant(F):
         raise NotInvariant("twist does not commute with coproducts")
-    Finv = _twist_inverse(F)
-    if Finv is None:
+    A = _abelian_support(F)
+    found = _r_on_tensors(F) if A is None else _r_on_dual(A, F)
+    if found is None:
         raise NotATwist("not a twist")
-    R = F.flip().mul(Finv)
-    if _coproduct_leg(R, 0) != R.embed((0, 2), 3).mul(R.embed((1, 2), 3)):
-        raise ThetaContractViolated("R-matrix axiom (Delta x id) failed")
-    if _coproduct_leg(R, 1) != R.embed((0, 2), 3).mul(R.embed((0, 1), 3)):
-        raise ThetaContractViolated("R-matrix axiom (id x Delta) failed")
+    R, axioms = found
+    for leg, holds in zip(("(Delta x id)", "(id x Delta)"), axioms):
+        if not holds:
+            raise ThetaContractViolated(f"R-matrix axiom {leg} failed")
     return R
 
 
@@ -592,6 +669,24 @@ def _evaluate(terms: dict, table, at) -> list[CycNum]:
          for t, raw in counts.items()), L, M), d) for ss in at]
 
 
+def _to_dual_square(table, terms: dict) -> dict:
+    """{(rho, sigma): (rho x sigma)(T)} over the dual of A, for T = sum v *
+    (g, h) over the terms {(g, h): v} supported in A x A, in two
+    one-dimensional stages: the mirror of _from_dual_square."""
+    L, E = table
+    M, d, counts = _counts(terms, L)
+    columns: dict = {}
+    for (g, h), raw in counts.items():
+        columns.setdefault(h, []).append((raw, g))
+    # stage[rho][h] = sum_g T(g, h) rho(g)
+    stage = {rho: {h: _accumulate(((raw, Er[g]) for raw, g in col), L, M)
+                   for h, col in columns.items()}
+             for rho, Er in E.items()}
+    return {(rho, sigma): from_counts(M, _accumulate(
+        ((raw, E[sigma][h]) for h, raw in stage[rho].items()), L, M), d)
+        for rho in E for sigma in E}
+
+
 def _from_dual_square(A: Subgroup, table, c: dict, M: int,
                       d: int = 1) -> GTensor:
     """sum c(rho, sigma) e_rho x e_sigma over the dual of A, for c given as
@@ -623,9 +718,7 @@ def cocycle_from_twist(A: Subgroup, F: GTensor) -> dict:
     """c(rho, sigma) = (rho x sigma)(F) for a twist supported in k[A] x k[A]."""
     if F.degree != 2 or not F.supported_in(A):
         raise NotSupported("tensor not supported in the subgroup square")
-    table = _char_table(A)
-    pairs = list(itertools.product(table[1], repeat=2))
-    return dict(zip(pairs, _evaluate(F.terms, table, pairs)))
+    return _to_dual_square(_char_table(A), F.terms)
 
 
 def r_from_form(A: Subgroup, b: AltForm) -> GTensor:

@@ -357,19 +357,25 @@ def cocycle_from_form_odd(A: Subgroup, b: AltForm) -> dict:
     return table
 
 
-def cocycle_identity_holds(A: Subgroup, c: dict) -> bool:
-    """Check normalization and the full 2-cocycle identity.
+# c(x, y) c(xy, z) = c(y, z) c(x, yz), as word pairs for _products_agree
+_COCYCLE_IDENTITY = (((0, 1), (3, 2)), ((1, 2), (0, 4)))
+
+
+def _products_agree(A: Subgroup, c: dict, left, right) -> bool:
+    """Whether, for every triple (x, y, z) of elements of the dual of A,
+    the product of the values c[(u, v)] over the word pairs (u, v) of left
+    equals the product over those of right.  c is keyed by pairs of dual
+    exponent tuples; a word pair names two of (x, y, z, xy, yz) by their
+    positions 0..4.
 
     The distinct values are interned and their pairwise products cached,
-    so the cubic sweep is dictionary lookups rather than field arithmetic.
+    so the cubic sweep is list lookups rather than field arithmetic.
     """
     ds = [d for _, d in A.abelian_structure()]
     duals = list(itertools.product(*(range(d) for d in ds)))
-    one = tuple(0 for _ in ds)
-    cn = CycNum.one()
-    if any(c[(one, rho)] != cn or c[(rho, one)] != cn for rho in duals):
-        return False
-
+    index = {x: i for i, x in enumerate(duals)}
+    mul = [[index[tuple((a + b) % d for a, b, d in zip(x, y, ds))]
+            for y in duals] for x in duals]
     ids: dict = {}
     vals: list = []
 
@@ -380,28 +386,41 @@ def cocycle_identity_holds(A: Subgroup, c: dict) -> bool:
             vals.append(v)
         return ids[k]
 
-    table = {pair: intern(v) for pair, v in c.items()}
-    group_mul = {}
-    for x in duals:
-        for y in duals:
-            group_mul[(x, y)] = tuple((a + b) % d for a, b, d in zip(x, y, ds))
-    prod_cache: dict = {}
+    table = [[intern(c[(x, y)]) for y in duals] for x in duals]
+    cache: dict = {}
 
-    def prod(i, j):
-        key = (i, j) if i <= j else (j, i)
-        if key not in prod_cache:
-            prod_cache[key] = intern(vals[key[0]] * vals[key[1]])
-        return prod_cache[key]
+    def side(pairs, w):
+        i = None
+        for u, v in pairs:
+            j = table[w[u]][w[v]]
+            if i is not None:
+                key = (i, j) if i <= j else (j, i)
+                if key not in cache:
+                    cache[key] = intern(vals[i] * vals[j])
+                j = cache[key]
+            i = j
+        return i
 
-    for rho in duals:
-        for sigma in duals:
-            rs = group_mul[(rho, sigma)]
-            left = table[(rho, sigma)]
-            for tau in duals:
-                if prod(left, table[(rs, tau)]) != \
-                   prod(table[(sigma, tau)], table[(rho, group_mul[(sigma, tau)])]):
+    n = len(duals)
+    for x in range(n):
+        for y in range(n):
+            xy, my = mul[x][y], mul[y]
+            for z in range(n):
+                w = (x, y, z, xy, my[z])
+                if side(left, w) != side(right, w):
                     return False
     return True
+
+
+def cocycle_identity_holds(A: Subgroup, c: dict) -> bool:
+    """Check normalization and the full 2-cocycle identity."""
+    ds = [d for _, d in A.abelian_structure()]
+    one = tuple(0 for _ in ds)
+    cn = CycNum.one()
+    if any(c[(one, rho)] != cn or c[(rho, one)] != cn
+           for rho in itertools.product(*(range(d) for d in ds))):
+        return False
+    return _products_agree(A, c, *_COCYCLE_IDENTITY)
 
 
 @dataclass(frozen=True)

@@ -666,6 +666,18 @@ def test_cocycle_twist_roundtrip_on_nine_group():
         assert twist_from_cocycle(A, cocycle_from_twist(A, F)) == F
 
 
+def _non_cocycle(groups):
+    """Invariant and invertible on A4, but its pair table on the Klein dual
+    is not a cocycle."""
+    V = _klein(groups)
+    T = GTensor(groups("A4"), 2, {})
+    for x in characters(V):
+        for y in characters(V):
+            coeff = 2 if (x.exponents == y.exponents and any(x.exponents)) else 1
+            T = T.add(idempotent(V, x).outer(idempotent(V, y)).scale(coeff))
+    return T
+
+
 def test_r_matrix_and_theta_reject_bad_input(groups):
     from lazytwist.hopf import NotATwist, NotInvariant
 
@@ -676,13 +688,7 @@ def test_r_matrix_and_theta_reject_bad_input(groups):
     skew = gauge(a, F)  # still a twist, no longer invariant
     with pytest.raises(NotInvariant):
         r_matrix(skew)
-    # invariant and invertible, but the pair table is not a cocycle
-    V = _klein(groups)
-    T = GTensor(A4, 2, {})
-    for x in characters(V):
-        for y in characters(V):
-            coeff = 2 if (x.exponents == y.exponents and any(x.exponents)) else 1
-            T = T.add(idempotent(V, x).outer(idempotent(V, y)).scale(coeff))
+    T = _non_cocycle(groups)
     assert is_invariant(T) and not is_twist(T)
     with pytest.raises(NotATwist):
         r_matrix(T)
@@ -795,6 +801,88 @@ def test_tensor_inv_fourier_path_matches_dense(groups, monkeypatch):
     for x, y in zip(cases, dense_side):
         if y is not None:
             assert x.mul(y) == GTensor.unit(x.group, x.degree)
+
+
+# -- twist checks on the dual of an abelian support --------------------------
+
+
+def test_twist_checks_on_the_dual_match_the_tensor_path(groups, monkeypatch):
+    from lazytwist import hopf
+    from lazytwist.hopf import NotATwist, NotInvariant, ThetaContractViolated
+
+    F = _a4_twist(groups)
+    V = _klein(groups)
+    # the A4 twist with its Fourier value at the trivial pair set to 0;
+    # e_1 x e_1 is central, so it stays invariant
+    e1 = idempotent(V, characters(V)[0])
+    one = characters(V)[0].exponents
+    hole = F.add(e1.outer(e1).scale(-cocycle_from_twist(V, F)[(one, one)]))
+    corpus = [F, _wall_f(groups), F.scale(3), F.mul(F), _non_cocycle(groups),
+              hole] + [twist_from_cocycle(A, c)
+                       for A, c in _pair_cocycles(groups)]
+    assert all(hopf._abelian_support(x) is not None for x in corpus)
+
+    def outcome(x):
+        try:
+            R = r_matrix(x)
+        except (NotATwist, NotInvariant, ThetaContractViolated) as e:
+            R = (type(e), str(e))
+        return is_twist(x), R
+
+    dual = [outcome(x) for x in corpus]
+    monkeypatch.setattr(hopf, "_abelian_support", lambda x: None)
+    assert [outcome(x) for x in corpus] == dual
+    assert [twist for twist, _ in dual].count(False) == 2
+    assert dual[4][1] == dual[5][1] == (NotATwist, "not a twist")
+
+
+def test_r_matrix_on_a_non_abelian_support(groups, monkeypatch):
+    # a = 2 + (sum of the transpositions) is central and invertible in
+    # k[S3] and its support generates S3, so a . 1 = delta1(a) is an
+    # invariant twist that takes the tensor path; R does not change,
+    # because a x a is central
+    from lazytwist import hopf
+
+    S3 = groups("S3")
+    a = GTensor(S3, 1, {(0,): 2, **{(x,): 1 for x in range(S3.order)
+                                    if S3.element_order(x) == 2}})
+    F = gauge(a, GTensor.unit(S3, 2))
+    assert hopf._abelian_support(F) is None and is_invariant(F)
+    calls = []
+    on_tensors = hopf._r_on_tensors
+    monkeypatch.setattr(hopf, "_r_on_tensors",
+                        lambda x: calls.append(x) or on_tensors(x))
+    assert r_matrix(F) == r_matrix(GTensor.unit(S3, 2))
+    assert calls == [F]
+
+
+def test_abelian_supports_have_no_order_cap():
+    # a twist on C4 x C4 with all 256 terms: the span of its support in
+    # G x G is over the cap of 200, so only the dual path can decide it
+    from tests_helpers import product_group
+
+    G = product_group((4, 4))
+    A = G.whole_subgroup()
+    b = next(f for f in alternating_forms(A) if is_nondegenerate(f))
+    c = invariant_cocycle_search(A, b, DualAction(G, A)).witness
+    # times the coboundary of a random f with f(1) = 1
+    rng = random.Random(4)
+    one, *rest = [x.exponents for x in characters(A)]
+    f = {x: CycNum.rational(rng.randrange(1, 6)) * root_of_unity(
+        4, rng.randrange(4)) for x in rest}
+    f[one] = CycNum.one()
+
+    def add(x, y):
+        return tuple((p + q) % 4 for p, q in zip(x, y))
+
+    F = twist_from_cocycle(A, {(x, y): v * f[x] * f[y] / f[add(x, y)]
+                               for (x, y), v in c.items()})
+    assert len(F.terms) == 256
+    with pytest.raises(OrderLimitExceeded):
+        _tuple_group(G, 2, F.terms)
+    assert is_twist(F)
+    tv = theta(F)
+    assert tv.socle == A and tv.form == b
 
 
 # -- degree checks that survive python -O ------------------------------------
