@@ -35,7 +35,7 @@ from operator import getitem, mul
 
 from .cyclo import CycNum, from_counts, lift, root_of_unity
 from .groups import FiniteGroup, Subgroup, _orbit
-from .pontryagin import (_COCYCLE_IDENTITY, AltForm, DualAction,
+from .pontryagin import (AltForm, DualAction, _COCYCLE_IDENTITY,
                          _products_agree, _units, cocycle_identity_holds,
                          is_nondegenerate)
 
