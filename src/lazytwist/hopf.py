@@ -1,28 +1,29 @@
 """Group-algebra tensor calculus: twists, gauge action, R-matrices, socles.
 
 A GTensor is a sparse element of k[G]^(tensor d) for d = 1, 2, 3 with
-cyclotomic coefficients on tuples of element indices.  Inversion works
-inside the subalgebra spanned by the subgroup generated by the support:
-Fourier inversion when that subgroup is abelian, a dense linear solve
-otherwise.
+cyclotomic coefficients on tuples of element indices.
 
-`is_twist` and `r_matrix` check a degree-2 tensor F on the dual of the
-subgroup A its support generates when A is abelian (Movshev 1993;
-Etingof-Gelaki 1998).  The Fourier transform k[A^d] -> k^(dual of A)^d is
-an algebra isomorphism, so on the table F^(rho, sigma) = (rho x sigma)(F)
-F is invertible iff no value is 0, satisfies the twist equation iff F^ is
-a 2-cocycle (not normalized), R^(rho, sigma) = F^(sigma, rho) /
-F^(rho, sigma), and the R-matrix axioms say R^ is a bicharacter; R comes
-back to the group basis once.  When A is not abelian both keep to tensors
-in k[G]^(tensor 3): `tensor_inv`, `delta2_left`/`delta2_right` and
-products, under the 200-element cap on the span of the support.
+One abelian test, `_abelian_support`, picks the path for `tensor_inv`,
+`is_twist` and `r_matrix`: whether the elements in the support of x
+commute, so that they generate an abelian subgroup A and x lies in
+k[A^d].  The Fourier transform k[A^d] -> k^(dual of A)^d is an algebra
+isomorphism (Movshev 1993; Etingof-Gelaki 1998), so on the dual x is
+inverted pointwise, and on the table F^(rho, sigma) = (rho x sigma)(F) of
+a degree-2 F, F is invertible iff no value is 0, satisfies the twist
+equation iff F^ is a 2-cocycle (not normalized), R^(rho, sigma) =
+F^(sigma, rho) / F^(rho, sigma), and the R-matrix axioms say R^ is a
+bicharacter; R comes back to the group basis once.  Otherwise all three
+keep to tensors in k[G]^(tensor 3): a dense solve inside the span of the
+support, under its 200-element cap, `delta2_left`/`delta2_right` and
+products.
 
-Every Fourier sum goes through one character-sum routine: character values
-come from an integer exponent table, terms are added as exponent counts
-over one root of unity, and each output value is normalized once.  Products
-and coefficient sums add the same way: the coefficients are lifted to one
-zeta_M as integer exponent counts over one common denominator, products of
-terms convolve those counts into their output cell, and each output cell is
+Every character sum, forward or inverse and of any degree, goes through
+one routine, `_transform`: character values come from an integer exponent
+table, terms are added leg by leg as exponent counts over one root of
+unity, and each output value is normalized once.  Products and coefficient
+sums add the same way: the coefficients are lifted to one zeta_M as
+integer exponent counts over one common denominator, products of terms
+convolve those counts into their output cell, and each output cell is
 normalized once, not once per product term.
 """
 
@@ -330,34 +331,29 @@ def _tuple_group(G: FiniteGroup, degree: int, tuples):
 
 
 def tensor_inv(x: GTensor) -> GTensor:
-    """Inverse in k[G]^(tensor d), computed inside the span of the support."""
+    """Inverse in k[G]^(tensor d): pointwise on the dual when the support
+    generates an abelian subgroup A (x lies in k[A^d], which holds the
+    inverse if there is one), else by a dense solve inside the span of
+    the support."""
     if x.is_zero():
         raise NotInvertible("zero tensor")
-    G = x.group
-    H, order, index = _tuple_group(G, x.degree, x.terms.keys())
+    G, degree = x.group, x.degree
+    A = _abelian_support(x)
+    if A is not None:
+        table = _char_table(A)
+        hat = _transform(table, x.terms, degree)
+        if any(v.is_zero() for v in hat.values()):
+            raise NotInvertible("singular element")
+        return GTensor(G, degree, _transform(
+            table, {s: v.inv() for s, v in hat.items()}, degree, inverse=True))
+    H, order, index = _tuple_group(G, degree, x.terms.keys())
     coeffs = [CycNum.zero()] * len(order)
     for t, c in x.terms.items():
         coeffs[index[t]] = c
-    if H.is_abelian():
-        inv_coeffs = _fourier_invert(H, coeffs)
-    else:
-        inv_coeffs = _dense_invert(H, coeffs)
+    inv_coeffs = _dense_invert(H, coeffs)
     if inv_coeffs is None:
         raise NotInvertible("singular element")
-    terms = {order[i]: c for i, c in enumerate(inv_coeffs) if not c.is_zero()}
-    return GTensor(G, x.degree, terms)
-
-
-def _fourier_invert(H: FiniteGroup, coeffs):
-    L, E = table = _char_table(H.whole_subgroup())
-    hat = _evaluate({(a,): c for a, c in enumerate(coeffs) if not c.is_zero()},
-                    table, [(s,) for s in E])
-    if any(v.is_zero() for v in hat):
-        return None
-    M, d, counts = _counts(dict(zip(E, (v.inv() for v in hat))), L)
-    return [from_counts(M, _accumulate(((counts[s], -E[s][a]) for s in E),
-                                       L, M), d * H.order)
-            for a in range(H.order)]
+    return GTensor(G, degree, dict(zip(order, inv_coeffs)))
 
 
 def _dense_invert(H: FiniteGroup, coeffs):
@@ -459,12 +455,10 @@ def _twist_inverse(F: GTensor):
     return Finv if delta2_left(F) == delta2_right(F) else None
 
 
-def _abelian_support(F: GTensor):
-    """The subgroup generated by the support of F when F has degree 2 and
-    that subgroup is abelian (its generators commute), else None."""
-    if F.degree != 2:
-        return None
-    G, support = F.group, F.support_elements()
+def _abelian_support(x: GTensor):
+    """The subgroup A generated by the support of x when that subgroup is
+    abelian (its generators commute), else None; x then lies in k[A^d]."""
+    G, support = x.group, x.support_elements()
     t = G.table
     if any(t[a][b] != t[b][a] for a in support for b in support):
         return None
@@ -476,8 +470,10 @@ def _dual_twist(A: Subgroup, F: GTensor):
     A when F, supported in k[A] x k[A], is a twist, else None.  F is
     invertible iff no value of hat is 0, and satisfies the twist equation
     iff hat satisfies the 2-cocycle identity (not normalized)."""
+    if F.degree != 2:
+        return None
     table = _char_table(A)
-    hat = _to_dual_square(table, F.terms)
+    hat = _transform(table, F.terms, 2)
     if any(v.is_zero() for v in hat.values()) or \
             not _products_agree(A, hat, *_COCYCLE_IDENTITY):
         return None
@@ -546,9 +542,8 @@ def _r_on_dual(A: Subgroup, F: GTensor):
     inverse = {k: v.inv() for k, v in inverse.items()}
     r = {(rho, sigma): hat[(sigma, rho)] * inverse[v.key()]
          for (rho, sigma), v in hat.items()}
-    M, d, counts = _counts(r, table[0])
-    return _from_dual_square(A, table, counts, M, d), tuple(
-        _products_agree(A, r, *axiom) for axiom in _R_AXIOMS)
+    return GTensor(A.parent, 2, _transform(table, r, 2, inverse=True)), \
+        tuple(_products_agree(A, r, *axiom) for axiom in _R_AXIOMS)
 
 
 def r_matrix(F: GTensor) -> GTensor:
@@ -598,8 +593,6 @@ def theta(F: GTensor) -> ThetaValue:
     if not A.is_abelian():
         raise ThetaContractViolated("socle is not abelian")
     b = form_from_r(A, R)
-    if r_from_form(A, b) != R:
-        raise ThetaContractViolated("R-matrix is not the bicharacter of a form")
     if not is_nondegenerate(b):
         raise ThetaContractViolated("braiding form degenerate on the socle")
     action = DualAction(A.parent, A)
@@ -609,24 +602,29 @@ def theta(F: GTensor) -> ThetaValue:
 
 
 def form_from_r(A: Subgroup, R: GTensor) -> AltForm:
-    """Read b(sigma, tau) = (sigma x tau)(R) off the dual generators."""
+    """The form b with R = R(A, b): b(sigma, tau) = (sigma x tau)(R) read
+    off the dual generators, then checked at every point of the dual."""
     if R.degree != 2 or not R.supported_in(A):
         raise NotSupported("tensor not supported in the subgroup square")
+    L, _ = table = _char_table(A)
+    hat = _transform(table, R.terms, 2)
+    roots = [root_of_unity(L, k) for k in range(L)]
+    exponent = {v: k for k, v in enumerate(roots)}
     basis = A.abelian_structure()
-    r = len(basis)
-    unit = _units(r)
-    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    values = _evaluate(R.terms, _char_table(A),
-                       [(unit[i], unit[j]) for i, j in pairs])
+    unit = _units(len(basis))
     upper = {}
-    for (i, j), v in zip(pairs, values):
-        m = gcd(basis[i][1], basis[j][1])
-        e = next((k for k in range(m) if root_of_unity(m, k) == v), None)
-        if e is None:
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        # b(chi_i, chi_j) = zeta_m^e, m = gcd(d_i, d_j): zeta_L^k, k = e L/m
+        k = exponent.get(hat[(unit[i], unit[j])])
+        step = L // gcd(basis[i][1], basis[j][1])
+        if k is None or k % step:
             raise ThetaContractViolated(
                 "pairing value is not a root of unity of the right order")
-        upper[(i, j)] = e
-    return AltForm.from_upper(A, upper)
+        upper[(i, j)] = k // step
+    b = AltForm.from_upper(A, upper)
+    if any(v != roots[b.value_exponent(*pair)[0]] for pair, v in hat.items()):
+        raise ThetaContractViolated("R-matrix is not the bicharacter of a form")
+    return b
 
 
 # -- character sums, cocycle dictionary, Fourier ------------------------------
@@ -646,90 +644,70 @@ def _char_table(A: Subgroup):
                for s in itertools.product(*(range(d) for d in ds))}
 
 
-def _accumulate(terms, L: int, M: int) -> dict:
-    """sum of raw * zeta_L^e over the (raw, e) pairs, for raw integer
-    exponent counts over zeta_M (see _counts), as counts again: a caller
-    normalizes once per output value, through from_counts."""
-    t = M // L
-    acc: dict = {}
-    for raw, e in terms:
-        for k, q in raw.items():
-            k = (k + e * t) % M
-            acc[k] = acc.get(k, 0) + q
-    return {k: q for k, q in acc.items() if q}
+def _transform(table, terms: dict, degree: int, inverse: bool = False) -> dict:
+    """The Fourier transform between k[A^d] and functions on the d-th power
+    of the dual of A, for the character table (L, E) of A.
 
+    Forward, T = sum v * t over the terms {t: v} with t in A^d goes to
+    {(s1, ..., sd): (chi_s1 x ... x chi_sd)(T)}.  Inverse, the function
+    {(s1, ..., sd): v} goes to the coefficients of sum v e_s1 x ... x e_sd
+    in the group basis: {(a1, ..., ad): |A|^-d sum v chi_s1(a1^-1) ...
+    chi_sd(ad^-1)}.  Either way every point gets a value, zero included.
 
-def _evaluate(terms: dict, table, at) -> list[CycNum]:
-    """(chi_s1 x ... x chi_sd)(T) for T = sum of v * t over the terms
-    {t: v}, at each tuple (s1, ..., sd) of dual exponent tuples in at."""
+    The values are lifted to integer exponent counts over one zeta_M (see
+    _counts) and summed one leg at a time: leg i groups the cells by the
+    rest of their tuple, and each group adds zeta_L^E[p][x] times its
+    counts into the cell of each point p.  Each output value is normalized
+    once, through from_counts."""
     L, E = table
-    M, d, counts = _counts(terms, L)
-    return [from_counts(M, _accumulate(
-        ((raw, sum(E[s][a] for s, a in zip(ss, t)))
-         for t, raw in counts.items()), L, M), d) for ss in at]
-
-
-def _to_dual_square(table, terms: dict) -> dict:
-    """{(rho, sigma): (rho x sigma)(T)} over the dual of A, for T = sum v *
-    (g, h) over the terms {(g, h): v} supported in A x A, in two
-    one-dimensional stages: the mirror of _from_dual_square."""
-    L, E = table
-    M, d, counts = _counts(terms, L)
-    columns: dict = {}
-    for (g, h), raw in counts.items():
-        columns.setdefault(h, []).append((raw, g))
-    # stage[rho][h] = sum_g T(g, h) rho(g)
-    stage = {rho: {h: _accumulate(((raw, Er[g]) for raw, g in col), L, M)
-                   for h, col in columns.items()}
-             for rho, Er in E.items()}
-    return {(rho, sigma): from_counts(M, _accumulate(
-        ((raw, E[sigma][h]) for h, raw in stage[rho].items()), L, M), d)
-        for rho in E for sigma in E}
-
-
-def _from_dual_square(A: Subgroup, table, c: dict, M: int,
-                      d: int = 1) -> GTensor:
-    """sum c(rho, sigma) e_rho x e_sigma over the dual of A, for c given as
-    integer exponent counts over zeta_M and a common denominator d, in two
-    one-dimensional stages."""
-    L, E = table
-    # stage[g][sigma] = sum_rho c(rho, sigma) rho(g^-1)
-    stage = {g: {sigma: _accumulate(((c[(rho, sigma)], -E[rho][g])
-                                     for rho in E), L, M)
-                 for sigma in E}
-             for g in A.elements}
-    d *= A.order * A.order
-    return GTensor(A.parent, 2, {
-        (g, h): from_counts(M, _accumulate(
-            ((raw, -E[sigma][h]) for sigma, raw in stage[g].items()), L, M), d)
-        for g in A.elements for h in A.elements})
+    if inverse:
+        # chi_s(a^-1) = zeta_L^-E[s][a], keyed by the output point a first
+        E = {a: {s: -Es[a] % L for s, Es in E.items()}
+             for a in next(iter(E.values()))}
+    M, d, cells = _counts(terms, L)
+    step = M // L
+    for i in range(degree):
+        legs: dict = {}
+        for t, raw in cells.items():
+            legs.setdefault(t[:i] + t[i + 1:], []).append((raw, t[i]))
+        cells = {}
+        for rest, col in legs.items():
+            for p, Ep in E.items():
+                acc: dict = {}
+                for raw, x in col:
+                    e = Ep[x] * step
+                    for k, q in raw.items():
+                        k = (k + e) % M
+                        acc[k] = acc.get(k, 0) + q
+                cells[rest[:i] + (p,) + rest[i:]] = {
+                    k: q for k, q in acc.items() if q}
+    if inverse:
+        d *= len(E) ** degree
+    return {t: from_counts(M, cells.get(t, {}), d)
+            for t in itertools.product(E, repeat=degree)}
 
 
 def twist_from_cocycle(A: Subgroup, c: dict) -> GTensor:
     """F = sum c(rho, sigma) e_rho x e_sigma over the dual of A."""
     if not cocycle_identity_holds(A, c):
         raise NotACocycle("table fails normalization or the cocycle identity")
-    table = _char_table(A)
-    M, d, counts = _counts(c, table[0])
-    return _from_dual_square(A, table, counts, M, d)
+    return GTensor(A.parent, 2, _transform(_char_table(A), c, 2, inverse=True))
 
 
 def cocycle_from_twist(A: Subgroup, F: GTensor) -> dict:
     """c(rho, sigma) = (rho x sigma)(F) for a twist supported in k[A] x k[A]."""
     if F.degree != 2 or not F.supported_in(A):
         raise NotSupported("tensor not supported in the subgroup square")
-    return _to_dual_square(_char_table(A), F.terms)
+    return _transform(_char_table(A), F.terms, 2)
 
 
 def r_from_form(A: Subgroup, b: AltForm) -> GTensor:
-    """R(A, b) = sum b(sigma, tau) e_sigma x e_tau, on integer counts of
-    the exponents of the roots of unity b(sigma, tau)."""
+    """R(A, b) = sum b(sigma, tau) e_sigma x e_tau over the dual of A."""
     L, E = table = _char_table(A)
-    c = {}
-    for pair in itertools.product(E, repeat=2):
-        t, LL = b.value_exponent(*pair)
-        c[pair] = {t * (L // LL) % L: 1}
-    return _from_dual_square(A, table, c, L)
+    roots = [root_of_unity(L, k) for k in range(L)]
+    return GTensor(A.parent, 2, _transform(table, {
+        pair: roots[b.value_exponent(*pair)[0]]
+        for pair in itertools.product(E, repeat=2)}, 2, inverse=True))
 
 
 def fourier(A: Subgroup, x: GTensor) -> dict:
@@ -738,5 +716,5 @@ def fourier(A: Subgroup, x: GTensor) -> dict:
         raise NotSupported("tensor not supported in the subgroup")
     table = _char_table(A)
     # sum lambda_g chi(g^-1) is chi evaluated on the antipode of x
-    return dict(zip(table[1], _evaluate(antipode(x).terms, table,
-                                        [(s,) for s in table[1]])))
+    hat = _transform(table, antipode(x).terms, 1)
+    return {s: hat[(s,)] for s in table[1]}

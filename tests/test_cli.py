@@ -225,7 +225,7 @@ def test_error_exits(tmp_path, capsys):
     assert code == 2 and "error" in err
     code, _, err = run_cli(capsys, "twist-verify", "A4", "missing.json")
     assert code == 2
-    # Wr_5 is addressable but refuses to build at desk scale
+    # Wr_5 (order 15625) is no builtin
     code, _, err = run_cli(capsys, "group-info", "Wr_5")
     assert code == 2 and "error" in err
 

@@ -144,10 +144,9 @@ def test_conjugacy_classes(groups):
     # identity class first
     assert groups("A4").conjugacy_classes()[0] == (0,)
     # the orbit walk gives the classes of the sweep over all of G, tuples
-    # and order, on the builtins (Wr_5 is past the order limit) and the
-    # eight even-search products, in their own and two other labellings
-    for name in [n for n in builtin_names() if n != "Wr_5"] + \
-            SPLIT_GROUPS[:8]:
+    # and order, on the builtins and the eight even-search products, in
+    # their own and two other labellings
+    for name in builtin_names() + SPLIT_GROUPS[:8]:
         G = named_group(groups, name)
         for H in (G, relabelled(G, 1), relabelled(G, 2)):
             assert conjugacy_classes(H) == sweep_conjugacy_classes(H), name
@@ -388,8 +387,8 @@ def test_find_isomorphism(groups):
                                 relabelled(groups("C6"), seed)) is None
 
 
-# every builtin that builds (not Wr_5, of order 15625), the even-search
-# products and three products with thousands of automorphisms
+# every builtin, the even-search products and three products with
+# thousands of automorphisms
 AUT_GROUPS = ["A4", "C27sd", "D8", "Q8", "S3", "S4", "V4", "Wall32", "Wr_2",
               "Wr_3"] + [f"C{n}" for n in range(1, 9)] + SPLIT_GROUPS[:8] + [
               "D8xD8", "C2xC2xD8", "D8xQ8"]

@@ -742,9 +742,21 @@ def _abelian_groups():
     return [product_group(ds) for ds in [(2, 2), (3, 3), (4, 2), (6,), (9,)]]
 
 
+def _invert(x):
+    try:
+        return tensor_inv(x)
+    except NotInvertible:
+        return None
+
+
 def test_fourier_and_inversion_match_loops(groups):
-    from lazytwist.hopf import _fourier_invert
-    from tests_helpers import loop_fourier, loop_fourier_invert
+    from tests_helpers import (flat_fourier_invert, loop_fourier,
+                               loop_fourier_invert)
+
+    def loop_invert(H, coeffs):
+        inv = loop_fourier_invert(H, coeffs)
+        return None if inv is None else \
+            GTensor(H, 1, {(a,): c for a, c in enumerate(inv)})
 
     rng = random.Random(11)
     for H in _abelian_groups() + [groups("C8")]:
@@ -753,16 +765,20 @@ def test_fourier_and_inversion_match_loops(groups):
             coeffs = [CycNum.zero()] * H.order
             for a in rng.sample(range(H.order), 3):
                 coeffs[a] = _random_value(rng, H.exponent())
-            assert _fourier_invert(H, coeffs) == loop_fourier_invert(H, coeffs)
             x = GTensor(H, 1, {(a,): c for a, c in enumerate(coeffs)})
+            assert _invert(x) == loop_invert(H, coeffs)
+            assert flat_fourier_invert(H, coeffs) == \
+                loop_fourier_invert(H, coeffs)
             assert fourier(A, x) == loop_fourier(A, x)
         # the sum over a nontrivial cyclic subgroup is singular
         g = next(a for a in range(H.order) if H.element_order(a) in (2, 3))
         coeffs = [CycNum.zero()] * H.order
         for a in H.closure({g}):
             coeffs[a] = CycNum.one()
-        assert _fourier_invert(H, coeffs) is None
+        x = GTensor(H, 1, {(a,): c for a, c in enumerate(coeffs)})
+        assert _invert(x) is None
         assert loop_fourier_invert(H, coeffs) is None
+        assert flat_fourier_invert(H, coeffs) is None
     # a subgroup of a nonabelian group, cyclotomic coefficients (Wall's a)
     a = _wall_a(groups)
     A = socle(GTensor(a.group, 1, {(g,): 1 for (g,) in a.terms}))
@@ -787,20 +803,55 @@ def test_tensor_inv_fourier_path_matches_dense(groups, monkeypatch):
             cases.append(GTensor(H, degree, {
                 (a,) + pad: 1 for a in H.closure({g})}))
 
-    def invert(x):
-        try:
-            return tensor_inv(x)
-        except NotInvertible:
-            return None
-
-    fourier_side = [invert(x) for x in cases]
-    monkeypatch.setattr(hopf, "_fourier_invert", hopf._dense_invert)
-    dense_side = [invert(x) for x in cases]
+    fourier_side = [_invert(x) for x in cases]
+    monkeypatch.setattr(hopf, "_abelian_support", lambda x: None)
+    dense_side = [_invert(x) for x in cases]
     assert fourier_side == dense_side
     assert sum(y is None for y in dense_side) == 6
     for x, y in zip(cases, dense_side):
         if y is not None:
             assert x.mul(y) == GTensor.unit(x.group, x.degree)
+
+
+def test_transform_of_the_zero_tensor_has_every_point(groups):
+    # the zero tensor has no terms, yet its transform is 0 at every point
+    # of the dual: so it is no twist, not a cocycle table with holes
+    from lazytwist.hopf import NotATwist
+
+    A4, V = groups("A4"), _klein(groups)
+    zero = GTensor(A4, 2, {})
+    assert not is_twist(zero)
+    with pytest.raises(NotATwist, match="not a twist"):
+        r_matrix(zero)
+    duals = [chi.exponents for chi in characters(V)]
+    assert cocycle_from_twist(V, zero) == {
+        (rho, sigma): CycNum.zero() for rho in duals for sigma in duals}
+    assert fourier(V, GTensor(A4, 1, {})) == {
+        rho: CycNum.zero() for rho in duals}
+
+
+def test_tensor_inv_of_legs_that_do_not_commute(groups):
+    # 2 + t x c in k[S3 x S3], t a transposition and c a 3-cycle: each leg
+    # is abelian and the tuples span a cyclic group of order 6, but t and c
+    # do not commute, so the dense path inverts it; the inverse is the
+    # Fourier inverse on that cyclic tuple group
+    from lazytwist import hopf
+    from tests_helpers import flat_fourier_invert
+
+    S3 = groups("S3")
+    t = next(g for g in range(S3.order) if S3.element_order(g) == 2)
+    c = next(g for g in range(S3.order) if S3.element_order(g) == 3)
+    x = GTensor(S3, 2, {(0, 0): 2, (t, c): 1})
+    assert hopf._abelian_support(x) is None
+    H, order, index = _tuple_group(S3, 2, x.terms)
+    assert H.order == 6 and H.is_abelian()
+    coeffs = [CycNum.zero()] * H.order
+    for tup, v in x.terms.items():
+        coeffs[index[tup]] = v
+    y = tensor_inv(x)
+    assert y == GTensor(S3, 2, dict(zip(order,
+                                        flat_fourier_invert(H, coeffs))))
+    assert x.mul(y) == GTensor.unit(S3, 2)
 
 
 # -- twist checks on the dual of an abelian support --------------------------
@@ -809,6 +860,7 @@ def test_tensor_inv_fourier_path_matches_dense(groups, monkeypatch):
 def test_twist_checks_on_the_dual_match_the_tensor_path(groups, monkeypatch):
     from lazytwist import hopf
     from lazytwist.hopf import NotATwist, NotInvariant, ThetaContractViolated
+    from tests_helpers import flat_fourier_invert
 
     F = _a4_twist(groups)
     V = _klein(groups)
@@ -830,7 +882,11 @@ def test_twist_checks_on_the_dual_match_the_tensor_path(groups, monkeypatch):
         return is_twist(x), R
 
     dual = [outcome(x) for x in corpus]
+    # the tensor path inverts inside the span of the support, an abelian
+    # tuple group of up to 81 elements for every tensor here; the flat
+    # Fourier oracle inverts there many times faster than the dense solve
     monkeypatch.setattr(hopf, "_abelian_support", lambda x: None)
+    monkeypatch.setattr(hopf, "_dense_invert", flat_fourier_invert)
     assert [outcome(x) for x in corpus] == dual
     assert [twist for twist, _ in dual].count(False) == 2
     assert dual[4][1] == dual[5][1] == (NotATwist, "not a twist")
@@ -858,7 +914,8 @@ def test_r_matrix_on_a_non_abelian_support(groups, monkeypatch):
 
 def test_abelian_supports_have_no_order_cap():
     # a twist on C4 x C4 with all 256 terms: the span of its support in
-    # G x G is over the cap of 200, so only the dual path can decide it
+    # G x G is over the cap of 200, so only the dual path can invert and
+    # decide it
     from tests_helpers import product_group
 
     G = product_group((4, 4))
@@ -880,6 +937,7 @@ def test_abelian_supports_have_no_order_cap():
     assert len(F.terms) == 256
     with pytest.raises(OrderLimitExceeded):
         _tuple_group(G, 2, F.terms)
+    assert F.mul(tensor_inv(F)) == GTensor.unit(G, 2)
     assert is_twist(F)
     tv = theta(F)
     assert tv.socle == A and tv.form == b

@@ -17,7 +17,6 @@ from lazytwist.groups import (
     from_table,
     normal_abelian_subgroups,
 )
-from lazytwist.fixtures import builtin_group
 from lazytwist.hopf import GTensor, r_from_form
 from lazytwist.lazy import (
     _aut_orbits,
@@ -510,8 +509,6 @@ def test_h2_refuses_empty_r5_candidate_set(groups, monkeypatch):
 def test_order_limit(groups):
     with pytest.raises(OrderLimitExceeded):
         h2_compute(groups("Wr_3"), limit=64)
-    with pytest.raises(OrderLimitExceeded):
-        builtin_group("Wr_5")
 
 
 def test_pair_orbits_match_stack_walk(groups):

@@ -422,15 +422,15 @@ def test_invariant_cocycle_search_trivial(groups):
 
 # -- integer linear algebra against the enumerations it replaced -------------
 
-# the builtins (Wr_5 is past the order limit), the eight even-search
-# groups, the five abelian-oracle groups, C2xA4 and D8xC3xC3
+# the builtins, the eight even-search groups, the five abelian-oracle
+# groups, C2xA4 and D8xC3xC3
 ORACLE_PRODUCTS = ["D8xC2", "D8xC4", "D8xC6", "Wr_2xC2", "Q8xC2xC2",
                    "A4xS3", "S4xC2", "D8xS3", "C2xA4", "D8xC3xC3"]
 ORACLE_ABELIAN = [(2, 2, 2, 2), (2, 4, 4), (6, 6), (3, 9), (3, 3, 3)]
 
 
 def _oracle_groups(groups):
-    out = [groups(name) for name in builtin_names() if name != "Wr_5"]
+    out = [groups(name) for name in builtin_names()]
     out += [direct_product(*(groups(f) for f in name.split("x")))
             for name in ORACLE_PRODUCTS]
     return out + [product_group(ds) for ds in ORACLE_ABELIAN]
@@ -496,7 +496,7 @@ def test_d8_c3_c3_pinned(groups):
 def test_odd_pairs_are_witnessed(groups):
     # the square-root cocycle is invariant whenever its form is, so every
     # odd pair has an invariant cocycle
-    cases = [groups(name) for name in builtin_names() if name != "Wr_5"]
+    cases = [groups(name) for name in builtin_names()]
     count = 0
     for G in cases + [product_group((3, 3, 3))]:
         for x in bg_enumerate(G):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from lazytwist.cyclo import (CycNum, _phi, _power_table, _prime_factors,
-                             root_of_unity)
+                             lift, root_of_unity)
 from lazytwist.fixtures import _group_from_elements
 from lazytwist.groups import (FiniteGroup, OrderLimitExceeded,
                               VerdictInconsistent, _hom_search)
@@ -602,6 +602,41 @@ def loop_fourier_invert(H, coeffs):
             v = v + hv * char_value(chi, ainv)
         out.append(v * scale)
     return out
+
+
+def flat_fourier_invert(H, coeffs):
+    """loop_fourier_invert with each Fourier value summed in one pass: the
+    terms are lifted once to integer exponent counts over one zeta_M and a
+    common denominator, added there, and normalized once by the CycNum
+    constructor."""
+    L = H.exponent()
+    exps = [[chi.value_exponent(a)[0] for a in range(H.order)]
+            for chi in characters(H.whole_subgroup())]
+
+    def counts(values):
+        M, raws = lift(values, L)
+        d = lcm(*(q.denominator for raw in raws for q in raw.values()))
+        return M, d, [{k: int(q * d) for k, q in raw.items()} for raw in raws]
+
+    def fourier_sum(lifted, row, sign):
+        M, d, raws = lifted
+        acc = {}
+        for raw, e in zip(raws, row):
+            e = sign * e * (M // L)
+            for k, q in raw.items():
+                k = (k + e) % M
+                acc[k] = acc.get(k, 0) + q
+        return CycNum(M, {k: Fraction(q, d) for k, q in acc.items()})
+
+    support = [a for a, c in enumerate(coeffs) if not c.is_zero()]
+    lifted = counts([coeffs[a] for a in support])
+    hat = [fourier_sum(lifted, [row[a] for a in support], 1) for row in exps]
+    if any(v.is_zero() for v in hat):
+        return None
+    lifted = counts([v.inv() for v in hat])
+    scale = CycNum.rational(Fraction(1, H.order))
+    return [fourier_sum(lifted, [row[a] for row in exps], -1) * scale
+            for a in range(H.order)]
 
 
 def loop_twist_from_cocycle(A, c):
