@@ -161,11 +161,12 @@ def _group_info(args, G, name):
 
 
 def _autc(args, G, name):
-    auts, inn_index = class_preserving_auts(G, args.max_order)
+    _, inn_index = class_preserving_auts(G, args.max_order)
+    inn_order = G.order // center(G).order
     return {
         "group": name,
-        "autc_order": len(auts),
-        "inn_order": len(auts) // inn_index,
+        "autc_order": inn_order * inn_index,
+        "inn_order": inn_order,
         "inn_index": inn_index,
     }
 

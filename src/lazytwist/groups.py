@@ -6,18 +6,22 @@ searches are guarded by an order bound.
 
 Class-preserving automorphisms, Aut(G) and the isomorphism test share one
 pruned backtrack over generator images (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, 2005).  Aut(G) and the isomorphism test draw a
-generator's images from the elements with its signature (order, class
-size, numbers of square and cube roots).  `automorphism_generators` gives
-generators of Aut(G) and its order from a stabilizer chain, with one
-first-hit search per candidate image outside the orbit found so far, and
-never lists Aut(G).  Every closure and orbit walk, here and in `hopf` and
-`lazy`, goes through one breadth-first orbit routine, `_orbit`; `_orbits`
-cuts a point set into such orbits, the conjugacy classes among them.  The
-subgroups generated by conjugacy classes, the normal subgroups behind the
-direct-factor split and the abelian normal subgroups alike, come from one
-such orbit, `_class_subgroups`.  Certifying checks raise
-`VerdictInconsistent`, so they hold under `python -O`.
+Computational Group Theory, 2005).  It takes one label per element of each
+group, kept by every map it looks for, and cuts a branch as soon as any
+element, not only a generator, gets an image with another label.  Aut(G)
+and the isomorphism test label each element by its signature (order, class
+size, numbers of square and cube roots); class-preserving automorphisms by
+its class.  Generators of Aut(G) and of Aut_c(G), with their orders, come
+from one stabilizer chain, `_chain`, with one first-hit search per
+candidate image outside the orbit found so far, and list neither group.
+[Aut_c : Inn] is |Aut_c| |Z(G)| / |G|, certified by sifting conjugation by
+each generator of G through the chain.  Every closure and orbit walk, here
+and in `hopf` and `lazy`, goes through one breadth-first orbit routine,
+`_orbit`; `_orbits` cuts a point set into such orbits, the conjugacy
+classes among them.  The subgroups generated by conjugacy classes, the
+normal subgroups behind the direct-factor split and the abelian normal
+subgroups alike, come from one such orbit, `_class_subgroups`.  Certifying
+checks raise `VerdictInconsistent`, so they hold under `python -O`.
 """
 
 from __future__ import annotations
@@ -490,16 +494,25 @@ class GroupMap:
         return f"GroupMap({self.images})"
 
 
-def _hom_search(G: FiniteGroup, H: FiniteGroup, candidates, first=False):
-    """Sorted image tuples of the injective homomorphisms G -> H sending
-    the i-th generator of G into candidates[i]; with `first`, at most one.
+def _hom_search(G: FiniteGroup, H: FiniteGroup, labels_G, labels_H,
+                pinned=(), first=False):
+    """Sorted image tuples of the injective homomorphisms G -> H that keep
+    every label (labels_H[im[x]] == labels_G[x] for each x) and send the
+    first generators of G to `pinned`; with `first`, at most one.
 
     A map compatible on every edge x -> x*g of a set closed under right
     multiplication by the generators is a homomorphism on their span, so
     each branch extends over the span and is cut at the first edge with
-    im[x*g] != im[x]*im[g], or at an image already taken.
+    im[x*g] != im[x]*im[g], at an image already taken, or at an image
+    whose label differs from its preimage's.  Each generator's images are
+    the elements of H with its label, in increasing order.
     """
     gens, tG, tH = G.generating_set(), G.table, H.table
+    by_label: dict = {}
+    for y, lab in enumerate(labels_H):
+        by_label.setdefault(lab, []).append(y)
+    candidates = [[c] for c in pinned] + [by_label.get(labels_G[g], [])
+                                          for g in gens[len(pinned):]]
     im = [0] + [None] * (G.order - 1)
     used = [True] + [False] * (H.order - 1)
     span, found = [0], []
@@ -508,7 +521,7 @@ def _hom_search(G: FiniteGroup, H: FiniteGroup, candidates, first=False):
         # check, or extend along, x -> x*h; False on a conflict
         y, want = tG[x][h], tH[im[x]][im[h]]
         if im[y] is None:
-            if used[want]:
+            if used[want] or labels_H[want] != labels_G[y]:
                 return False
             im[y], used[want] = want, True
             span.append(y)
@@ -521,7 +534,7 @@ def _hom_search(G: FiniteGroup, H: FiniteGroup, candidates, first=False):
             return
         g, fixed, start = gens[k], gens[:k + 1], len(span)
         for c in candidates[k]:
-            if used[c]:
+            if used[c] or labels_H[c] != labels_G[g]:
                 continue
             im[g], used[c] = c, True
             span.append(g)
@@ -542,28 +555,97 @@ def _hom_search(G: FiniteGroup, H: FiniteGroup, candidates, first=False):
     return sorted(found)
 
 
-def _inner_automorphisms(G: FiniteGroup):
-    return {tuple(G.conjugate(g, x) for x in range(G.order))
-            for g in range(G.order)}
+def _chain(G: FiniteGroup, labels):
+    """Generators of the group K of automorphisms keeping every label, and
+    |K|, from a stabilizer chain.
+
+    Level i holds the automorphisms in K fixing the generators g_1..g_{i-1}
+    of G.  Each image c of g_i outside the orbit found so far costs one
+    search for an automorphism in K with g_j -> g_j (j < i) and g_i -> c;
+    a hit joins the level and widens the orbit.  The levels' automorphisms
+    generate K, and |K| is the product of the orbit lengths (Schreier-Sims
+    by backtrack; Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005, ch. 4).
+    """
+    gens = G.generating_set()
+    found, order = [], 1
+    for i, g in enumerate(gens):
+        level, orbit = [], {g}
+        for c in range(G.order):
+            if labels[c] != labels[g] or c in orbit:
+                continue
+            hit = _hom_search(G, G, labels, labels, gens[:i] + (c,),
+                              first=True)
+            if hit:
+                level.append(hit[0])
+                orbit = set(_orbit(g, level, lambda x, phi: phi[x]))
+        found.extend(level)
+        order *= len(orbit)
+    return [GroupMap(G, G, im) for im in found], order
+
+
+def _chain_contains(G: FiniteGroup, chain, autos) -> bool:
+    """Whether every automorphism in `autos` (image tuples) lies in the
+    group the chain's automorphisms generate.  Each is sifted: at level i,
+    phi(g_i) is walked back to g_i along the breadth-first orbit tree of
+    the chain's automorphisms fixing g_1..g_(i-1), composing phi with the
+    inverse of each tree edge's automorphism; phi lies in the group iff
+    every walk ends at g_i and phi ends as the identity."""
+    gens = G.generating_set()
+    trees = []
+    for i, g in enumerate(gens):
+        level = [a.images for a in chain if all(a(h) == h for h in gens[:i])]
+        # sorting the points by their images inverts a permutation
+        inverse = {a: sorted(range(G.order), key=a.__getitem__)
+                   for a in level}
+        parent: dict = {}
+
+        def act(x, a):
+            parent.setdefault(a[x], (x, inverse[a]))
+            return a[x]
+
+        _orbit(g, level, act)
+        trees.append(parent)
+    identity = tuple(range(G.order))
+    for phi in autos:
+        for g, parent in zip(gens, trees):
+            c = phi[g]
+            while c != g:
+                if c not in parent:
+                    return False
+                c, back = parent[c]
+                phi = tuple(back[y] for y in phi)
+        if phi != identity:
+            return False
+    return True
 
 
 def class_preserving_auts(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT):
-    """All automorphisms preserving every conjugacy class, and [Aut_c : Inn].
+    """Generators of Aut_c(G), the automorphisms preserving every conjugacy
+    class, and [Aut_c : Inn].
 
-    The search draws each generator's image from its own class.
+    The generators come from the stabilizer chain labelled by class, so
+    Aut_c(G) is counted, never listed.  Each generator is checked to keep
+    every class, and conjugation by each generator of G to lie in the
+    group the chain generates, so |Inn| = |G| / |Z(G)| divides |Aut_c|.
     """
     if G.order > limit:
         raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
     classes = G.conjugacy_classes()
-    class_of = {x: ci for ci, c in enumerate(classes) for x in c}
-    found = _hom_search(G, G, [classes[class_of[g]]
-                               for g in G.generating_set()])
-    auts = [GroupMap(G, G, im) for im in found
-            if all(class_of[im[x]] == class_of[x] for x in range(G.order))]
-    inner = _inner_automorphisms(G)
-    if not inner <= {a.images for a in auts} or len(auts) % len(inner):
+    class_of = [0] * G.order
+    for ci, c in enumerate(classes):
+        for x in c:
+            class_of[x] = ci
+    auts, order = _chain(G, class_of)
+    if any(class_of[a(x)] != class_of[x]
+           for a in auts for x in range(G.order)):
+        raise VerdictInconsistent("an automorphism of Aut_c(G) moves a class")
+    if not _chain_contains(G, auts, [
+            tuple(G.conjugate(g, x) for x in range(G.order))
+            for g in G.generating_set()]):
         raise VerdictInconsistent("Inn(G) is not a subgroup of Aut_c(G)")
-    return auts, len(auts) // len(inner)
+    # Z(G) is the union of the classes of one element
+    return auts, order // (G.order // sum(len(c) == 1 for c in classes))
 
 
 def _signatures(G: FiniteGroup) -> list[tuple[int, int, int, int]]:
@@ -577,18 +659,17 @@ def _signatures(G: FiniteGroup) -> list[tuple[int, int, int, int]]:
             for x in range(n)]
 
 
-def _signature_candidates(G: FiniteGroup, H: FiniteGroup):
-    """For each generator of G, the elements of H with its signature; None
-    when the signatures of G and H differ as multisets, so that no
-    isomorphism G -> H exists."""
+def _signature_labels(G: FiniteGroup, H: FiniteGroup):
+    """Per element of G and of H, an integer id of its signature, equal
+    across the two groups where the signatures are; None when the
+    signatures of G and H differ as multisets, so that no isomorphism
+    G -> H exists."""
     sig_G = _signatures(G)
     sig_H = sig_G if H is G else _signatures(H)
     if sorted(sig_G) != sorted(sig_H):
         return None
-    by_sig: dict = {}
-    for x, s in enumerate(sig_H):
-        by_sig.setdefault(s, []).append(x)
-    return [by_sig[sig_G[g]] for g in G.generating_set()]
+    ids = {s: i for i, s in enumerate(sorted(set(sig_G)))}
+    return [ids[s] for s in sig_G], [ids[s] for s in sig_H]
 
 
 def automorphism_group(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT):
@@ -596,38 +677,16 @@ def automorphism_group(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT):
     if G.order > limit:
         raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
     return [GroupMap(G, G, im)
-            for im in _hom_search(G, G, _signature_candidates(G, G))]
+            for im in _hom_search(G, G, *_signature_labels(G, G))]
 
 
 def automorphism_generators(G: FiniteGroup,
                             limit: int = ORDER_LIMIT_DEFAULT):
-    """Generators of Aut(G), and its order, from a stabilizer chain.
-
-    Level i holds the automorphisms fixing the generators g_1..g_{i-1} of
-    G.  Each image c of g_i outside the orbit found so far costs one
-    search for an automorphism with g_j -> g_j (j < i) and g_i -> c; a hit
-    joins the level and widens the orbit.  The levels' automorphisms
-    generate Aut(G), and |Aut(G)| is the product of the orbit lengths
-    (Schreier-Sims by backtrack; Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, 2005, ch. 4).
-    """
+    """Generators of Aut(G), and its order, from the stabilizer chain
+    labelled by signature; Aut(G) is never listed."""
     if G.order > limit:
         raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
-    gens, candidates = G.generating_set(), _signature_candidates(G, G)
-    found, order = [], 1
-    for i, g in enumerate(gens):
-        level, orbit = [], {g}
-        for c in candidates[i]:
-            if c in orbit:
-                continue
-            hit = _hom_search(G, G, [[h] for h in gens[:i]] + [[c]]
-                              + candidates[i + 1:], first=True)
-            if hit:
-                level.append(hit[0])
-                orbit = set(_orbit(g, level, lambda x, phi: phi[x]))
-        found.extend(level)
-        order *= len(orbit)
-    return [GroupMap(G, G, im) for im in found], order
+    return _chain(G, _signature_labels(G, G)[0])
 
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
@@ -637,8 +696,8 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
         return None
     if G.order > limit:
         raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
-    candidates = _signature_candidates(G, H)
-    if candidates is None:
+    labels = _signature_labels(G, H)
+    if labels is None:
         return None
-    found = _hom_search(G, H, candidates, first=True)
+    found = _hom_search(G, H, *labels, first=True)
     return GroupMap(G, H, found[0]) if found else None

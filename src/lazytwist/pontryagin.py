@@ -289,13 +289,19 @@ class DualAction:
         self.G = G
         self.A = A
         self._orders = [d for _, d in A.abelian_structure()]
-        # per group element g: the dual matrix of a -> g^-1 a g
-        self._mats = [_dual_matrix(A, A, lambda a, h=G.inverses[g]:
-                                   G.conjugate(h, a))
-                      for g in range(G.order)]
+        self._mats: dict[int, tuple] = {}
+
+    def _matrix(self, g: int):
+        """The dual matrix of a -> g^-1 a g, built when g is first asked
+        for: the verdict path asks only for G's generators."""
+        if g not in self._mats:
+            h = self.G.inverses[g]
+            self._mats[g] = _dual_matrix(
+                self.A, self.A, lambda a: self.G.conjugate(h, a))
+        return self._mats[g]
 
     def on_exponents(self, g: int, exponents) -> tuple[int, ...]:
-        return _dual_apply(self._mats[g], exponents, self._orders)
+        return _dual_apply(self._matrix(g), exponents, self._orders)
 
     def invariance_map(self):
         """(M, s, t): b is invariant iff M x = 0 mod t for its upper entries
@@ -308,7 +314,7 @@ class DualAction:
         s = [gcd(ds[k], ds[l]) for k, l in pairs]
         M = []
         for g in self.G.generating_set():
-            P = self._mats[g]
+            P = self._matrix(g)
             for i, j in pairs:
                 M.append([(P[i][k] * P[j][l] - P[i][l] * P[j][k]
                            - ((k, l) == (i, j))) * (L // m)

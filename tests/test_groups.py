@@ -1,5 +1,6 @@
 import functools
 import random
+import time
 from itertools import combinations
 from math import prod
 
@@ -30,7 +31,11 @@ from tests_helpers import (
     SPLIT_GROUPS,
     all_subgroups,
     brute_force_homs,
+    class_preserving_listing,
     cubic_associativity_witness,
+    generated_automorphisms,
+    generator_pruned_chain,
+    generator_pruned_homs,
     is_bijective,
     is_homomorphism,
     lattice_normal_abelian_subgroups,
@@ -39,6 +44,7 @@ from tests_helpers import (
     queue_permutations,
     random_loop,
     relabelled,
+    signature_candidates,
     sweep_conjugacy_classes,
 )
 
@@ -239,9 +245,10 @@ def test_normal_subgroups_conjugation_stable(groups):
 
 
 def test_class_preserving_auts_a4(groups):
-    auts, idx = class_preserving_auts(groups("A4"))
+    A4 = groups("A4")
+    auts, idx = class_preserving_auts(A4)
     assert idx == 1
-    assert len(auts) == 12
+    assert len(generated_automorphisms(A4, auts)) == 12
 
 
 def test_class_preserving_auts_wall(groups):
@@ -254,33 +261,30 @@ def test_class_preserving_auts_wall(groups):
     target = {ne["s"]: W.table[u4][ne["s"]],
               ne["t"]: W.table[u4][ne["t"]],
               ne["u"]: ne["u"]}
-    assert any(all(phi(k) == v for k, v in target.items()) for phi in auts)
+    assert any(all(phi[k] == v for k, v in target.items())
+               for phi in generated_automorphisms(W, auts))
 
 
 def test_class_preserving_auts_cyclic(groups):
     for n in [3, 5, 8]:
         auts, idx = class_preserving_auts(groups(f"C{n}"))
-        assert idx == 1 and len(auts) == 1
+        assert idx == 1 and auts == []
 
 
 def test_autc_is_group_and_class_preserving(groups):
     for name in ["S3", "D8", "Wall32"]:
         G = groups(name)
         auts, _ = class_preserving_auts(G)
-        images = {a.images for a in auts}
         classes = G.conjugacy_classes()
         class_of = {x: i for i, c in enumerate(classes) for x in c}
         for a in auts:
-            inverse = [0] * G.order
-            for x, y in enumerate(a.images):
-                inverse[y] = x
-            assert tuple(inverse) in images
+            assert is_homomorphism(a) and is_bijective(a), name
             assert all(class_of[a(x)] == class_of[x] for x in range(G.order))
-            for b in auts:
-                assert tuple(a(b(x)) for x in range(G.order)) in images
+        images = generated_automorphisms(G, auts)
+        assert images == class_preserving_listing(G), name
         inner = {tuple(G.conjugate(g, x) for x in range(G.order))
                  for g in range(G.order)}
-        assert inner <= images
+        assert inner <= set(images)
 
 
 def test_abelian_structure_examples(groups):
@@ -336,13 +340,9 @@ def test_searches_match_brute_force(groups):
             G, G, [by_order[G.element_order(g)] for g in gens])
         assert [a.images for a in automorphism_group(G)] == expected, name
 
-        classes = G.conjugacy_classes()
-        class_of = {x: ci for ci, c in enumerate(classes) for x in c}
-        expected_c = [im for im in brute_force_homs(
-            G, G, [classes[class_of[g]] for g in gens])
-            if all(class_of[im[x]] == class_of[x] for x in range(G.order))]
+        expected_c = class_preserving_listing(G)
         auts, index = class_preserving_auts(G)
-        assert [a.images for a in auts] == expected_c, name
+        assert generated_automorphisms(G, auts) == expected_c, name
         inner = {tuple(G.conjugate(g, x) for x in range(G.order))
                  for g in range(G.order)}
         assert index == len(expected_c) // len(inner), name
@@ -404,9 +404,7 @@ def test_automorphism_generators_match_listing():
     for name in AUT_GROUPS:
         G, listing = _listing(name)
         gens, order = automorphism_generators(G)
-        closure = _orbit(tuple(range(G.order)), [phi.images for phi in gens],
-                         lambda im, phi: tuple(phi[x] for x in im))
-        assert sorted(closure) == listing, name
+        assert generated_automorphisms(G, gens) == listing, name
         assert order == len(listing), name
 
 
@@ -450,8 +448,57 @@ def test_automorphisms_preserve_signature():
 
 
 def test_class_preserving_auts_certifies_inner(groups, monkeypatch):
-    # the trivial endomorphism is no automorphism, so Inn is not inside Aut_c
-    monkeypatch.setattr(groups_module, "_inner_automorphisms",
-                        lambda G: {tuple(range(G.order)), (0,) * G.order})
-    with pytest.raises(VerdictInconsistent):
-        class_preserving_auts(groups("S3"))
+    # a chain that loses the hits of its first level misses every
+    # automorphism moving g_1, so conjugation by some generator of G does
+    # not sift through it
+    search, dropped = groups_module._hom_search, []
+
+    def drop_first_level(G, H, labels_G, labels_H, pinned=(), first=False):
+        found = search(G, H, labels_G, labels_H, pinned, first)
+        if len(pinned) == 1 and found:
+            dropped.append(found)
+            return []
+        return found
+
+    monkeypatch.setattr(groups_module, "_hom_search", drop_first_level)
+    for name in ["S3", "D8", "Wall32"]:
+        dropped.clear()
+        with pytest.raises(VerdictInconsistent,
+                           match=r"Inn\(G\) is not a subgroup of Aut_c\(G\)"):
+            class_preserving_auts(groups(name))
+        assert dropped, name
+
+
+# the search groups and the even-search products, each with two
+# relabellings
+PRUNING_GROUPS = SEARCH_GROUPS + [name for name in SPLIT_GROUPS[:8]
+                                  if name not in SEARCH_GROUPS]
+
+
+def test_pruning_changes_no_answer(groups):
+    # labels at every element cut only subtrees without an automorphism
+    # or isomorphism: the listing, the chain's generators in order and the
+    # first isomorphism match the search that prunes only at generators
+    for name in PRUNING_GROUPS:
+        G = named_group(groups, name)
+        variants = [G, relabelled(G, 1), relabelled(G, 2)]
+        for X, Y in zip(variants, variants[1:] + variants[:1]):
+            candidates = signature_candidates(X, X)
+            assert [a.images for a in automorphism_group(X)] == \
+                generator_pruned_homs(X, X, candidates), name
+            gens, order = automorphism_generators(X)
+            assert ([a.images for a in gens], order) == \
+                generator_pruned_chain(X), name
+            assert find_isomorphism(X, Y).images == generator_pruned_homs(
+                X, Y, signature_candidates(X, Y), first=True)[0], name
+
+
+def test_automorphism_generators_cross_the_d8_cliff():
+    # |Aut(D8 x C2^k)| = |Aut D8| |GL_k(2)| |Hom(C2^k, Z(D8))| |Hom(D8, C2^k)|
+    # (Bidwell, Curran and McCaughan, 2006)
+    for k, expected in [(3, 688128), (4, 660602880)]:
+        G = named_group(builtin_group, "D8" + "xC2" * k)
+        start = time.perf_counter()
+        _, order = automorphism_generators(G)
+        assert order == expected, k
+        assert time.perf_counter() - start < 2, k

@@ -6,7 +6,8 @@ CycNum-loop tensor product, Drinfeld element and character sums, the
 Galois-substitution normal form, the closure loops, the whole-group
 multiplicity test, the n^3 associativity check, the order-only listing of
 Aut(G) and the R5 pair orbits along that listing the library replaced,
-random loops, the enumerations that integer linear algebra replaced (the
+the homomorphism search and Aut(G) chain that prune only at generators,
+the listing of the class-preserving automorphisms, random loops, the enumerations that integer linear algebra replaced (the
 filtered alternating forms, the radical over the whole dual, descent
 through enumerated lifts, the union-find cocycle search and R5's
 per-subset closure loop), and the test-only API moved out of the library:
@@ -23,7 +24,8 @@ from lazytwist.cyclo import (CycNum, _phi, _power_table, _prime_factors,
                              lift, root_of_unity)
 from lazytwist.fixtures import _group_from_elements
 from lazytwist.groups import (FiniteGroup, OrderLimitExceeded,
-                              VerdictInconsistent, _hom_search)
+                              VerdictInconsistent, _hom_search, _orbit,
+                              _signatures)
 from lazytwist.hopf import GTensor, form_from_r, socle
 from lazytwist.lazy import (BGElement, _is_abelian_orders, _pair_orbits,
                             _transport, bg_product)
@@ -436,12 +438,103 @@ def brute_force_homs(G, H, candidates):
 
 def order_only_automorphisms(G):
     """Sorted image tuples of every automorphism of G, found by the search
-    drawing each generator's images from all elements of its order."""
-    by_order = {}
-    for x in range(G.order):
-        by_order.setdefault(G.element_order(x), []).append(x)
-    return _hom_search(G, G, [by_order[G.element_order(g)]
-                              for g in G.generating_set()])
+    labelling each element by its order."""
+    orders = [G.element_order(x) for x in range(G.order)]
+    return _hom_search(G, G, orders, orders)
+
+
+def generator_pruned_homs(G, H, candidates, first=False):
+    """Sorted image tuples of the injective homomorphisms G -> H sending
+    the i-th generator of G into candidates[i], with `first` at most one:
+    the backtrack that checks each element's image only for injectivity
+    and the product rule, with no label at any element."""
+    gens, tG, tH = G.generating_set(), G.table, H.table
+    im = [0] + [None] * (G.order - 1)
+    used = [True] + [False] * (H.order - 1)
+    span, found = [0], []
+
+    def edge(x, h):
+        y, want = tG[x][h], tH[im[x]][im[h]]
+        if im[y] is None:
+            if used[want]:
+                return False
+            im[y], used[want] = want, True
+            span.append(y)
+            return True
+        return im[y] == want
+
+    def extend(k):
+        if k == len(gens):
+            found.append(tuple(im))
+            return
+        g, fixed, start = gens[k], gens[:k + 1], len(span)
+        for c in candidates[k]:
+            if used[c]:
+                continue
+            im[g], used[c] = c, True
+            span.append(g)
+            i, ok = start, all(edge(x, g) for x in span[:start])
+            while ok and i < len(span):
+                ok, i = all(edge(span[i], h) for h in fixed), i + 1
+            if ok:
+                extend(k + 1)
+            for y in span[start:]:
+                used[im[y]], im[y] = False, None
+            del span[start:]
+            if first and found:
+                return
+
+    extend(0)
+    return sorted(found)
+
+
+def signature_candidates(G, H):
+    """For each generator of G, the elements of H with its signature, or
+    None when the signatures of G and H differ as multisets."""
+    sig_G, sig_H = _signatures(G), _signatures(H)
+    if sorted(sig_G) != sorted(sig_H):
+        return None
+    return [[y for y, s in enumerate(sig_H) if s == sig_G[g]]
+            for g in G.generating_set()]
+
+
+def generator_pruned_chain(G):
+    """Generators of Aut(G) and its order from the stabilizer chain run on
+    `generator_pruned_homs`: level i pins g_1..g_(i-1), and each signature
+    candidate of g_i outside the level's orbit costs one first-hit search."""
+    gens, candidates = G.generating_set(), signature_candidates(G, G)
+    found, order = [], 1
+    for i, g in enumerate(gens):
+        level, orbit = [], {g}
+        for c in candidates[i]:
+            if c in orbit:
+                continue
+            hit = generator_pruned_homs(
+                G, G, [[h] for h in gens[:i]] + [[c]] + candidates[i + 1:],
+                first=True)
+            if hit:
+                level.append(hit[0])
+                orbit = set(_orbit(g, level, lambda x, phi: phi[x]))
+        found.extend(level)
+        order *= len(orbit)
+    return found, order
+
+
+def class_preserving_listing(G):
+    """Sorted image tuples of every class-preserving automorphism of G:
+    the brute-force homomorphisms drawing each generator's images from its
+    class, kept when every element stays in its class."""
+    classes = G.conjugacy_classes()
+    class_of = {x: ci for ci, c in enumerate(classes) for x in c}
+    return [im for im in brute_force_homs(
+        G, G, [classes[class_of[g]] for g in G.generating_set()])
+        if all(class_of[im[x]] == class_of[x] for x in range(G.order))]
+
+
+def generated_automorphisms(G, maps):
+    """Sorted image tuples of the group the automorphisms generate."""
+    return sorted(_orbit(tuple(range(G.order)), [phi.images for phi in maps],
+                         lambda im, phi: tuple(phi[x] for x in im)))
 
 
 def listing_pair_orbits(bg, nas, auts):
@@ -744,7 +837,8 @@ def galois_normalize(n, raw):
 def on_form(action, g, b):
     """The transported form (g.b)(rho, sigma) = b(g^-1.rho, g^-1.sigma):
     the push along a -> g a g^-1."""
-    return b.push(action.A, action._mats[action.G.inverses[g]])
+    return b.push(action.A, _dual_matrix(
+        action.A, action.A, lambda a: action.G.conjugate(g, a)))
 
 
 def enumerated_radical(b):
