@@ -1,12 +1,11 @@
 """Integer linear algebra for finite abelian groups.
 
 `smith` is the Smith normal form with its transforms (Cohen, A Course in
-Computational Algebraic Number Theory, GTM 138, 1993, section 2.4).  Two
-thin helpers sit on it: the kernel of a Z-linear map between finite
-abelian groups, from two Smith forms (one for the image order, one for
-the generators), and solvability of an integer system over Q/Z, which
-returns either a solution or an obstruction vector.  Matrices are lists
-of integer rows; both helpers check their answer before returning it.
+Computational Algebraic Number Theory, GTM 138, 1993, section 2.4).  Thin
+helpers sit on it: the kernel of a Z-linear map between finite abelian
+groups, from two Smith forms, and solvability over Q/Z for several
+right-hand sides over one Smith form, a solution or an obstruction vector
+each.  Matrices are lists of integer rows; every helper checks its answer.
 """
 
 from __future__ import annotations
@@ -162,34 +161,41 @@ def span(gens, orders, moduli) -> list[tuple[int, ...]]:
     return out
 
 
-def solve_qz(A, y):
-    """Solve A x = y over Q/Z, for integer rows A and rational y.
-
-    Returns (x, None) with x a list of Fractions in [0, 1), or (None, u)
-    with u an integer row vector such that u A = 0 and u.y is not an
-    integer, which proves that no solution exists: Q/Z is divisible, so
-    with U A V = D the system D z = U y is solvable iff (U y)_i is an
-    integer wherever d_i = 0.
+def solve_qz(A, ys):
+    """Solve A x = y over Q/Z, over one Smith form of the integer rows A,
+    for each rational y in ys: (x, None) with x a list of Fractions in
+    [0, 1), or (None, u) with u an integer row vector such that u A = 0 and
+    u.y is not an integer, which proves that no solution exists: Q/Z is
+    divisible, so with U A V = D the system D z = U y is solvable iff
+    (U y)_i is an integer wherever d_i = 0.
     """
     n = len(A[0]) if A else 0
-    N = lcm(*(Fraction(v).denominator for v in y))
-    Y = [int(Fraction(v) * N) for v in y]
     U, D, V = smith(A)
-    Uy = [sum(u * v for u, v in zip(row, Y) if u) % N for row in U]
-    for i, r in enumerate(Uy):
-        if r and (i >= n or D[i][i] == 0):
-            u = U[i]
-            if any(sum(a * row[j] for a, row in zip(u, A) if a)
-                   for j in range(n)) or not sum(
-                       a * v for a, v in zip(u, Y)) % N:
-                raise VerdictInconsistent("obstruction vector fails its check")
-            return None, u
-    z = [Fraction(Uy[k], N * D[k][k]) if k < len(D) and D[k][k] else 0
-         for k in range(n)]
-    x = [sum(a * b for a, b in zip(row, z)) % 1 for row in V]
-    Q = lcm(N, *(v.denominator for v in x if v))
-    X = [int(v * Q) for v in x]
+    out = []
+    for y in ys:
+        N = lcm(*(Fraction(v).denominator for v in y))
+        Y = [int(Fraction(v) * N) for v in y]
+        Uy = [sum(u * v for u, v in zip(row, Y) if u) for row in U]
+        u = next((U[i] for i, r in enumerate(Uy)
+                  if r % N and (i >= n or D[i][i] == 0)), None)
+        if u is not None and (any(sum(a * row[j] for a, row in zip(u, A) if a)
+                                  for j in range(n))
+                              or not sum(a * v for a, v in zip(u, Y)) % N):
+            raise VerdictInconsistent("obstruction vector fails its check")
+        out.append((None, u) if u is not None
+                   else (back_substitute(A, D, V, Uy, Y, N), None))
+    return out
+
+
+def back_substitute(A, D, V, Uy, Y, N) -> list[Fraction]:
+    """The solution x in [0, 1)^n of A x = Y / N over Q/Z, checked, from a
+    Smith form U A V = D and Uy = U Y, 0 mod N on rows without a pivot."""
+    pivots = [D[k][k] for k in range(min(len(D), len(V))) if D[k][k]]
+    Q = N * lcm(*pivots)
+    # z = D^-1 U y over the common denominator Q, and x = V z
+    z = [Uy[k] * (Q // (N * d)) for k, d in enumerate(pivots)]
+    X = [sum(a * b for a, b in zip(row, z)) % Q for row in V]
     if any((sum(a * b for a, b in zip(row, X)) - v * (Q // N)) % Q
            for row, v in zip(A, Y)):
         raise VerdictInconsistent("solution fails its check")
-    return x, None
+    return [Fraction(v, Q) for v in X]

@@ -15,14 +15,15 @@ zeta_p^(p-1) of Q(zeta_n) over Q(zeta_m), and it descends iff its
 coordinates there are all equal.  Values are lifted to a common conductor
 by scaling exponents; the normal form folds them.  A sum built from integer
 exponent counts over one common denominator (`from_counts`) is normalized
-on the integers and divided by the denominator once.
+on the integers and divided by the denominator once.  The inverse is the
+product of the other Galois conjugates over the norm, a non-zero rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
     "CycNum",
@@ -45,10 +46,6 @@ class MalformedNumber(ValueError):
 
 class CyclotomicInconsistent(ArithmeticError):
     """An internal invariant of the normal form failed."""
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -87,8 +84,8 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)
     poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        if d < n:
+    for d in range(1, n):
+        if n % d == 0:
             poly = _poly_div_exact(poly, list(cyclotomic_poly(d)))
     return tuple(poly)
 
@@ -261,21 +258,17 @@ class CycNum:
             raise DivisionByZero("inverse of zero")
         if self.n == 1:
             return CycNum.rational(1 / self.coeffs[0])
-        phi = _phi(self.n)
-        mod = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        a = [self.coeffs.get(e, Fraction(0)) for e in range(phi)]
-        # extended Euclid: u*a + v*mod = g, g a nonzero constant
-        r0, r1 = mod, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _poly_deg(r1) > 0:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if _poly_deg(r1) != 0 or not r1[0]:
-            raise CyclotomicInconsistent("cyclotomic polynomial not coprime")
-        g = r1[0]
-        u = {e: c / g for e, c in enumerate(s1) if c}
-        return CycNum(self.n, u)
+        # x times its other Galois conjugates zeta -> zeta^k, k in (Z/n)^*,
+        # is the norm of x, a non-zero rational
+        others = CycNum.one()
+        for k in range(2, self.n):
+            if gcd(k, self.n) == 1:
+                others = others * CycNum(self.n, {e * k % self.n: q for e, q
+                                                  in self.coeffs.items()})
+        norm = self * others
+        if norm.n != 1 or norm.is_zero():
+            raise CyclotomicInconsistent("norm is not a non-zero rational")
+        return others * (1 / norm.coeffs[0])
 
     def __truediv__(self, other) -> CycNum:
         return self * _coerce(other).inv()
@@ -360,50 +353,6 @@ def _coerce(x) -> CycNum:
     if isinstance(x, (int, Fraction)):
         return CycNum.rational(x)
     raise TypeError(f"cannot coerce {type(x)!r} into a cyclotomic number")
-
-
-def _poly_deg(p: list[Fraction]) -> int:
-    d = len(p) - 1
-    while d > 0 and not p[d]:
-        d -= 1
-    return d
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dd = _poly_deg(den)
-    dn = _poly_deg(num)
-    lead = den[dd]
-    quot = [Fraction(0)] * max(dn - dd + 1, 1)
-    for i in range(dn - dd, -1, -1):
-        c = num[i + dd] / lead
-        quot[i] = c
-        if c:
-            for j in range(dd + 1):
-                num[i + j] -= c * den[j]
-    rem = num[:dd] if dd else [Fraction(0)]
-    if not rem:
-        rem = [Fraction(0)]
-    return quot, rem[: max(_poly_deg(rem) + 1, 1)]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 def root_of_unity(n: int, e: int) -> CycNum:

@@ -17,9 +17,9 @@ the order of its form.  The partial product and the Aut(G) orbits of rule
 R5 act on the forms too, by pushing them along homomorphisms of socles
 (R(B, psi_* b) = (psi x psi) R(A, b)), so no verdict builds R(A, b).
 RW decides for every non-trivial pair, odd or even, whether an invariant
-cocycle realizes it (`pontryagin.invariant_cocycle_search`); R4 counts the
-witnessed pairs, and R5 takes their indices in the pair list.  R5 walks
-each Aut(G) orbit along generators from a stabilizer chain
+cocycle realizes it, from one kernel per socle (`RealizableForms`); R4
+counts the witnessed pairs, and R5 takes their indices in the pair list.
+R5 walks each Aut(G) orbit along generators from a stabilizer chain
 (`groups.automorphism_generators`), checks closure under the partial
 product on one representative per orbit, and refuses an empty candidate
 set.  R3 reads the invariant factors of the invariant forms off the Smith
@@ -55,8 +55,8 @@ from .pontryagin import (
     AltForm,
     Character,
     DualAction,
+    RealizableForms,
     _dual_matrix,
-    invariant_cocycle_search,
     invariant_forms,
     is_nondegenerate,
     is_symmetric_type,
@@ -482,10 +482,12 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
     # RW: explicit invariant-cocycle witnesses realize socle-form pairs
     witnessed: list[int] = []
     if exact is None:
-        witnessed = [i for i, x in enumerate(bg) if not x.is_trivial()
-                     and invariant_cocycle_search(
-                         x.subgroup, x.form,
-                         DualAction(G, x.subgroup)).witness is not None]
+        # bg is sorted by socle, so each socle's pairs are one run
+        for _, run in itertools.groupby(range(1, bg_size),
+                                        lambda i: bg[i].subgroup.elements):
+            run = list(run)
+            forms = RealizableForms(DualAction(G, bg[run[0]].subgroup))
+            witnessed += [i for i in run if forms.realizes(bg[i].form)]
         if witnessed:
             certs.append({
                 "rule": "RW",

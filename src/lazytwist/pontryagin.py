@@ -6,9 +6,9 @@ the work here is modular integer arithmetic, materialized as CycNum only
 at the edges.  Every condition on a form, and on a cocycle that realizes
 it, is Z-linear in these exponents, so the invariant forms, radicals,
 descent and the invariant-cocycle decision are kernels and systems over
-Q/Z solved through the Smith normal form (`_smith`); nothing sweeps the
-whole dual.  All forms and the invariant ones are listed by one span,
-`_forms`; `invariant_forms` filters nothing, callers test non-degeneracy.
+Q/Z solved through the Smith normal form (`_smith`); the forms realized on
+a socle are one kernel (`RealizableForms`).  All forms and the invariant
+ones are one span, `_forms`; callers test non-degeneracy.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Optional
 
-from ._smith import kernel, solve_qz, span
+from ._smith import back_substitute, kernel, smith, solve_qz, span
 from .cyclo import CycNum, root_of_unity
 from .groups import (FiniteGroup, OrderLimitExceeded, Subgroup,
                      VerdictInconsistent)
@@ -39,6 +39,7 @@ __all__ = [
     "cocycle_identity_holds",
     "invariant_cocycle_search",
     "CocycleSearch",
+    "RealizableForms",
 ]
 
 
@@ -186,14 +187,13 @@ class AltForm:
         rows = [list(coords[c]) for c, _ in basis] + [
             [d if j == i else 0 for j in range(len(ds))]
             for i, d in enumerate(ds)]
-        lifts = []
-        for u in _units(len(basis)):
-            v, _ = solve_qz(rows, [Fraction(x, f) for x, (_, f) in
-                                   zip(u, basis)] + [0] * len(ds))
-            if v is None:
-                raise VerdictInconsistent("a character of D has no lift")
-            lifts.append(tuple(int(x * d) for x, d in zip(v, ds)))
-        out = self.push(D, lifts)
+        lifts = solve_qz(rows, [[Fraction(x, f) for x, (_, f) in
+                                 zip(u, basis)] + [0] * len(ds)
+                                for u in _units(len(basis))])
+        if any(v is None for v, _ in lifts):
+            raise VerdictInconsistent("a character of D has no lift")
+        out = self.push(D, [tuple(int(x * d) for x, d in zip(v, ds))
+                            for v, _ in lifts])
         if out.push(self.group, _dual_matrix(D, self.group, lambda a: a)) \
                 != self:
             raise VerdictInconsistent("form does not descend to the subgroup")
@@ -431,81 +431,123 @@ def cocycle_identity_holds(A: Subgroup, c: dict) -> bool:
 
 @dataclass(frozen=True)
 class CocycleSearch:
-    """Decision on an invariant cocycle: a witness table, or None.
-
-    argument is "witness" when a table was found and checked, and
-    "contradiction" when an integer combination of the linear conditions
-    on lambda (see invariant_cocycle_search) has a right-hand side that is
-    not 0 in Q/Z: no k*-valued invariant cocycle with the form exists.
+    """Decision on an invariant cocycle: a checked witness table and
+    "witness", or None and "contradiction" when a checked obstruction row
+    (see RealizableForms) shows that no k*-valued one with the form exists.
     """
 
     witness: Optional[dict]
     argument: str
 
 
+def _is_cocycle(c, add, Q) -> bool:
+    """Whether the exponent table c mod Q, over a group with addition table
+    add and identity 0, is a cocycle with c(0, 0) = 0, hence normalized."""
+    n = range(len(c))
+    return not c[0][0] % Q and not any(
+        (c[x][y] + c[add[x][y]][z] - c[y][z] - c[x][add[y][z]]) % Q
+        for x in n for y in n for z in n)
+
+
+class RealizableForms:
+    """The forms b on the dual X of a normal abelian subgroup A that a
+    G-invariant normalized 2-cocycle on X realizes, decided once per socle.
+
+    H^2(X, k*) is the group of alternating forms of X (Karpilovsky,
+    Projective Representations of Finite Groups, 1985): every normalized
+    cocycle with form b is c = beta_b d(lambda), lambda(1) = 1, beta_b(rho,
+    sigma) = prod_{i<j} b(chi_i, chi_j)^(rho_j sigma_i).  For a generator g,
+    f = c(g., g.)/c is a normalized cocycle, and f = 1 once f = 1 on X x
+    {dual generators}.  So invariance is M lambda = Y x / L over Q/Z, one
+    row per (g, rho, e = chi_i), x b's upper entries: M does not depend on
+    b, and Y_ij(rho, g, e) = (rho_j e_i - (g rho)_j (g e)_i) L / gcd(d_i,
+    d_j).  With one Smith form U M V = D, b is realized iff (U Y x)_i = 0
+    mod L on each row i without a pivot (u M = 0 is checked for each): the
+    realized forms are a kernel, `gens` of `orders`.  The checks of a
+    cocycle (identity, invariance, form) are Z-linear in its exponents mod
+    Q, so a checked cocycle per generator certifies every realized form.
+    """
+
+    def __init__(self, action: DualAction):
+        ds, self.A = action._orders, action.A
+        self.L = L = lcm(*ds)
+        self.pairs = list(itertools.combinations(range(len(ds)), 2))
+        self.moduli = [gcd(ds[i], ds[j]) for i, j in self.pairs]
+        self.duals = duals = list(itertools.product(*(range(d) for d in ds)))
+        index = {rho: k for k, rho in enumerate(duals)}
+        self.add = add = [[index[tuple((u + v) % d for u, v, d in
+                                       zip(x, y, ds))] for y in duals]
+                          for x in duals]
+        self.moves = [[index[action.on_exponents(g, rho)] for rho in duals]
+                      for g in action.G.generating_set()]
+        rows = {}
+        for move, e, rho in itertools.product(
+                self.moves, [index[u] for u in _units(len(ds))],
+                range(len(duals))):
+            grho, ge, row = move[rho], move[e], [0] * len(duals)
+            # c(g rho, g e) - c(rho, e), beta moved to the right
+            for k, sign in ((grho, 1), (ge, 1), (add[grho][ge], -1),
+                            (rho, -1), (e, -1), (add[rho][e], 1)):
+                row[k] += sign
+            y = tuple((duals[rho][j] * duals[e][i] - duals[grho][j]
+                       * duals[ge][i]) * (L // m)
+                      for (i, j), m in zip(self.pairs, self.moduli))
+            rows[tuple(row[1:]), y] = None
+        self.M, self.Y = [list(row) for row, _ in rows], [y for _, y in rows]
+        U, self.D, self.V = smith(self.M)
+        self.UY = [[sum(u * y[k] for u, y in zip(row, self.Y))
+                    for k in range(len(self.pairs))] for row in U]
+        # the rows without a pivot, one per value mod L
+        n = len(duals) - 1
+        free = {tuple(v % L for v in self.UY[i]): U[i] for i in range(len(U))
+                if i >= n or not self.D[i][i]}
+        if any(sum(a * row[k] for a, row in zip(u, self.M))
+               for u in free.values() for k in range(n)):
+            raise VerdictInconsistent("obstruction vector fails its check")
+        self.free, self.cocycles = list(free), None
+        self.gens, self.orders = kernel(self.free, self.moduli,
+                                        [L] * len(free))
+
+    def realizes(self, b: AltForm) -> bool:
+        """Whether b's upper entries are in the kernel; the first yes checks
+        one cocycle per generator (`cocycles`), certifying every yes."""
+        if any(sum(a * b.matrix[i][j] for a, (i, j) in zip(row, self.pairs))
+               % self.L for row in self.free):
+            return False
+        if self.cocycles is None:
+            self.cocycles = [self.cocycle(x) for x in self.gens]
+        return True
+
+    def cocycle(self, x) -> tuple[int, list[list[int]]]:
+        """(Q, c), c[rho][sigma] mod Q: a checked cocycle of form x."""
+        L, duals, add, n = self.L, self.duals, self.add, range(len(self.duals))
+        lam = back_substitute(self.M, self.D, self.V, *(
+            [sum(a * v for a, v in zip(row, x)) for row in T]
+            for T in (self.UY, self.Y)), L)
+        Q = lcm(L, *(v.denominator for v in lam))
+        ell = [0] + [int(v * Q) for v in lam]
+        w = [v * (L // m) * (Q // L) for v, m in zip(x, self.moduli)]
+        c = [[(sum(wk * rho[j] * sigma[i] for wk, (i, j) in zip(w, self.pairs))
+               + ell[r] + ell[t] - ell[add[r][t]]) % Q
+              for t, sigma in enumerate(duals)] for r, rho in enumerate(duals)]
+        b = AltForm.from_upper(self.A, dict(zip(self.pairs, x)))
+        if any(c[m[r]][m[t]] != c[r][t] for m in self.moves for r in n
+               for t in n) or any(
+                   (c[t][r] - c[r][t] - b.value_exponent(duals[r], duals[t])[0]
+                    * (Q // L)) % Q for r in n for t in n) \
+                or not _is_cocycle(c, add, Q):
+            raise VerdictInconsistent("invariant cocycle fails its check")
+        return Q, c
+
+
 def invariant_cocycle_search(A: Subgroup, b: AltForm,
                              action: DualAction) -> CocycleSearch:
     """Decide whether a normalized action-invariant two-cocycle with form b
-    exists on the dual X of A.
-
-    H^2(X, k*) of a finite abelian X is its group of alternating forms
-    (Karpilovsky, Projective Representations of Finite Groups, 1985), so
-    every normalized cocycle with form b is c = beta * d(lambda), beta the
-    bilinear beta(rho, sigma) = prod_{i<j} b(chi_i, chi_j)^(rho_j sigma_i)
-    and lambda: X -> k* with lambda(1) = 1.  For a generator g, f =
-    c(g., g.)/c is a normalized cocycle, and its identity at (rho, sigma,
-    chi_i) reads f(rho, sigma chi_i) = f(rho, sigma) once f = 1 on X x
-    {dual generators}, so then f = 1.  Invariance is thus the linear system
-    over Q/Z, one row per (g, rho, chi_i), in the exponents of lambda; the
-    roots of unity are a direct summand of k*, so its solvability decides
-    existence.  A witness table is checked for the cocycle identity,
-    invariance and its form, an obstruction by solve_qz.
-    """
-    ds = [d for _, d in A.abelian_structure()]
-    L = lcm(*ds)
-    W = [[b.matrix[i][j] * (L // gcd(ds[i], ds[j])) if i < j else 0
-          for j in range(len(ds))] for i in range(len(ds))]
-    duals = list(itertools.product(*(range(d) for d in ds)))
-    zero = duals[0]
-    unknown = {rho: k for k, rho in enumerate(duals[1:])}
-
-    def add(x, y):
-        return tuple((u + v) % d for u, v, d in zip(x, y, ds))
-
-    def beta(rho, sigma):
-        return sum(W[i][j] * rho[j] * sigma[i] for i in range(len(ds))
-                   for j in range(i + 1, len(ds)))
-
-    # each generator's action on the dual, as a map of exponent tuples
-    moves = [{rho: action.on_exponents(g, rho) for rho in duals}
-             for g in action.G.generating_set()]
-    rows = {}
-    for move in moves:
-        for e in _units(len(ds)):
-            for rho in duals:
-                grho, ge = move[rho], move[e]
-                row = [0] * len(unknown)
-                # c(g rho, g e) - c(rho, e), beta moved to the right
-                for x, sign in ((grho, 1), (ge, 1), (add(grho, ge), -1),
-                                (rho, -1), (e, -1), (add(rho, e), 1)):
-                    if x != zero:
-                        row[unknown[x]] += sign
-                rows[tuple(row), (beta(rho, e) - beta(grho, ge)) % L] = None
-    lam, _ = solve_qz([list(row) for row, _ in rows],
-                      [Fraction(y, L) for _, y in rows])
-    if lam is None:
+    exists on the dual of A, by `RealizableForms`."""
+    forms = RealizableForms(action)
+    if not forms.realizes(b):
         return CocycleSearch(None, "contradiction")
-
-    Q = lcm(L, *(v.denominator for v in lam))
-    ell = dict(zip(duals, [0] + [int(v * Q) for v in lam]))
-    c = {(rho, sigma): (beta(rho, sigma) * (Q // L) + ell[rho] + ell[sigma]
-                        - ell[add(rho, sigma)]) % Q
-         for rho in duals for sigma in duals}
-    table = {pair: root_of_unity(Q, e) for pair, e in c.items()}
-    if any(c[move[rho], move[sigma]] != e
-           for move in moves for (rho, sigma), e in c.items()) or any(
-               (c[sigma, rho] - e - b.value_exponent(rho, sigma)[0]
-                * (Q // L)) % Q for (rho, sigma), e in c.items()) \
-            or not cocycle_identity_holds(A, table):
-        raise VerdictInconsistent("invariant cocycle witness fails its check")
-    return CocycleSearch(table, "witness")
+    Q, c = forms.cocycle([b.matrix[i][j] for i, j in forms.pairs])
+    return CocycleSearch({(rho, sigma): root_of_unity(Q, c[r][t])
+                          for r, rho in enumerate(forms.duals)
+                          for t, sigma in enumerate(forms.duals)}, "witness")

@@ -145,10 +145,16 @@ def test_internal_checks_raise(monkeypatch):
     with pytest.raises(CyclotomicInconsistent, match="non-exact"):
         # z^2 + 1 = (z + 1)(z - 1) + 2
         cyclo._poly_div_exact([1, 0, 1], [1, 1])
-    x = CycNum(3, {0: Fraction(1), 1: Fraction(1)}, _normalized=True)
-    monkeypatch.setattr(cyclo, "cyclotomic_poly", lambda n: (1, 2, 1))
-    with pytest.raises(CyclotomicInconsistent, match="not coprime"):
-        x.inv()  # 1 + z divides the substituted modulus (1 + z)^2
+    # the inverse divides by the norm, the product of the Galois conjugates
+    # zeta -> zeta^k over k coprime to n; a wrong set of k gives a norm that
+    # is not a non-zero rational: (1 + z8)(1 + z8^3) = z8 + z8^3 = i sqrt 2
+    # for k = 3 alone, and 0 once k = 4 (1 + z8^4 = 0) is taken
+    x = CycNum(8, {0: Fraction(1), 1: Fraction(1)})
+    for fake_gcd in (lambda k, n: 1 if k == 3 else 2, lambda k, n: 1):
+        monkeypatch.setattr(cyclo, "gcd", fake_gcd)
+        with pytest.raises(CyclotomicInconsistent,
+                           match="norm is not a non-zero rational"):
+            x.inv()
 
 
 # -- the normal form against Galois-fixed tests and a subfield solve ----------

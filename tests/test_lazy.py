@@ -8,6 +8,8 @@ import pytest
 
 from lazytwist import hopf, lazy
 from lazytwist.cli import _EXPECTED_SUITE, main
+from lazytwist.cyclo import CycNum
+from lazytwist.fixtures import builtin_names
 from lazytwist.groups import (
     OrderLimitExceeded,
     VerdictInconsistent,
@@ -36,6 +38,7 @@ from lazytwist._smith import kernel
 from lazytwist.pontryagin import (DualAction, alternating_forms,
                                   invariant_cocycle_search, invariant_forms)
 from tests_helpers import (
+    RW_PRODUCTS,
     SPLIT_GROUPS,
     abelian_order_multisets,
     abelian_types,
@@ -484,6 +487,20 @@ def test_theta_surjective_construction_odd(groups):
             tv = theta(F)
             assert tv.socle == x.subgroup
             assert tv.form == x.form
+
+
+def test_no_verdict_builds_a_cycnum(groups, monkeypatch):
+    # RW decides on integer exponents, so every report of the builtins and
+    # RW's oracle products comes out the same with CycNum refused
+    cases = [groups(name) for name in builtin_names()] + [
+        named_group(groups, name) for name in RW_PRODUCTS]
+    reports = [h2_compute(G).to_json() for G in cases]
+
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError("a verdict built a CycNum")
+
+    monkeypatch.setattr(CycNum, "__init__", refuse)
+    assert [h2_compute(G).to_json() for G in cases] == reports
 
 
 def test_h2_structure_must_multiply_to_exact_order(groups, monkeypatch):

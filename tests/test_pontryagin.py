@@ -18,6 +18,7 @@ from lazytwist.pontryagin import (
     NotInSubgroup,
     NotNormalSubgroup,
     EvenOrder,
+    RealizableForms,
     _dual_matrix,
     alternating_forms,
     cocycle_from_form_odd,
@@ -27,10 +28,11 @@ from lazytwist.pontryagin import (
     is_nondegenerate,
     is_symmetric_type,
 )
-from tests_helpers import (char_mul, char_value, characters, cocycle_form,
-                           direct_product, enumerated_descend,
+from tests_helpers import (RW_PRODUCTS, char_mul, char_value, characters,
+                           cocycle_form, direct_product, enumerated_descend,
                            enumerated_radical, filtered_invariant_forms,
-                           form_value, on_character, on_form,
+                           form_value, named_group, on_character, on_form,
+                           per_pair_cocycle_search,
                            product_alternating_forms, product_group,
                            union_find_cocycle_search)
 
@@ -486,6 +488,48 @@ def test_cocycle_decision_matches_union_find(groups):
     assert decided["witness"] and decided["contradiction"], decided
 
 
+# RW's witnessed counts, pinned where the per-socle decision was first
+# compared with the per-pair solver
+RW_WITNESSED = {"D8xC2xC2xC2": 63, "Q8xC2xC2xC2": 63, "D8xD8xC2": 7,
+                "D8xC3xC3": 2}
+
+
+def test_per_socle_decision_matches_per_pair_solver(groups):
+    # on every non-trivial pair of the builtins and RW_PRODUCTS, the
+    # socle's realized forms hold b iff the per-pair solver finds a
+    # witness, and the query agrees; each query witness is a cocycle,
+    # invariant, with form b
+    witnessed = {}
+    for G in [groups(name) for name in builtin_names()] + [
+            named_group(groups, name) for name in RW_PRODUCTS]:
+        count = 0
+        for _, run in itertools.groupby(bg_enumerate(G)[1:],
+                                        lambda x: x.subgroup.elements):
+            run = list(run)
+            A = run[0].subgroup
+            act = DualAction(G, A)
+            forms = RealizableForms(act)
+            moves = [{rho: act.on_exponents(g, rho) for rho in forms.duals}
+                     for g in G.generating_set()]
+            for x in run:
+                old = per_pair_cocycle_search(A, x.form, act)
+                res = invariant_cocycle_search(A, x.form, act)
+                assert forms.realizes(x.form) == \
+                    (old.argument == "witness") == \
+                    (res.argument == "witness"), (G.name, x.key())
+                if res.witness is None:
+                    assert res.argument == "contradiction"
+                    continue
+                count += 1
+                c = res.witness
+                assert cocycle_identity_holds(A, c)
+                assert cocycle_form(A, c) == x.form
+                assert all(c[move[rho], move[sigma]] == v for move in moves
+                           for (rho, sigma), v in c.items())
+        witnessed[G.name] = count
+    assert {name: witnessed[name] for name in RW_WITNESSED} == RW_WITNESSED
+
+
 def test_d8_c3_c3_pinned(groups):
     G = direct_product(groups("D8"), groups("C3"), groups("C3"))
     rep = h2_compute(G, name="D8xC3xC3")
@@ -510,14 +554,20 @@ def test_odd_pairs_are_witnessed(groups):
 
 
 def test_witness_check_raises(groups, monkeypatch):
-    # a witness table failing the cocycle identity raises, also under -O
+    # a generator cocycle failing the cocycle identity raises, in RW's
+    # per-socle decision, in the verdict and in the query, also under -O
     A4 = groups("A4")
     x = bg_enumerate(A4)[1]
     act = DualAction(A4, x.subgroup)
+    forms = RealizableForms(act)
+    assert forms.gens and forms.realizes(x.form)
     assert invariant_cocycle_search(x.subgroup, x.form, act).argument == \
         "witness"
-    monkeypatch.setattr(pontryagin, "cocycle_identity_holds",
-                        lambda A, c: False)
+    monkeypatch.setattr(pontryagin, "_is_cocycle", lambda c, add, Q: False)
+    with pytest.raises(VerdictInconsistent):
+        RealizableForms(act).realizes(x.form)
+    with pytest.raises(VerdictInconsistent):
+        h2_compute(A4)
     with pytest.raises(VerdictInconsistent):
         invariant_cocycle_search(x.subgroup, x.form, act)
 
@@ -529,7 +579,7 @@ def test_checks_raise_on_a_wrong_smith_form(monkeypatch):
     for D in ([[0]], [[1]]):
         monkeypatch.setattr(_smith, "smith", lambda A, D=D: ([[1]], D, [[1]]))
         with pytest.raises(VerdictInconsistent):
-            solve_qz([[2]], [Fraction(1, 2)])
+            solve_qz([[2]], [[Fraction(1, 2)]])
     # x -> 2x on Z/4 has the kernel {0, 2}; a Smith form of zero claims all
     # of Z/4
     monkeypatch.setattr(_smith, "smith", lambda A: (

@@ -121,25 +121,29 @@ def _minor_gcd(A, r):
 
 @settings(max_examples=200, deadline=None)
 @given(matrices((1, 4), (1, 2), (-2, 2)),
-       st.sampled_from([1, 2, 3, 4, 6]), st.data())
-def test_solve_qz_matches_enumeration(A, N, data):
-    y = [Fraction(data.draw(st.integers(0, N - 1)), N) for _ in A]
-    x, u = solve_qz(A, y)
+       st.sampled_from([1, 2, 3, 4, 6]), st.integers(1, 3), st.data())
+def test_solve_qz_matches_enumeration(A, N, count, data):
+    # several right-hand sides over one Smith form, each decided on its own
+    ys = [[Fraction(data.draw(st.integers(0, N - 1)), N) for _ in A]
+          for _ in range(count)]
+    results = solve_qz(A, ys)
+    assert len(results) == count
     # if the system is solvable, d_1 ... d_r = gcd of the r x r minors
     # bounds the denominators of the solution solve_qz builds, so the grid
     # of step 1/Q holds one
     rank = max(r for r in range(3) if _minor_gcd(A, r))
     Q = N * _minor_gcd(A, rank)
-    solvable = any(
-        all((sum(a * Fraction(v, Q) for a, v in zip(row, grid)) - yi) % 1
-            == 0 for row, yi in zip(A, y))
-        for grid in itertools.product(range(Q), repeat=len(A[0])))
-    assert (x is not None) == solvable
-    if x is not None:
-        assert u is None
-        assert all((sum(a * v for a, v in zip(row, x)) - yi) % 1 == 0
-                   for row, yi in zip(A, y))
-    else:
-        assert all(sum(a * row[j] for a, row in zip(u, A)) == 0
-                   for j in range(len(A[0])))
-        assert sum(a * v for a, v in zip(u, y)) % 1 != 0
+    for y, (x, u) in zip(ys, results):
+        solvable = any(
+            all((sum(a * Fraction(v, Q) for a, v in zip(row, grid)) - yi) % 1
+                == 0 for row, yi in zip(A, y))
+            for grid in itertools.product(range(Q), repeat=len(A[0])))
+        assert (x is not None) == solvable
+        if x is not None:
+            assert u is None
+            assert all((sum(a * v for a, v in zip(row, x)) - yi) % 1 == 0
+                       for row, yi in zip(A, y))
+        else:
+            assert all(sum(a * row[j] for a, row in zip(u, A)) == 0
+                       for j in range(len(A[0])))
+            assert sum(a * v for a, v in zip(u, y)) % 1 != 0

@@ -7,12 +7,14 @@ Galois-substitution normal form, the closure loops, the whole-group
 multiplicity test, the n^3 associativity check, the order-only listing of
 Aut(G) and the R5 pair orbits along that listing the library replaced,
 the homomorphism search and Aut(G) chain that prune only at generators,
-the listing of the class-preserving automorphisms, random loops, the enumerations that integer linear algebra replaced (the
-filtered alternating forms, the radical over the whole dual, descent
-through enumerated lifts, the union-find cocycle search and R5's
-per-subset closure loop), and the test-only API moved out of the library:
-character products, the dual action on characters, the form of a cocycle
-and the homomorphism and bijection checks of a map."""
+the listing of the class-preserving automorphisms, random loops, the
+enumerations that integer linear algebra replaced (the filtered
+alternating forms, the radical over the whole dual, descent through
+enumerated lifts, the union-find cocycle search, the per-pair
+invariant-cocycle system and R5's per-subset closure loop), and the
+test-only API moved out of the library: character products, the dual
+action on characters, the form of a cocycle and the homomorphism and
+bijection checks of a map."""
 
 import itertools
 import random
@@ -22,6 +24,7 @@ from math import gcd, lcm
 
 from lazytwist.cyclo import (CycNum, _phi, _power_table, _prime_factors,
                              lift, root_of_unity)
+from lazytwist._smith import solve_qz
 from lazytwist.fixtures import _group_from_elements
 from lazytwist.groups import (FiniteGroup, OrderLimitExceeded,
                               VerdictInconsistent, _hom_search, _orbit,
@@ -380,6 +383,13 @@ def direct_product(*factors):
 SPLIT_GROUPS = ["D8xC2", "D8xC4", "D8xC6", "Wr_2xC2", "Q8xC2xC2", "A4xS3",
                 "S4xC2", "D8xS3", "A4xC2", "S3xS3xC2", "C27sdxC2",
                 "C2xC2xD8"]
+
+
+# RW's oracle products: the eight even-search groups, A4xC2, D8xC3xC3,
+# Wall32xC2, D8xD8xC2, D8xC2^3 and Q8xC2^3
+RW_PRODUCTS = ["D8xC2", "D8xC4", "D8xC6", "Wr_2xC2", "Q8xC2xC2", "A4xS3",
+               "S4xC2", "D8xS3", "A4xC2", "D8xC3xC3", "Wall32xC2",
+               "D8xD8xC2", "D8xC2xC2xC2", "Q8xC2xC2xC2"]
 
 
 def named_group(groups, name):
@@ -951,6 +961,67 @@ def union_find_cocycle_search(A, b, action, assignment_cap=1 << 20):
         if cocycle_identity_holds(A, table):
             return CocycleSearch(table, "witness")
     return CocycleSearch(None, "range-exhausted")
+
+
+def per_pair_cocycle_search(A, b, action):
+    """The invariant-cocycle decision for one pair, as RW made it before
+    the per-socle system: the linear system over Q/Z in the exponents of
+    lambda, built and solved for this b alone, with a CycNum witness table
+    checked by the cubic sweep.
+
+    Every normalized cocycle with form b is c = beta * d(lambda), beta the
+    bilinear beta(rho, sigma) = prod_{i<j} b(chi_i, chi_j)^(rho_j sigma_i)
+    and lambda: X -> k* with lambda(1) = 1; invariance is one row per (g,
+    rho, chi_i).
+    """
+    ds = [d for _, d in A.abelian_structure()]
+    L = lcm(*ds)
+    W = [[b.matrix[i][j] * (L // gcd(ds[i], ds[j])) if i < j else 0
+          for j in range(len(ds))] for i in range(len(ds))]
+    duals = list(itertools.product(*(range(d) for d in ds)))
+    zero = duals[0]
+    unknown = {rho: k for k, rho in enumerate(duals[1:])}
+
+    def add(x, y):
+        return tuple((u + v) % d for u, v, d in zip(x, y, ds))
+
+    def beta(rho, sigma):
+        return sum(W[i][j] * rho[j] * sigma[i] for i in range(len(ds))
+                   for j in range(i + 1, len(ds)))
+
+    # each generator's action on the dual, as a map of exponent tuples
+    moves = [{rho: action.on_exponents(g, rho) for rho in duals}
+             for g in action.G.generating_set()]
+    rows = {}
+    for move in moves:
+        for e in _units(len(ds)):
+            for rho in duals:
+                grho, ge = move[rho], move[e]
+                row = [0] * len(unknown)
+                # c(g rho, g e) - c(rho, e), beta moved to the right
+                for x, sign in ((grho, 1), (ge, 1), (add(grho, ge), -1),
+                                (rho, -1), (e, -1), (add(rho, e), 1)):
+                    if x != zero:
+                        row[unknown[x]] += sign
+                rows[tuple(row), (beta(rho, e) - beta(grho, ge)) % L] = None
+    [(lam, _)] = solve_qz([list(row) for row, _ in rows],
+                          [[Fraction(y, L) for _, y in rows]])
+    if lam is None:
+        return CocycleSearch(None, "contradiction")
+
+    Q = lcm(L, *(v.denominator for v in lam))
+    ell = dict(zip(duals, [0] + [int(v * Q) for v in lam]))
+    c = {(rho, sigma): (beta(rho, sigma) * (Q // L) + ell[rho] + ell[sigma]
+                        - ell[add(rho, sigma)]) % Q
+         for rho in duals for sigma in duals}
+    table = {pair: root_of_unity(Q, e) for pair, e in c.items()}
+    if any(c[move[rho], move[sigma]] != e
+           for move in moves for (rho, sigma), e in c.items()) or any(
+               (c[sigma, rho] - e - b.value_exponent(rho, sigma)[0]
+                * (Q // L)) % Q for (rho, sigma), e in c.items()) \
+            or not cocycle_identity_holds(A, table):
+        raise VerdictInconsistent("invariant cocycle witness fails its check")
+    return CocycleSearch(table, "witness")
 
 
 def subset_image_sizes(bg, nas, orbits, witnessed):
