@@ -162,9 +162,10 @@ class FiniteGroup:
         return e
 
     def is_abelian(self) -> bool:
-        t = self.table
+        """Whether the generators commute pairwise."""
+        t, gens = self.table, self.generating_set()
         return all(t[a][b] == t[b][a]
-                   for a in range(self.order) for b in range(a + 1, self.order))
+                   for a, b in itertools.combinations(gens, 2))
 
     def label_index(self, label: str) -> int:
         return self.labels.index(label)
@@ -279,9 +280,10 @@ def conjugacy_classes(G: FiniteGroup):
 
 
 def center(G: FiniteGroup) -> "Subgroup":
-    t = G.table
+    """The elements that commute with G's generators."""
+    t, gens = G.table, G.generating_set()
     elems = [z for z in range(G.order)
-             if all(t[z][g] == t[g][z] for g in range(G.order))]
+             if all(t[z][g] == t[g][z] for g in gens)]
     return Subgroup(G, elems)
 
 
@@ -325,9 +327,12 @@ class Subgroup:
                    for a in self.elements for b in self.elements)
 
     def is_normal(self) -> bool:
+        """Closed under conjugation by G's generators: each maps the
+        finite subgroup into itself injectively, hence onto it."""
         es = set(self.elements)
         return all(self.parent.conjugate(g, a) in es
-                   for g in range(self.parent.order) for a in self.elements)
+                   for g in self.parent.generating_set()
+                   for a in self.elements)
 
     def abelian_structure(self):
         if self._structure is None:
@@ -399,10 +404,11 @@ def _class_subgroups(G: FiniteGroup, classes, admissible=None) -> list:
 
     They form the orbit of the trivial subgroup under growing a subgroup S
     by one class c not in S.  Both S and <c> are normal, as subgroups
-    generated by classes, so <S, c> = S<c>: the products of S's elements
-    with those of <c>, and <c> is closed once per class.  Adding the
-    classes of such a subgroup one at a time reaches it.  With
-    `admissible`, S grows by c only where admissible(S's generators, c).
+    generated by classes, so <S, c> = S<c>: the union of the cosets Sx
+    for x in <c>, each built once, so growing to T costs |T| products.
+    <c> is closed once per class.  Adding the classes of such a subgroup
+    one at a time reaches it.  With `admissible`, S grows by c only where
+    admissible(S's generators, c).
     """
     t = G.table
     gens_of = {frozenset({0}): ()}
@@ -415,7 +421,11 @@ def _class_subgroups(G: FiniteGroup, classes, admissible=None) -> list:
             return S
         if c not in spans:
             spans[c] = _orbit(0, c, lambda x, g: t[x][g])
-        T = frozenset(t[s][x] for s in S for x in spans[c])
+        T = set(S)
+        for x in spans[c]:
+            if x not in T:
+                T.update(t[s][x] for s in S)
+        T = frozenset(T)
         gens_of.setdefault(T, gens + c)
         return T
 

@@ -19,6 +19,9 @@ R5 act on the forms too, by pushing them along homomorphisms of socles
 RW decides for every non-trivial pair, odd or even, whether an invariant
 cocycle realizes it, from one kernel per socle (`RealizableForms`); R4
 counts the witnessed pairs, and R5 takes their indices in the pair list.
+R5's premise, that G is multiplicity-free, is decided on the orbit sums
+of diagonal conjugation on G x G, by Gelfand's lemma where every orbit is
+closed under inversion and by multiplying them otherwise.
 R5 walks each Aut(G) orbit along generators from a stabilizer chain
 (`groups.automorphism_generators`), checks closure under the partial
 product on one representative per orbit, and refuses an empty candidate
@@ -183,11 +186,14 @@ def _orbit_sums_commute(G: FiniteGroup) -> bool:
     """True iff all orbit sums of the diagonal conjugation action on
     G x G commute pairwise.
 
-    Both products of two orbit sums O_i, O_j are invariant under diagonal
-    conjugation, so they are compared only at one representative r of
-    each orbit, where the coefficient of O_i O_j is
-    #{a in O_i : a^-1 r in O_j}.  One pass over a in G x G counts these
-    for every (i, j) at once.
+    Gelfand's trick decides first (`has_no_multiplicities`): inversion
+    maps each orbit onto an orbit, so one lookup per orbit tells whether
+    it fixes every orbit sum.  Where it does not, which happens also in
+    multiplicity-free groups such as C3 x| C4, both products of two orbit
+    sums O_i, O_j are compared.  They are invariant under diagonal
+    conjugation, so only at one representative r of each orbit, where
+    the coefficient of O_i O_j is #{a in O_i : a^-1 r in O_j}.  One pass
+    over a in G x G counts these for every (i, j) at once.
     """
     n, table, inv = G.order, G.table, G.inverses
     orbits = _pair_orbits(G)
@@ -195,6 +201,9 @@ def _orbit_sums_commute(G: FiniteGroup) -> bool:
     for i, orbit in enumerate(orbits):
         for x, y in orbit:
             orbit_id[x * n + y] = i
+    if all(orbit_id[inv[x] * n + inv[y]] == i
+           for i, ((x, y), *_) in enumerate(orbits)):
+        return True
     for r0, r1 in (orbit[0] for orbit in orbits):
         # a^-1 r for every a = (a0, a1), in the order of orbit_id
         left = [table[inv[a]][r0] * n for a in range(n)]
@@ -218,6 +227,14 @@ def has_no_multiplicities(G: FiniteGroup,
     multiplicity-free iff each of its direct factors is.  The orbit sums
     are compared on each non-abelian indecomposable factor alone; abelian
     groups pass at once, as all their irreducibles are linear.
+
+    Gelfand's lemma (Ceccherini-Silberstein, Scarabotti and Tolli,
+    Harmonic Analysis on Finite Groups, CUP 2008) answers most factors
+    without a product: inversion iota(a, b) = (a^-1, b^-1) is an
+    anti-automorphism of k[G x G], and if it fixes every orbit sum then
+    XY = iota(XY) = iota(Y) iota(X) = YX for any two invariant X, Y.  The
+    orbit sums are multiplied only where some orbit is not closed under
+    inversion.
     """
     if G.order > limit:
         raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")

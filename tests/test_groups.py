@@ -166,6 +166,29 @@ def test_center(groups):
     assert wall_named_elements(W)["u4"] in z
     C8 = groups("C8")
     assert center(C8).order == 8
+    # center and is_abelian test only G's generators: against commutation
+    # with every element, on the builtins and the split products, in two
+    # labellings
+    for name in builtin_names() + SPLIT_GROUPS:
+        G = named_group(groups, name)
+        for H in (G, relabelled(G, 1)):
+            n, t = H.order, H.table
+            z = [a for a in range(n) if all(t[a][b] == t[b][a]
+                                            for b in range(n))]
+            assert center(H).elements == tuple(z), name
+            assert H.is_abelian() == (len(z) == n), name
+
+
+def test_is_normal_matches_conjugation_by_every_element(groups):
+    seen = set()
+    for name in ["S3", "D8", "Q8", "A4", "S4"]:
+        G = groups(name)
+        for s in all_subgroups(G):
+            closed = all(G.conjugate(g, a) in s
+                         for g in range(G.order) for a in s)
+            assert Subgroup(G, s).is_normal() == closed, (name, s)
+            seen.add(closed)
+    assert seen == {True, False}
 
 
 def test_normal_abelian_subgroups_a4(groups):

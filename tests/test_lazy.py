@@ -46,6 +46,7 @@ from tests_helpers import (
     convolution_no_multiplicities,
     invariant_orbit_dimension,
     listing_pair_orbits,
+    metacyclic,
     named_group,
     order_only_automorphisms,
     product_group,
@@ -560,6 +561,50 @@ def test_has_no_multiplicities_matches_whole_group(groups):
             assert has_no_multiplicities(H) == answers[name], (name, seed)
     assert not answers["A4xC2"] and not answers["A4xS3"]
     assert answers["D8xS3"] and answers["S3xS3xC2"]
+
+
+# C_m x|_r C_n as (m, n, r): D16, where Gelfand's trick decides; eight
+# multiplicity-free groups with an orbit not closed under inversion; five
+# groups with multiplicities
+METACYCLIC_TRICK = {"D16": (8, 2, 7)}
+METACYCLIC_COUNT = {"C3x|C4": (3, 4, 2), "SD16": (8, 2, 3),
+                    "M16": (8, 2, 5), "C4x|C4": (4, 4, 3),
+                    "C5x|C4": (5, 4, 4), "C3x|C8": (3, 8, 2),
+                    "M32": (16, 2, 9), "SD32": (16, 2, 7)}
+METACYCLIC_FALSE = {"F20": (5, 4, 2), "F21": (7, 3, 2), "C9x|C3": (9, 3, 4),
+                    "F42": (7, 6, 3), "C13x|C3": (13, 3, 3)}
+
+
+def test_has_no_multiplicities_matches_whole_group_on_metacyclics(groups):
+    # the split products are compared in the test above
+    for name in builtin_names():
+        G = groups(name)
+        assert has_no_multiplicities(G) == \
+            whole_group_no_multiplicities(G), name
+    for expected, table in [(True, METACYCLIC_TRICK),
+                            (True, METACYCLIC_COUNT),
+                            (False, METACYCLIC_FALSE)]:
+        for name, mnr in table.items():
+            G = metacyclic(*mnr)
+            assert whole_group_no_multiplicities(G) == expected, name
+            assert has_no_multiplicities(G) == expected, name
+
+
+def test_gelfand_trick_decides_without_the_count(groups, monkeypatch):
+    class Counted(Exception):
+        pass
+
+    def refuse(*args):
+        raise Counted
+
+    monkeypatch.setattr(lazy, "Counter", refuse)
+    for G in [groups(name) for name in ["D8", "Q8", "S3", "S4"]] + [
+            metacyclic(*METACYCLIC_TRICK["D16"])]:
+        assert has_no_multiplicities(G), G
+    # a multiplicity-free group whose orbits inversion does not fix still
+    # reaches the count
+    with pytest.raises(Counted):
+        has_no_multiplicities(metacyclic(*METACYCLIC_COUNT["C3x|C4"]))
 
 
 def cayley_table_structure(forms):

@@ -28,9 +28,10 @@ from lazytwist.pontryagin import (
     is_nondegenerate,
     is_symmetric_type,
 )
-from tests_helpers import (RW_PRODUCTS, char_mul, char_value, characters,
-                           cocycle_form, direct_product, enumerated_descend,
-                           enumerated_radical, filtered_invariant_forms,
+from tests_helpers import (RW_PRODUCTS, all_subgroups, char_mul, char_value,
+                           characters, cocycle_form, direct_product,
+                           enumerated_descend, enumerated_radical,
+                           filtered_invariant_forms,
                            form_value, named_group, on_character, on_form,
                            per_pair_cocycle_search,
                            product_alternating_forms, product_group,
@@ -285,6 +286,15 @@ def test_dual_action_rejects_bad_subgroups(groups):
                          if S3.element_order(x) == 2)
     with pytest.raises(NotNormalSubgroup):
         DualAction(S3, S3.subgroup({transposition}))
+    # normality is tested on G's generators only; every subgroup that some
+    # element of G moves is still refused
+    for name in ["S3", "D8", "A4", "S4"]:
+        G = groups(name)
+        for s in all_subgroups(G):
+            if any(G.conjugate(g, a) not in s
+                   for g in range(G.order) for a in s):
+                with pytest.raises(NotNormalSubgroup):
+                    DualAction(G, G.subgroup(s))
 
 
 def test_dual_maps_check_orders(groups):

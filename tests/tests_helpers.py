@@ -96,6 +96,17 @@ def product_group(ds):
         str, name=f"ab{ds}")
 
 
+def metacyclic(m, n, r):
+    """C_m x|_r C_n: pairs (a, b) for x^a y^b, with y x y^-1 = x^r, so
+    (a, b)(c, d) = (a + r^b c, b + d); r^n must be 1 mod m."""
+    if pow(r, n, m) != 1 % m:
+        raise ValueError(f"{r}^{n} is not 1 mod {m}")
+    return _group_from_elements(
+        itertools.product(range(m), range(n)),
+        lambda x, y: ((x[0] + pow(r, x[1], m) * y[0]) % m, (x[1] + y[1]) % n),
+        str, name=f"C{m}x|C{n}")
+
+
 def pairwise_closure(G, elements):
     """The subgroup generated by the elements, closed by multiplying each
     new element with every element found so far, on both sides."""
