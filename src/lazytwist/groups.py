@@ -72,6 +72,12 @@ class VerdictInconsistent(RuntimeError):
     """Two certified computations disagree; the verdict cannot be trusted."""
 
 
+def _check_order(G: FiniteGroup, limit: int) -> None:
+    """Refuse a group of more than `limit` elements."""
+    if G.order > limit:
+        raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
+
+
 def _orbit(start, gens, act, limit=None) -> list:
     """Everything reached from `start` by applying the generators, in
     breadth-first order: act(x, g) for each element x in turn and each g
@@ -441,8 +447,7 @@ def normal_abelian_subgroups(G: FiniteGroup,
     class at a time, admitting a class only if it commutes with the
     generators so far: each step then stays abelian.
     """
-    if G.order > limit:
-        raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
+    _check_order(G, limit)
     t = G.table
 
     def commute(xs, ys):
@@ -639,8 +644,7 @@ def class_preserving_auts(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT):
     every class, and conjugation by each generator of G to lie in the
     group the chain generates, so |Inn| = |G| / |Z(G)| divides |Aut_c|.
     """
-    if G.order > limit:
-        raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
+    _check_order(G, limit)
     classes = G.conjugacy_classes()
     class_of = [0] * G.order
     for ci, c in enumerate(classes):
@@ -684,8 +688,7 @@ def _signature_labels(G: FiniteGroup, H: FiniteGroup):
 
 def automorphism_group(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT):
     """The full automorphism group, sorted by image tuple."""
-    if G.order > limit:
-        raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
+    _check_order(G, limit)
     return [GroupMap(G, G, im)
             for im in _hom_search(G, G, *_signature_labels(G, G))]
 
@@ -694,8 +697,7 @@ def automorphism_generators(G: FiniteGroup,
                             limit: int = ORDER_LIMIT_DEFAULT):
     """Generators of Aut(G), and its order, from the stabilizer chain
     labelled by signature; Aut(G) is never listed."""
-    if G.order > limit:
-        raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
+    _check_order(G, limit)
     return _chain(G, _signature_labels(G, G)[0])
 
 
@@ -704,8 +706,7 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
     """An isomorphism G -> H, or None."""
     if G.order != H.order:
         return None
-    if G.order > limit:
-        raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
+    _check_order(G, limit)
     labels = _signature_labels(G, H)
     if labels is None:
         return None

@@ -13,9 +13,12 @@ structure that does not multiply to the exact order.
 Pairs are compared by (socle elements, form matrix): the map
 (A, b) -> R(A, b) is injective, so this is the same equality as comparing
 bicharacter tensors.  Since R(A, b)^k = R(A, b^k), the order of a pair is
-the order of its form.  The partial product and the Aut(G) orbits of rule
-R5 act on the forms too, by pushing them along homomorphisms of socles
-(R(B, psi_* b) = (psi x psi) R(A, b)), so no verdict builds R(A, b).
+the order of its form.  The Aut(G) orbits of rule R5 act on the forms,
+by pushing them along homomorphisms of socles (R(B, psi_* b) = (psi x
+psi) R(A, b)), so no verdict builds R(A, b).  R5's partial product is a
+sum of forms pushed to the dual of a maximal abelian normal subgroup C,
+where the pairs with socle in C are the invariant forms, so no verdict
+descends a form or calls `bg_product`.
 RW decides for every non-trivial pair, odd or even, whether an invariant
 cocycle realizes it, from one kernel per socle (`RealizableForms`); R4
 counts the witnessed pairs, and R5 takes their indices in the pair list.
@@ -42,9 +45,9 @@ from typing import Optional
 from .groups import (
     ORDER_LIMIT_DEFAULT,
     FiniteGroup,
-    OrderLimitExceeded,
     Subgroup,
     VerdictInconsistent,
+    _check_order,
     _direct_factors,
     _orbits,
     automorphism_generators,
@@ -53,6 +56,7 @@ from .groups import (
     normal_abelian_subgroups,
 )
 from ._smith import kernel
+from .cyclo import _prime_factors
 from .fixtures import _group_from_elements, symmetric
 from .pontryagin import (
     AltForm,
@@ -122,8 +126,7 @@ def bg_enumerate(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
     repeats.  Only subgroups of symmetric type can carry a non-degenerate
     alternating form, so the rest are pruned before form enumeration.
     """
-    if G.order > limit:
-        raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
+    _check_order(G, limit)
     if nas is None:
         nas = normal_abelian_subgroups(G, limit)
     out = [BGElement.trivial(G)]
@@ -236,8 +239,7 @@ def has_no_multiplicities(G: FiniteGroup,
     orbit sums are multiplied only where some orbit is not closed under
     inversion.
     """
-    if G.order > limit:
-        raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
+    _check_order(G, limit)
     if G.is_abelian():
         return True
     factors = _direct_factors(G)
@@ -280,8 +282,7 @@ def _sparse_rank(columns) -> int:
 def lie_complex_check(G: FiniteGroup, limit: int = 24):
     """Injectivity and exactness of the tangent complex, plus the kernel
     dimension of the second map (expected |G|)."""
-    if G.order > limit:
-        raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
+    _check_order(G, limit)
     n = G.order
 
     def d1_column(g):
@@ -357,8 +358,7 @@ def _group_structure(count, exponent: int) -> Optional[list[int]]:
     t.  Only these counts are needed, not a Cayley table.
     """
     factors: list[int] = []
-    p = 2
-    while exponent > 1:
+    for p in _prime_factors(exponent):
         pk, below = 1, 1
         while exponent % p == 0:
             exponent //= p
@@ -374,7 +374,6 @@ def _group_structure(count, exponent: int) -> Optional[list[int]]:
             for t in range(at_least):
                 factors[t] *= p
             below = n
-        p += 1
     return sorted(factors)
 
 
@@ -418,8 +417,7 @@ def _structure_from_order_and_exponent(order, bg):
 def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
                name: Optional[str] = None) -> H2Report:
     """Apply the certified rules in order and assemble the verdict."""
-    if G.order > limit:
-        raise OrderLimitExceeded(f"|G| = {G.order} exceeds bound {limit}")
+    _check_order(G, limit)
     name = name or G.name or f"order-{G.order}"
     certs: list[dict] = []
     abelian = G.is_abelian()
@@ -483,8 +481,7 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
             # acts trivially on its dual
             r3 = forms_order, forms_struct
         else:
-            maximal = [A for A in nas if not any(
-                set(A.elements) < set(B.elements) for B in nas)]
+            maximal = _maximal(nas)
             if len(maximal) == 1:
                 # the invariant forms are the kernel of the invariance map,
                 # and its Smith form gives their invariant factors
@@ -566,7 +563,7 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
         # the one place where an order alone gives a structure
         if structure is None:
             structure = [] if exact == 1 else (
-                [exact] if _is_prime(exact) else None)
+                [exact] if _prime_factors(exact) == [exact] else None)
         if structure is not None and prod(structure) != exact:
             raise VerdictInconsistent(
                 f"structure {structure} does not multiply to the exact "
@@ -583,23 +580,18 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
                     structure=structure, status=status, certificates=certs)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _symmetric_degree(order: int) -> Optional[int]:
     f, n = 1, 1
     while f < order:
         n += 1
         f *= n
     return n if f == order and n >= 2 else None
+
+
+def _maximal(nas) -> list[Subgroup]:
+    """The subgroups of `nas` that lie in no other, in `nas`'s order."""
+    sets = [set(A.elements) for A in nas]
+    return [A for A, a in zip(nas, sets) if not any(a < b for b in sets)]
 
 
 def _transport(x: BGElement, phi, nas_by_elements) -> BGElement:
@@ -631,34 +623,38 @@ def _aut_orbits(bg, nas, auts) -> list[list[int]]:
 def _candidate_image_sizes(G, bg, nas, witnessed):
     """Sizes of subsets of the socle-form pairs that could be the image of
     the socle-form map: automorphism-stable, closed under the partial
-    product and inverses, containing the pairs bg[i] for i in `witnessed`,
-    with element orders realizable by an abelian group.
+    product, containing the pairs bg[i] for i in `witnessed`, with element
+    orders realizable by an abelian group.  A finite set closed under the
+    product holds each pair's powers, so its inverses too.
 
-    The partial product and the inverse are Aut(G)-equivariant, so a union
-    of orbits is closed iff it holds the inverse of one representative of
-    each chosen orbit and its products with every chosen pair; these are
-    tabulated once, one representative against every pair."""
+    Two pairs have a product iff a maximal abelian normal C holds both
+    socles.  Pushing forms to the dual of C maps the pairs with socle in C
+    one to one onto the invariant forms there (a form descends to the
+    annihilator of its radical), and the product onto the sum of forms;
+    so each product is a lookup of a sum among the pushed pairs, and a
+    miss is refused.  The product is Aut(G)-equivariant, so a union of
+    orbits is closed iff it holds the products of one representative of
+    each chosen orbit with every chosen pair; these are tabulated once."""
     orbits = _aut_orbits(bg, nas, automorphism_generators(G)[0])
-    by_key = {x.key(): i for i, x in enumerate(bg)}
     orbit_of = {i: oi for oi, orbit in enumerate(orbits) for i in orbit}
-
-    def index(x, what):
-        if x.key() not in by_key:
-            raise VerdictInconsistent(f"{what} left the pair set")
-        return by_key[x.key()]
-
-    inverse, reach = [], []
-    for orbit in orbits:
-        rep = bg[orbit[0]]
-        inverse.append(orbit_of[index(
-            BGElement(rep.subgroup, rep.form.inv()), "inverse")])
-        # reach[o][o']: the orbits of the non-trivial products rep * y,
-        # y in orbit o'
-        products = [[bg_product(rep, bg[j], nas) for j in other]
-                    for other in orbits]
-        reach.append([{orbit_of[k] for k in (
-            index(p, "partial product") for p in row if p is not None)
-            if k != 0} for row in products])
+    # reach[o][o']: the orbits of the non-trivial products rep * y, y in
+    # orbit o'
+    reach = [[set() for _ in orbits] for _ in orbits]
+    for C in _maximal(nas):
+        inside = set(C.elements).issuperset
+        pushed = {i: x.form.push(C, _dual_matrix(x.subgroup, C, lambda a: a))
+                  for i, x in enumerate(bg) if inside(x.subgroup.elements)}
+        by_matrix = {b.matrix: i for i, b in pushed.items()}
+        for oi, orbit in enumerate(orbits):
+            if orbit[0] not in pushed:
+                continue
+            for j, b in pushed.items():
+                k = by_matrix.get(pushed[orbit[0]].mul(b).matrix)
+                if k is None:
+                    raise VerdictInconsistent(
+                        "partial product left the pair set")
+                if j and k:
+                    reach[oi][orbit_of[j]].add(orbit_of[k])
     needed = {orbit_of[i] for i in witnessed}
     order_of = {i: bg_element_order(bg[i]) for i in orbit_of}
 
@@ -666,9 +662,7 @@ def _candidate_image_sizes(G, bg, nas, witnessed):
     for pick in itertools.product((False, True), repeat=len(orbits)):
         chosen = {oi for oi, take in enumerate(pick) if take}
         if not needed <= chosen or not all(
-                inverse[oi] in chosen
-                and all(reach[oi][oj] <= chosen for oj in chosen)
-                for oi in chosen):
+                reach[oi][oj] <= chosen for oi in chosen for oj in chosen):
             continue
         members = [i for oi in chosen for i in orbits[oi]]
         if _is_abelian_orders([1] + [order_of[i] for i in members]):

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from lazytwist import hopf, lazy
+from lazytwist import _smith, hopf, lazy, pontryagin
 from lazytwist.cli import _EXPECTED_SUITE, main
 from lazytwist.cyclo import CycNum
 from lazytwist.fixtures import builtin_names
@@ -24,6 +24,7 @@ from lazytwist.lazy import (
     _aut_orbits,
     _candidate_image_sizes,
     _is_abelian_orders,
+    _maximal,
     _orders_structure,
     _pair_orbits,
     _transport,
@@ -35,8 +36,9 @@ from lazytwist.lazy import (
     lie_complex_check,
 )
 from lazytwist._smith import kernel
-from lazytwist.pontryagin import (DualAction, alternating_forms,
-                                  invariant_cocycle_search, invariant_forms)
+from lazytwist.pontryagin import (AltForm, DualAction, _dual_matrix,
+                                  alternating_forms, invariant_cocycle_search,
+                                  invariant_forms)
 from tests_helpers import (
     RW_PRODUCTS,
     SPLIT_GROUPS,
@@ -145,7 +147,6 @@ def test_bg_product_independent_of_witness(groups):
     # pull both forms to the dual of C, multiply there, expand the
     # bicharacter tensor, and compare with the direct product
     from math import gcd
-    from lazytwist.pontryagin import AltForm
     from tests_helpers import restrict_character
 
     for name in ["Wall32", "C27sd", "A4"]:
@@ -301,12 +302,15 @@ def test_r5_orbits_match_listing(groups):
             list(range(1, len(bg))), name
 
 
-def test_r5_sizes_match_subset_loop(groups):
+def test_r5_sizes_match_subset_loop(groups, monkeypatch):
     # the closure checked on one representative per orbit gives the sizes
     # of the loop over every pair of every chosen subset, with the
-    # witnessed pairs RW finds and with none
-    for name in ["D8", "D8xC2", "D8xC4", "Wr_2xC2", "Q8xC2xC2", "D8xS3",
-                 "C2xC2xD8"]:
+    # witnessed pairs RW finds and with none, visiting the maximal abelian
+    # normal subgroups in either order: on C2xC2xD8 the last alone gives
+    # too few products
+    maximal = lazy._maximal
+    for name in ["D8", "D8xC2", "D8xC4", "D8xC6", "Wr_2xC2", "Q8xC2xC2",
+                 "D8xS3", "C2xC2xD8", "D8xQ8"]:
         G = named_group(groups, name)
         nas = normal_abelian_subgroups(G)
         bg = bg_enumerate(G, nas=nas)
@@ -315,8 +319,60 @@ def test_r5_sizes_match_subset_loop(groups):
                      invariant_cocycle_search(x.subgroup, x.form, DualAction(
                          G, x.subgroup)).witness]
         for pairs in (witnessed, []):
-            assert _candidate_image_sizes(G, bg, nas, pairs) == \
-                subset_image_sizes(bg, nas, orbits, pairs), (name, pairs)
+            expected = subset_image_sizes(bg, nas, orbits, pairs)
+            for step in (1, -1):
+                monkeypatch.setattr(
+                    lazy, "_maximal", lambda nas, s=step: maximal(nas)[::s])
+                assert _candidate_image_sizes(G, bg, nas, pairs) == \
+                    expected, (name, pairs, step)
+
+
+def pushed(x, C):
+    """The form of the pair x pushed to the dual of C, x's socle in C."""
+    return x.form.push(C, _dual_matrix(x.subgroup, C, lambda a: a))
+
+
+def test_pairs_in_a_maximal_subgroup_are_its_invariant_forms(groups):
+    # pushing to the dual of a maximal abelian normal C maps the pairs with
+    # socle in C one to one onto C's invariant forms, and the partial
+    # product of each orbit representative with each such pair onto the
+    # sum of their pushed forms
+    for name in ["D8xC2", "C2xC2xD8", "D8xD8", "D8xQ8", "Q8xC2xC2",
+                 "A4xC2xC2"]:
+        G = named_group(groups, name)
+        nas = normal_abelian_subgroups(G)
+        bg = bg_enumerate(G, nas=nas)
+        reps = [bg[orbit[0]] for orbit in _aut_orbits(
+            bg, nas, automorphism_generators(G)[0])]
+        for C in _maximal(nas):
+            forms = {x: pushed(x, C) for x in bg
+                     if set(x.subgroup.elements) <= set(C.elements)}
+            matrices = {b.matrix for b in forms.values()}
+            assert len(matrices) == len(forms), (name, C.elements)
+            assert matrices == {b.matrix for b in invariant_forms(
+                C, DualAction(G, C))}, (name, C.elements)
+            for x in (x for x in reps if x in forms):
+                for y in forms:
+                    product = bg_product(x, y, nas)
+                    assert product is not None, (name, C.elements)
+                    assert pushed(product, C).matrix == \
+                        forms[x].mul(forms[y]).matrix, (name, C.elements)
+
+
+def test_r5_refuses_a_product_outside_the_pair_set(groups, monkeypatch):
+    # D8xC2's pair 1 is fixed by Aut(G) and the product of two other
+    # pairs; with it dropped from the pair list, R5's table misses, and the
+    # miss is refused, also under -O
+    G = named_group(groups, "D8xC2")
+    nas = normal_abelian_subgroups(G)
+    bg = bg_enumerate(G, nas=nas)
+    assert any(bg_product(x, y, nas) == bg[1] for x in bg[2:]
+               for y in bg[2:])
+    monkeypatch.setattr(lazy, "bg_enumerate",
+                        lambda G, limit, nas: bg[:1] + bg[2:])
+    with pytest.raises(VerdictInconsistent,
+                       match="partial product left the pair set"):
+        h2_compute(G)
 
 
 def test_has_no_multiplicities(groups):
@@ -490,17 +546,39 @@ def test_theta_surjective_construction_odd(groups):
             assert tv.form == x.form
 
 
-def test_no_verdict_builds_a_cycnum(groups, monkeypatch):
-    # RW decides on integer exponents, so every report of the builtins and
-    # RW's oracle products comes out the same with CycNum refused
+@pytest.fixture(scope="module")
+def verdict_cases(groups):
+    """The builtins and RW's oracle products, with their h2 reports."""
     cases = [groups(name) for name in builtin_names()] + [
         named_group(groups, name) for name in RW_PRODUCTS]
-    reports = [h2_compute(G).to_json() for G in cases]
+    return cases, [h2_compute(G).to_json() for G in cases]
+
+
+def test_no_verdict_builds_a_cycnum(verdict_cases, monkeypatch):
+    # RW decides on integer exponents, so every report of the builtins and
+    # RW's oracle products comes out the same with CycNum refused
+    cases, reports = verdict_cases
 
     def refuse(self, *args, **kwargs):
         raise RuntimeError("a verdict built a CycNum")
 
     monkeypatch.setattr(CycNum, "__init__", refuse)
+    assert [h2_compute(G).to_json() for G in cases] == reports
+
+
+def test_no_verdict_descends_a_form(verdict_cases, monkeypatch):
+    # R5 reads each partial product as a sum of pushed forms, so every
+    # report comes out the same with the pair product, descent and the
+    # Q/Z solver refused
+    cases, reports = verdict_cases
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a verdict descended a form")
+
+    monkeypatch.setattr(lazy, "bg_product", refuse)
+    monkeypatch.setattr(AltForm, "descend", refuse)
+    monkeypatch.setattr(pontryagin, "solve_qz", refuse)
+    monkeypatch.setattr(_smith, "solve_qz", refuse)
     assert [h2_compute(G).to_json() for G in cases] == reports
 
 
@@ -708,7 +786,7 @@ def test_twist_theta_and_bg_relabelling_invariance(groups, tmp_path, capsys):
     # twist-theta's socle and R(socle, form), and bg's set of (socle, R),
     # carried back to the original labels, do not depend on the labelling
     from lazytwist.cli import packaged_tensor
-    from lazytwist.pontryagin import AltForm, cocycle_from_form_odd
+    from lazytwist.pontryagin import cocycle_from_form_odd
 
     odd = bg_enumerate(groups("C27sd"))[1]
     assert odd.subgroup.order == 9
