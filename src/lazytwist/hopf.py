@@ -20,11 +20,11 @@ products.
 Every character sum, forward or inverse and of any degree, goes through
 one routine, `_transform`: character values come from an integer exponent
 table, terms are added leg by leg as exponent counts over one root of
-unity, and each output value is normalized once.  Products and coefficient
-sums add the same way: the coefficients are lifted to one zeta_M as
-integer exponent counts over one common denominator, products of terms
-convolve those counts into their output cell, and each output cell is
-normalized once, not once per product term.
+unity, and each distinct count vector is normalized once.  Products and
+coefficient sums add the same way: the coefficients are lifted to one
+zeta_M as integer exponent counts over one common denominator, products of
+terms convolve those counts into their output cell, and each output cell
+is normalized once, not once per product term.
 """
 
 from __future__ import annotations
@@ -469,13 +469,13 @@ def _dual_twist(A: Subgroup, F: GTensor):
     """(table, hat) with hat[(rho, sigma)] = (rho x sigma)(F) on the dual of
     A when F, supported in k[A] x k[A], is a twist, else None.  F is
     invertible iff no value of hat is 0, and satisfies the twist equation
-    iff hat satisfies the 2-cocycle identity (not normalized)."""
+    iff hat satisfies the 2-cocycle identity (not normalized); the identity
+    check refuses a zero value."""
     if F.degree != 2:
         return None
     table = _char_table(A)
     hat = _transform(table, F.terms, 2)
-    if any(v.is_zero() for v in hat.values()) or \
-            not _products_agree(A, hat, *_COCYCLE_IDENTITY):
+    if not _products_agree(A, hat, *_COCYCLE_IDENTITY):
         return None
     return table, hat
 
@@ -537,11 +537,15 @@ def _r_on_dual(A: Subgroup, F: GTensor):
     if found is None:
         return None
     table, hat = found
-    # one inversion per distinct value of hat
-    inverse = {v.key(): v for v in hat.values()}
-    inverse = {k: v.inv() for k, v in inverse.items()}
-    r = {(rho, sigma): hat[(sigma, rho)] * inverse[v.key()]
-         for (rho, sigma), v in hat.items()}
+    # one quotient per distinct pair of values
+    keys = {pair: v.key() for pair, v in hat.items()}
+    quotients: dict = {}
+    r = {}
+    for (rho, sigma), v in hat.items():
+        k = (keys[sigma, rho], keys[rho, sigma])
+        if k not in quotients:
+            quotients[k] = hat[sigma, rho] / v
+        r[rho, sigma] = quotients[k]
     return GTensor(A.parent, 2, _transform(table, r, 2, inverse=True)), \
         tuple(_products_agree(A, r, *axiom) for axiom in _R_AXIOMS)
 
@@ -657,8 +661,8 @@ def _transform(table, terms: dict, degree: int, inverse: bool = False) -> dict:
     The values are lifted to integer exponent counts over one zeta_M (see
     _counts) and summed one leg at a time: leg i groups the cells by the
     rest of their tuple, and each group adds zeta_L^E[p][x] times its
-    counts into the cell of each point p.  Each output value is normalized
-    once, through from_counts."""
+    counts into the cell of each point p.  Each distinct count vector is
+    normalized once, through from_counts, and its cells share the value."""
     L, E = table
     if inverse:
         # chi_s(a^-1) = zeta_L^-E[s][a], keyed by the output point a first
@@ -683,8 +687,16 @@ def _transform(table, terms: dict, degree: int, inverse: bool = False) -> dict:
                     k: q for k, q in acc.items() if q}
     if inverse:
         d *= len(E) ** degree
-    return {t: from_counts(M, cells.get(t, {}), d)
-            for t in itertools.product(E, repeat=degree)}
+    # cells with equal counts share one value
+    values: dict = {}
+    out = {}
+    for t in itertools.product(E, repeat=degree):
+        cell = cells.get(t, {})
+        k = tuple(sorted(cell.items()))
+        if k not in values:
+            values[k] = from_counts(M, cell, d)
+        out[t] = values[k]
+    return out
 
 
 def twist_from_cocycle(A: Subgroup, c: dict) -> GTensor:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Optional
 
@@ -109,18 +110,21 @@ class AltForm:
     def _orders(self):
         return [d for _, d in self.group.abelian_structure()]
 
-    def value_exponent(self, rho, sigma) -> tuple[int, int]:
-        """b(rho, sigma) as (t, L): zeta_L^t for exponent tuples rho, sigma."""
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        """(L, ((i, j, e_ij L / m_ij), ...)) over the nonzero upper entries,
+        L the exponent of the dual; computed once per form."""
         ds = self._orders()
         L = lcm(*ds)
-        t = 0
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                e = self.matrix[i][j]
-                if e:
-                    m = gcd(ds[i], ds[j])
-                    t += e * (L // m) * (rho[i] * sigma[j] - rho[j] * sigma[i])
-        return t % L, L
+        return L, tuple((i, j, self.matrix[i][j] * (L // gcd(ds[i], ds[j])))
+                        for i, j in itertools.combinations(range(len(ds)), 2)
+                        if self.matrix[i][j])
+
+    def value_exponent(self, rho, sigma) -> tuple[int, int]:
+        """b(rho, sigma) as (t, L): zeta_L^t for exponent tuples rho, sigma."""
+        L, upper = self._scaled
+        return sum(w * (rho[i] * sigma[j] - rho[j] * sigma[i])
+                   for i, j, w in upper) % L, L
 
     def mul(self, other: "AltForm") -> "AltForm":
         ds = self._orders()
@@ -354,13 +358,11 @@ def cocycle_from_form_odd(A: Subgroup, b: AltForm) -> dict:
     L = lcm(*ds)
     half = (L + 1) // 2
     duals = list(itertools.product(*(range(d) for d in ds)))
-    table = {}
-    for rho in duals:
-        for sigma in duals:
-            sigma_half = tuple(x * half % d for x, d in zip(sigma, ds))
-            t, LL = b.value_exponent(sigma_half, rho)
-            table[(rho, sigma)] = root_of_unity(LL, t)
-    return table
+    roots = [root_of_unity(L, k) for k in range(L)]
+    halves = {sigma: tuple(x * half % d for x, d in zip(sigma, ds))
+              for sigma in duals}
+    return {(rho, sigma): roots[b.value_exponent(halves[sigma], rho)[0]]
+            for rho in duals for sigma in duals}
 
 
 # c(x, y) c(xy, z) = c(y, z) c(x, yz), as word pairs for _products_agree
@@ -370,18 +372,31 @@ _COCYCLE_IDENTITY = (((0, 1), (3, 2)), ((1, 2), (0, 4)))
 def _products_agree(A: Subgroup, c: dict, left, right) -> bool:
     """Whether, for every triple (x, y, z) of elements of the dual of A,
     the product of the values c[(u, v)] over the word pairs (u, v) of left
-    equals the product over those of right.  c is keyed by pairs of dual
-    exponent tuples; a word pair names two of (x, y, z, xy, yz) by their
-    positions 0..4.
+    equals the product over those of right, all values in k*.  c is keyed
+    by pairs of dual exponent tuples; a word pair names two of (x, y, z,
+    xy, yz) by their positions 0..4.  A zero value answers False.
 
-    The distinct values are interned and their pairwise products cached,
-    so the cubic sweep is list lookups rather than field arithmetic.
+    The middle point y runs over the dual generators only (the identity
+    when there are none), n^2 r lookups for r generators, not n^3: for the
+    identities checked here the y at which it holds for all x, z are
+    closed under products, and in a finite group the products of the
+    generators are every element.
+    - R(xy, z) = R(x, z) R(y, z) at y1 and y2 gives R(x y1 y2, z) =
+      R(x y1, z) R(y2, z) = R(x, z) R(y1, z) R(y2, z), and R(y1 y2, z) =
+      R(y1, z) R(y2, z); R(x, yz) = R(x, y) R(x, z) likewise.
+    - For the cocycle identity, f = dc, f(x, y, z) = c(x, y) c(xy, z) /
+      (c(y, z) c(x, yz)), is a 3-cocycle (dd = 1 on inhomogeneous cochains,
+      K. S. Brown, Cohomology of Groups, ch. III), so f(y1, y2, z) f(x, y1
+      y2, z) f(x, y1, y2) = f(x y1, y2, z) f(x, y1, y2 z), and f = 1 at the
+      middle points y1 and y2 gives f(x, y1 y2, z) = 1.  This needs the
+      values in k*.
+
+    The distinct values are interned by key and their pairwise products
+    cached, so the sweep is list lookups rather than field arithmetic.
     """
     ds = [d for _, d in A.abelian_structure()]
     duals = list(itertools.product(*(range(d) for d in ds)))
     index = {x: i for i, x in enumerate(duals)}
-    mul = [[index[tuple((a + b) % d for a, b, d in zip(x, y, ds))]
-            for y in duals] for x in duals]
     ids: dict = {}
     vals: list = []
 
@@ -393,6 +408,8 @@ def _products_agree(A: Subgroup, c: dict, left, right) -> bool:
         return ids[k]
 
     table = [[intern(c[(x, y)]) for y in duals] for x in duals]
+    if any(v.is_zero() for v in vals):
+        return False
     cache: dict = {}
 
     def side(pairs, w):
@@ -407,19 +424,23 @@ def _products_agree(A: Subgroup, c: dict, left, right) -> bool:
             i = j
         return i
 
-    n = len(duals)
-    for x in range(n):
-        for y in range(n):
-            xy, my = mul[x][y], mul[y]
-            for z in range(n):
-                w = (x, y, z, xy, my[z])
+    n = range(len(duals))
+    for u in _units(len(ds)) or [duals[0]]:
+        y = index[u]
+        # xy and yz, as the dual is abelian
+        plus = [index[tuple((a + b) % d for a, b, d in zip(x, u, ds))]
+                for x in duals]
+        for x in n:
+            for z in n:
+                w = (x, y, z, plus[x], plus[z])
                 if side(left, w) != side(right, w):
                     return False
     return True
 
 
 def cocycle_identity_holds(A: Subgroup, c: dict) -> bool:
-    """Check normalization and the full 2-cocycle identity."""
+    """Check normalization and the full 2-cocycle identity, with every
+    value in k*: a table with a zero value is no cocycle."""
     ds = [d for _, d in A.abelian_structure()]
     one = tuple(0 for _ in ds)
     cn = CycNum.one()

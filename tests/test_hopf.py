@@ -830,6 +830,31 @@ def test_transform_of_the_zero_tensor_has_every_point(groups):
         rho: CycNum.zero() for rho in duals}
 
 
+def test_transform_normalizes_each_count_vector_once(groups, monkeypatch):
+    # on the shipped tensors, forward and back, every point gets the value
+    # of its own character sum, and no count vector is normalized twice
+    from lazytwist import hopf
+    from tests_helpers import cellwise_transform
+
+    calls = []
+    from_counts = hopf.from_counts
+    monkeypatch.setattr(hopf, "from_counts", lambda M, counts, d=1: (
+        calls.append(tuple(sorted(counts.items()))) or from_counts(M, counts, d)))
+    points = normalized = 0
+    for F in (_a4_twist(groups), _wall_f(groups), _wall_a(groups)):
+        table = hopf._char_table(hopf._abelian_support(F))
+        terms = F.terms
+        for inverse in (False, True):
+            calls.clear()
+            out = hopf._transform(table, terms, F.degree, inverse)
+            assert out == cellwise_transform(table, terms, F.degree, inverse)
+            assert len(set(calls)) == len(calls)
+            points, normalized = points + len(out), normalized + len(calls)
+            terms = out
+    # the twists' tables on the dual take few values
+    assert normalized < points / 2
+
+
 def test_tensor_inv_of_legs_that_do_not_commute(groups):
     # 2 + t x c in k[S3 x S3], t a transposition and c a 3-cycle: each leg
     # is abelian and the tuples span a cyclic group of order 6, but t and c

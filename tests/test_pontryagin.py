@@ -1,6 +1,7 @@
 import itertools
+import random
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -11,7 +12,9 @@ from lazytwist.groups import (OrderLimitExceeded, VerdictInconsistent,
                               normal_abelian_subgroups)
 from lazytwist.fixtures import builtin_group, builtin_names
 from lazytwist.lazy import bg_enumerate, h2_compute
-from lazytwist.hopf import r_from_form
+from lazytwist.hopf import (_R_AXIOMS, GTensor, NotACocycle, _char_table,
+                            _transform, is_twist, r_from_form,
+                            twist_from_cocycle)
 from lazytwist.pontryagin import (
     AltForm,
     DualAction,
@@ -19,7 +22,9 @@ from lazytwist.pontryagin import (
     NotNormalSubgroup,
     EvenOrder,
     RealizableForms,
+    _COCYCLE_IDENTITY,
     _dual_matrix,
+    _products_agree,
     alternating_forms,
     cocycle_from_form_odd,
     cocycle_identity_holds,
@@ -29,7 +34,8 @@ from lazytwist.pontryagin import (
     is_symmetric_type,
 )
 from tests_helpers import (RW_PRODUCTS, all_subgroups, char_mul, char_value,
-                           characters, cocycle_form, direct_product,
+                           characters, cocycle_form, cubic_products_agree,
+                           direct_product,
                            enumerated_descend, enumerated_radical,
                            filtered_invariant_forms,
                            form_value, named_group, on_character, on_form,
@@ -361,6 +367,68 @@ def test_odd_roundtrip_exhaustive():
                 c = cocycle_from_form_odd(A, b)
                 assert cocycle_identity_holds(A, c)
                 assert cocycle_form(A, c) == b
+
+
+def _near_cocycle_tables(ds, rng):
+    """Tables on the dual of prod C_d over zeta_Q, Q = 2L: bicharacters,
+    cocycles (a bicharacter times the coboundary of a random lambda, so
+    not normalized), and each with one or two entries moved to another
+    root of unity."""
+    A = product_group(ds).whole_subgroup()
+    ds = [d for _, d in A.abelian_structure()]
+    Q = 2 * lcm(*ds)
+    duals = list(itertools.product(*(range(d) for d in ds)))
+
+    def plus(x, y):
+        return tuple((a + b) % d for a, b, d in zip(x, y, ds))
+
+    bases = []
+    for with_coboundary in (False, False, True, True):
+        e = {(i, j): rng.randrange(gcd(ds[i], ds[j])) * (Q // gcd(ds[i], ds[j]))
+             for i in range(len(ds)) for j in range(len(ds))}
+        lam = {x: rng.randrange(Q) if with_coboundary else 0 for x in duals}
+        bases.append({(x, y): sum(w * x[i] * y[j] for (i, j), w in e.items())
+                      + lam[x] + lam[y] - lam[plus(x, y)]
+                      for x in duals for y in duals})
+    tables = list(bases)
+    for base in bases:
+        for moved in (1, 1, 2, 2):
+            t = dict(base)
+            for cell in rng.sample(sorted(t), min(moved, len(t))):
+                t[cell] += rng.randrange(1, Q)
+            tables.append(t)
+    return A, [{k: root_of_unity(Q, v) for k, v in t.items()}
+               for t in tables]
+
+
+def test_generator_sweep_matches_the_cubic_sweep():
+    # the middle point running over the dual generators decides each
+    # identity exactly as the sweep over every triple
+    rng = random.Random(22)
+    seen = set()
+    for ds in [(1,), (2, 2), (8,), (3, 3), (2, 4), (2, 2, 2)]:
+        A, tables = _near_cocycle_tables(ds, rng)
+        for c in tables:
+            for identity in (_COCYCLE_IDENTITY,) + _R_AXIOMS:
+                holds = cubic_products_agree(A, c, *identity)
+                assert _products_agree(A, c, *identity) == holds, (ds, identity)
+                seen.add((identity, holds))
+    assert len(seen) == 6
+
+
+def test_a_table_with_a_zero_value_is_no_cocycle(groups):
+    # on C2, c(1, 1) = 0 and every other value 1 satisfies c(x, y) c(xy, z)
+    # = c(y, z) c(x, yz) at every triple, but a cocycle takes values in k*:
+    # the tensor the table transforms to is no twist
+    C2 = groups("C2").whole_subgroup()
+    c = {(x, y): CycNum.one() for x in [(0,), (1,)] for y in [(0,), (1,)]}
+    c[(1,), (1,)] = CycNum.zero()
+    assert cubic_products_agree(C2, c, *_COCYCLE_IDENTITY)
+    assert not cocycle_identity_holds(C2, c)
+    with pytest.raises(NotACocycle):
+        twist_from_cocycle(C2, c)
+    F = GTensor(C2.parent, 2, _transform(_char_table(C2), c, 2, inverse=True))
+    assert not is_twist(F)
 
 
 def test_invariant_cocycle_search_a4(groups):

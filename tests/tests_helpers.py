@@ -4,7 +4,9 @@ products and relabellings, the pair-orbit count, and the brute-force
 automorphism, multiplicity, abelian-type and tensor-product checks, the
 CycNum-loop tensor product, Drinfeld element and character sums, the
 Galois-substitution normal form, the closure loops, the whole-group
-multiplicity test, the n^3 associativity check, the order-only listing of
+multiplicity test, the n^3 associativity check, the n^3 sweep of a
+product identity over the dual and the per-cell character sum of the
+memoized transform, the order-only listing of
 Aut(G) and the R5 pair orbits along that listing the library replaced,
 the homomorphism search and Aut(G) chain that prune only at generators,
 the listing of the class-preserving automorphisms, random loops, the
@@ -23,13 +25,13 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from lazytwist.cyclo import (CycNum, _phi, _power_table, _prime_factors,
-                             lift, root_of_unity)
+                             from_counts, lift, root_of_unity)
 from lazytwist._smith import solve_qz
 from lazytwist.fixtures import _group_from_elements
 from lazytwist.groups import (FiniteGroup, OrderLimitExceeded,
                               VerdictInconsistent, _hom_search, _orbit,
                               _signatures)
-from lazytwist.hopf import GTensor, form_from_r, socle
+from lazytwist.hopf import GTensor, _counts, form_from_r, socle
 from lazytwist.lazy import (BGElement, _is_abelian_orders, _pair_orbits,
                             _transport, bg_product)
 from lazytwist.pontryagin import (AltForm, Character, CocycleSearch,
@@ -788,6 +790,66 @@ def loop_fourier(A, x):
         for (g,), c in x.terms.items():
             v = v + c * char_value(chi, G.inverses[g])
         out[chi.exponents] = v
+    return out
+
+
+def cubic_products_agree(A, c, left, right):
+    """pontryagin._products_agree over every triple (x, y, z) of the dual
+    of A, with no generator argument: whether the product of the values
+    c[(u, v)] over the word pairs of left equals that over the word pairs
+    of right, a word pair naming two of (x, y, z, xy, yz)."""
+    ds = [d for _, d in A.abelian_structure()]
+    duals = list(itertools.product(*(range(d) for d in ds)))
+    index = {x: i for i, x in enumerate(duals)}
+    mul = [[index[tuple((a + b) % d for a, b, d in zip(x, y, ds))]
+            for y in duals] for x in duals]
+    ids, vals, cache = {}, [], {}
+
+    def intern(v):
+        k = v.key()
+        if k not in ids:
+            ids[k] = len(vals)
+            vals.append(v)
+        return ids[k]
+
+    table = [[intern(c[(x, y)]) for y in duals] for x in duals]
+
+    def side(pairs, w):
+        i = None
+        for u, v in pairs:
+            j = table[w[u]][w[v]]
+            if i is not None:
+                if (i, j) not in cache:
+                    cache[i, j] = intern(vals[i] * vals[j])
+                j = cache[i, j]
+            i = j
+        return i
+
+    n = range(len(duals))
+    return all(side(left, w) == side(right, w)
+               for w in ((x, y, z, mul[x][y], mul[y][z])
+                         for x in n for y in n for z in n))
+
+
+def cellwise_transform(table, terms, degree, inverse=False):
+    """hopf._transform with one character sum per output point: the
+    exponent counts of every term, shifted by its character value, summed
+    into that point and normalized by their own from_counts call."""
+    L, E = table
+    if inverse:
+        E = {a: {s: -Es[a] % L for s, Es in E.items()}
+             for a in next(iter(E.values()))}
+    M, d, cells = _counts(terms, L)
+    if inverse:
+        d *= len(E) ** degree
+    out = {}
+    for p in itertools.product(E, repeat=degree):
+        acc = Counter()
+        for t, raw in cells.items():
+            e = sum(E[s][x] for s, x in zip(p, t)) * (M // L)
+            for k, q in raw.items():
+                acc[(k + e) % M] += q
+        out[p] = from_counts(M, {k: q for k, q in acc.items() if q}, d)
     return out
 
 
