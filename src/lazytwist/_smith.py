@@ -109,15 +109,32 @@ def smith(A):
     return [[row.get(c, 0) for c in range(m)] for row in U], D, V
 
 
+def _image_orders(M, s, t) -> list[int]:
+    """The orders e_k of the cyclic summands of the image of x -> M x mod t
+    on (+) Z/s_j, from one Smith form: B, the rows of M scaled to N =
+    lcm(t), has U B V = D, and the image is (+) Z/e_k, e_k = N /
+    gcd(d_k, N)."""
+    n, N = len(s), lcm(*t)
+    B = [[a * (N // ti) for a in row] for row, ti in zip(M, t)] or [[0] * n]
+    _, D, _ = smith(B)
+    return [N // gcd(D[k][k], N) if k < len(D) else 1 for k in range(n)]
+
+
+def injective(M, s, t) -> bool:
+    """Whether x -> M x mod t on (+) Z/s_j (as in `kernel`) is injective:
+    whether its image, read off one Smith form, has order prod(s)."""
+    return not s or prod(_image_orders(M, s, t)) == prod(s)
+
+
 def kernel(M, s, t) -> tuple[list[tuple[int, ...]], list[int]]:
     """The kernel of x -> M x mod t on (+) Z/s_j, for an integer matrix M
     with one row per modulus t_i and s_j M[i][j] = 0 mod t_i.
 
     Returns (gens, orders): gens[k] has order orders[k], the orders are the
     invariant factors d_1 | d_2 | ... > 1, and the kernel is the direct sum
-    of the cyclic groups the gens generate.  B, the rows of M scaled to
-    N = lcm(t), has U B V = D, and the image is (+) Z/e_k, e_k =
-    N / gcd(d_k, N).  With x_j = s_j y_j, y in (Q/Z)^n, the kernel is
+    of the cyclic groups the gens generate.  The image is (+) Z/e_k
+    (`_image_orders`), so an injective map costs one Smith form.  With
+    x_j = s_j y_j, y in (Q/Z)^n, the kernel is
     {y : C y = 0 mod 1} for C the rows s_j M[i][j] / t_i over diag(s); if
     U2 C V2 = D2 it is V2 (+) (1/d2_k)Z/Z, and the k-th generator is
     diag(s) V2 e_k / d2_k, of order d2_k.
@@ -125,10 +142,7 @@ def kernel(M, s, t) -> tuple[list[tuple[int, ...]], list[int]]:
     n = len(s)
     if n == 0:
         return [], []
-    N = lcm(*t)
-    B = [[a * (N // ti) for a in row] for row, ti in zip(M, t)] or [[0] * n]
-    _, D, _ = smith(B)
-    e = [N // gcd(D[k][k], N) if k < len(D) else 1 for k in range(n)]
+    e = _image_orders(M, s, t)
     if prod(e) == prod(s):                      # the map is injective
         return [], []
     if any(a * sj % ti for row, ti in zip(M, t) for a, sj in zip(row, s)):

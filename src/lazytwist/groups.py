@@ -20,8 +20,14 @@ and in `hopf` and `lazy`, goes through one breadth-first orbit routine,
 `_orbit`; `_orbits` cuts a point set into such orbits, the conjugacy
 classes among them.  The subgroups generated by conjugacy classes, the
 normal subgroups behind the direct-factor split and the abelian normal
-subgroups alike, come from one such orbit, `_class_subgroups`.  Certifying
-checks raise `VerdictInconsistent`, so they hold under `python -O`.
+subgroups alike, come from one such orbit, `_class_subgroups`, walked on
+class masks: a normal subgroup is a union of classes, so it is an int
+with one bit per class, and joining a class's normal closure N to S is
+the OR of the masks of the cosets x_k N over S's classes k, read from
+tables built once per group (`_ClassMasks`).  The abelian walk admits a
+class only where its commuting mask covers S, and only `_direct_factors`
+walks the full lattice.  Certifying checks raise `VerdictInconsistent`,
+so they hold under `python -O`.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from math import gcd
+from operator import itemgetter
 
 __all__ = [
     "ORDER_LIMIT_DEFAULT",
@@ -131,17 +138,20 @@ class FiniteGroup:
         self.name = name
         self.labels = tuple(labels) if labels is not None else tuple(
             str(i) for i in range(self.order))
-        inv = [None] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.table[a][b] == 0 and self.table[b][a] == 0:
-                    inv[a] = b
-                    break
-        if any(v is None for v in inv):
-            raise NotAGroup("element without a two-sided inverse",
-                            witness=inv.index(None))
+        inv = []
+        for a, row in enumerate(self.table):
+            # the first b with ab = 0 = ba, among the zeros of a's row
+            try:
+                b = row.index(0)
+                while self.table[b][a]:
+                    b = row.index(0, b + 1)
+            except ValueError:
+                raise NotAGroup("element without a two-sided inverse",
+                                witness=a) from None
+            inv.append(b)
         self.inverses = tuple(inv)
         self._classes = None
+        self._masks = None
         self._generators = None
 
     def mul(self, a: int, b: int) -> int:
@@ -181,6 +191,12 @@ class FiniteGroup:
             self._classes = conjugacy_classes(self)
         return self._classes
 
+    def class_masks(self) -> "_ClassMasks":
+        """The class-mask tables of the normal subgroup walks, built once."""
+        if self._masks is None:
+            self._masks = _ClassMasks(self)
+        return self._masks
+
     def generating_set(self) -> tuple[int, ...]:
         if self._generators is None:
             self._generators = _right_generators(self.table)
@@ -202,42 +218,47 @@ class FiniteGroup:
 
 
 def from_table(table, labels=None, name=None) -> FiniteGroup:
-    """Validate a multiplication table; relocate the identity to index 0."""
+    """Validate a multiplication table; relocate the identity to index 0.
+
+    Each check runs on whole rows at C speed, and scans a row entry by
+    entry only where it fails, to name the first bad entry.
+    """
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
         raise NotAGroup("table is not square")
+    table = [tuple(row) for row in table]
+    points = tuple(range(n))
+    in_range = set(points).issuperset
     for i, row in enumerate(table):
-        for j, v in enumerate(row):
-            if type(v) is not int or not (0 <= v < n):
-                raise NotAGroup(f"entry out of range at ({i},{j})",
-                                witness=(i, j, v))
-    ident = None
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            ident = e
-            break
+        if set(map(type, row)) != {int} or not in_range(row):
+            j, v = next((j, v) for j, v in enumerate(row)
+                        if type(v) is not int or not (0 <= v < n))
+            raise NotAGroup(f"entry out of range at ({i},{j})",
+                            witness=(i, j, v))
+    ident = next((e for e in points if table[e] == points and all(
+        row[e] == x for x, row in enumerate(table))), None)
     if ident is None:
         raise NotAGroup("no two-sided identity")
     if ident != 0:
         # swap 0 <-> ident; the swap is an involution so it is its own inverse
-        perm = list(range(n))
+        perm = list(points)
         perm[0], perm[ident] = ident, 0
-        table = [[perm[table[perm[a]][perm[b]]] for b in range(n)]
-                 for a in range(n)]
+        table = [tuple(perm[table[perm[a]][perm[b]]] for b in points)
+                 for a in points]
         if labels is not None:
-            labels = [labels[perm[a]] for a in range(n)]
+            labels = [labels[perm[a]] for a in points]
     # Light's test: the elements s with (x*s)*y = x*(s*y) for all x, y are
-    # closed under products, so checking generators of the table suffices
+    # closed under products, so checking generators of the table suffices.
+    # Row (x*s)*. is compared whole with x*(s*.), read off row x by s's row
     for s in _right_generators(table):
         row_s = table[s]
-        for x in range(n):
-            row_x = table[x]
+        times_s = itemgetter(*row_s)
+        for x, row_x in enumerate(table):
             row_xs = table[row_x[s]]
-            for y in range(n):
-                if row_xs[y] != row_x[row_s[y]]:
-                    raise NotAGroup("associativity fails",
-                                    witness=(x, s, y))
-    for a in range(n):
+            if row_xs != times_s(row_x):
+                y = next(y for y in points if row_xs[y] != row_x[row_s[y]])
+                raise NotAGroup("associativity fails", witness=(x, s, y))
+    for a in points:
         if 0 not in table[a]:
             raise NotAGroup("row without identity (no inverse)", witness=a)
     return FiniteGroup(table, labels=labels, name=name)
@@ -304,9 +325,10 @@ class Subgroup:
         for a in self.elements:
             if parent.inverses[a] not in es:
                 raise NotAGroup(f"subgroup not closed under inverse: {a}")
-            for b in self.elements:
-                if t[a][b] not in es:
-                    raise NotAGroup(f"subgroup not closed: {a}*{b}")
+            row = t[a]
+            if not es.issuperset(map(row.__getitem__, self.elements)):
+                b = next(b for b in self.elements if row[b] not in es)
+                raise NotAGroup(f"subgroup not closed: {a}*{b}")
         self._structure = None
         self._coords = None
 
@@ -405,37 +427,136 @@ def abelian_structure(A: Subgroup):
     return picked
 
 
-def _class_subgroups(G: FiniteGroup, classes, admissible=None) -> list:
-    """The subgroups generated by classes from `classes`, as frozensets.
+class _ClassMasks:
+    """G's conjugacy classes as the bits of an int, so that a union of
+    classes, a normal subgroup among them, is one mask (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, 3.3).
+
+    Built at most once per group, beside its classes: each element's
+    class bit and each class's size.  Three tables are filled as a walk
+    first asks for an entry, each entry once: for a class k with
+    representative x_k, its least element, the mask `comm(k)` of the
+    classes whose elements all commute with x_k (conjugating, then every
+    element of class k commutes with every element of those classes);
+    the mask `closure(k)` of the normal subgroup the class generates; and
+    for the closure N of a class, `row(N)[k]`, the mask of the coset
+    x_k N.
+    """
+
+    def __init__(self, G: FiniteGroup):
+        self.classes = classes = G.conjugacy_classes()
+        self.bit = bit = [0] * G.order
+        for k, c in enumerate(classes):
+            for x in c:
+                bit[x] = 1 << k
+        self.sizes = [len(c) for c in classes]
+        self._table = G.table
+        self._comm: dict[int, int] = {}
+        self._closures: dict[int, int] = {}
+        self._rows: dict[int, _CosetRow] = {}
+
+    def mask(self, elements) -> int:
+        # the distinct class bits, whose sum is their OR
+        return sum(set(map(self.bit.__getitem__, elements)))
+
+    def elements(self, S: int) -> tuple[int, ...]:
+        """The sorted elements of the classes in S."""
+        return tuple(sorted(itertools.chain.from_iterable(
+            self.classes[k] for k in _bits(S))))
+
+    def order(self, S: int) -> int:
+        return sum(self.sizes[k] for k in _bits(S))
+
+    def commutes_with_itself(self, k: int) -> bool:
+        """Whether the elements of class k commute pairwise: whether x_k
+        commutes with each of them, by conjugation."""
+        t, c = self._table, self.classes[k]
+        row = t[c[0]]
+        return all(row[y] == t[y][c[0]] for y in c)
+
+    def comm(self, k: int) -> int:
+        if k not in self._comm:
+            t, x = self._table, self.classes[k][0]
+            self._comm[k] = (1 << len(self.classes)) - 1 - self.mask(
+                y for y, (a, row) in enumerate(zip(t[x], t)) if a != row[x])
+        return self._comm[k]
+
+    def closure(self, k: int) -> int:
+        if k not in self._closures:
+            t = self._table
+            self._closures[k] = self.mask(
+                _orbit(0, self.classes[k], lambda x, g: t[x][g]))
+        return self._closures[k]
+
+    def row(self, N: int) -> "_CosetRow":
+        if N not in self._rows:
+            self._rows[N] = _CosetRow(self, self.elements(N))
+        return self._rows[N]
+
+
+class _CosetRow(dict):
+    """row[k], the class mask of the coset x_k N for a normal subgroup N,
+    built on first lookup.  It is the mask of every coset sN with s in
+    class k: s = g x_k g^-1 and N is normal, so sN = g (x_k N) g^-1."""
+
+    def __init__(self, masks: _ClassMasks, members):
+        super().__init__()
+        self._masks, self._members = masks, members
+
+    def __missing__(self, k):
+        m = self._masks
+        x = m.classes[k][0]
+        self[k] = out = m.mask(map(m._table[x].__getitem__, self._members))
+        return out
+
+
+def _bits(m: int) -> list[int]:
+    """The indices of the set bits of m, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _class_subgroups(G: FiniteGroup, abelian: bool = False) -> list[int]:
+    """The subgroups generated by conjugacy classes, as class masks; with
+    `abelian`, those generated by classes that commute with each other.
 
     They form the orbit of the trivial subgroup under growing a subgroup S
-    by one class c not in S.  Both S and <c> are normal, as subgroups
-    generated by classes, so <S, c> = S<c>: the union of the cosets Sx
-    for x in <c>, each built once, so growing to T costs |T| products.
-    <c> is closed once per class.  Adding the classes of such a subgroup
-    one at a time reaches it.  With `admissible`, S grows by c only where
-    admissible(S's generators, c).
+    by the closure N = <c> of one class c not in S, classes in order.
+    Both S and N are normal, so <S, c> = SN, the union of the cosets sN,
+    and the mask of sN is row(N)[k] for s in class k: SN is the OR of the
+    rows of S's classes, skipping a class already in the OR, whose coset
+    is a conjugate of one taken.  Classes with equal closures give equal
+    joins, so each closure joins once.  Adding the classes of such a
+    subgroup one at a time reaches it.  With `abelian`, only classes that
+    commute with themselves are added, and only to an S they commute
+    with, so each step stays abelian.
     """
-    t = G.table
-    gens_of = {frozenset({0}): ()}
-    spans: dict = {}
+    masks = G.class_masks()
+    steps, seen = [], set()
+    for k in range(1, len(masks.classes)):
+        if abelian and not masks.commutes_with_itself(k):
+            continue
+        N = masks.closure(k)
+        if N not in seen:
+            seen.add(N)
+            steps.append((N, masks.row(N), masks.comm(k) if abelian else 0))
 
-    def grow(S, c):
-        gens = gens_of[S]
-        if c[0] in S or (admissible is not None
-                         and not admissible(gens, c)):
+    def grow(S, step):
+        N, row, comm = step
+        if not N & ~S or abelian and S & ~comm:
             return S
-        if c not in spans:
-            spans[c] = _orbit(0, c, lambda x, g: t[x][g])
-        T = set(S)
-        for x in spans[c]:
-            if x not in T:
-                T.update(t[s][x] for s in S)
-        T = frozenset(T)
-        gens_of.setdefault(T, gens + c)
+        T, rest = N, S & ~N
+        while rest:
+            low = rest & -rest
+            T |= row[low.bit_length() - 1]
+            rest &= ~(T | low)
         return T
 
-    return _orbit(frozenset({0}), classes, grow)
+    return _orbit(1, steps, grow)
 
 
 def normal_abelian_subgroups(G: FiniteGroup,
@@ -445,17 +566,12 @@ def normal_abelian_subgroups(G: FiniteGroup,
     Each one is generated by the conjugacy classes it holds, so they are
     the subgroups grown from classes that commute with themselves, one
     class at a time, admitting a class only if it commutes with the
-    generators so far: each step then stays abelian.
+    subgroup so far: each step then stays abelian.
     """
     _check_order(G, limit)
-    t = G.table
-
-    def commute(xs, ys):
-        return all(t[a][b] == t[b][a] for a in xs for b in ys)
-
-    classes = [c for c in G.conjugacy_classes()[1:] if commute(c, c)]
-    subs = [Subgroup(G, S) for S in _class_subgroups(
-        G, classes, lambda gens, c: commute(c, gens))]
+    masks = G.class_masks()
+    subs = [Subgroup(G, masks.elements(S))
+            for S in _class_subgroups(G, abelian=True)]
     subs.sort(key=lambda s: (s.order, s.elements))
     return subs
 
@@ -468,22 +584,25 @@ def _direct_factors(G: FiniteGroup) -> list[tuple[int, ...]]:
     inside R, is a direct factor of R.  The smallest one is indecomposable:
     a factor of N would be a smaller one, since the factors of a direct
     factor of G are normal in G.  So the split takes it and goes on in M,
-    and G's normal subgroups suffice at every step.
+    and G's normal subgroups suffice at every step.  Subsets and
+    intersections are read on class masks, the trivial subgroup's being 1.
     """
-    normal = sorted(_class_subgroups(G, G.conjugacy_classes()[1:]), key=len)
+    masks = G.class_masks()
+    order = {S: masks.order(S) for S in _class_subgroups(G)}
+    normal = sorted(order, key=order.__getitem__)
     by_order: dict[int, list] = {}
     for S in normal:
-        by_order.setdefault(len(S), []).append(S)
-    factors, rest = [], frozenset(range(G.order))
-    while len(rest) > 1:
+        by_order.setdefault(order[S], []).append(S)
+    factors, rest = [], (1 << len(masks.classes)) - 1
+    while order[rest] > 1:
         for N in normal[1:]:
-            if len(rest) % len(N) or not N <= rest:
+            if order[rest] % order[N] or N & ~rest:
                 continue
-            M = next((M for M in by_order.get(len(rest) // len(N), ())
-                      if len(M & N) == 1 and M <= rest), None)
+            M = next((M for M in by_order.get(order[rest] // order[N], ())
+                      if M & N == 1 and not M & ~rest), None)
             if M is not None:
                 break
-        factors.append(tuple(sorted(N)))
+        factors.append(masks.elements(N))
         rest = M
     return factors
 

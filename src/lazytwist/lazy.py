@@ -594,30 +594,32 @@ def _maximal(nas) -> list[Subgroup]:
     return [A for A, a in zip(nas, sets) if not any(a < b for b in sets)]
 
 
-def _transport(x: BGElement, phi, nas_by_elements) -> BGElement:
-    """The pair (phi(A), b pushed along phi|A) for an automorphism phi;
-    phi(A) is looked up among the abelian normal subgroups by elements."""
-    B = nas_by_elements.get(tuple(sorted(phi(a) for a in x.subgroup.elements)))
-    if B is None:
-        raise VerdictInconsistent("automorphism left the pair set")
-    return BGElement(B, x.form.push(B, _dual_matrix(x.subgroup, B, phi)))
-
-
 def _aut_orbits(bg, nas, auts) -> list[list[int]]:
     """The orbits of the group generated by the automorphisms `auts` on the
     non-trivial pairs, as sorted index lists in the order of their least
-    pairs; each pair is transported along one generator at a time."""
+    pairs.  Each pair (A, b) is moved along one generator phi at a time,
+    to (phi(A), b pushed along phi|A), phi(A) looked up among the abelian
+    normal subgroups by elements; the dual matrix of phi|A is built once
+    per socle and generator, and serves every form on that socle."""
     by_key = {x.key(): i for i, x in enumerate(bg)}
     nas_by_elements = {A.elements: A for A in nas}
+    pushes: dict = {}
 
-    def act(i, phi):
-        j = by_key.get(_transport(bg[i], phi, nas_by_elements).key())
+    def act(i, k):
+        A, phi = bg[i].subgroup, auts[k]
+        if (A.elements, k) not in pushes:
+            B = nas_by_elements.get(tuple(sorted(map(phi, A.elements))))
+            if B is None:
+                raise VerdictInconsistent("automorphism left the pair set")
+            pushes[A.elements, k] = B, _dual_matrix(A, B, phi)
+        B, rows = pushes[A.elements, k]
+        j = by_key.get((B.elements, bg[i].form.push(B, rows).matrix))
         if j is None:
             raise VerdictInconsistent("automorphism left the pair set")
         return j
 
     return _orbits((i for i, x in enumerate(bg) if not x.is_trivial()),
-                   auts, act)
+                   range(len(auts)), act)
 
 
 def _candidate_image_sizes(G, bg, nas, witnessed):

@@ -20,7 +20,8 @@ from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Optional
 
-from ._smith import back_substitute, kernel, smith, solve_qz, span
+from ._smith import (back_substitute, injective, kernel, smith, solve_qz,
+                     span)
 from .cyclo import CycNum, root_of_unity
 from .groups import (FiniteGroup, OrderLimitExceeded, Subgroup,
                      VerdictInconsistent)
@@ -153,13 +154,17 @@ class AltForm:
     def is_trivial(self) -> bool:
         return all(not e for row in self.matrix for e in row)
 
+    def _pairing(self):
+        """(M, ds, ds): rho -> (b(rho, chi_j))_j as a map of exponents, from
+        the dual (+) Z/d_i to (+) Z/d_j."""
+        ds = self._orders()
+        return [[self.matrix[i][j] * (d // gcd(ds[i], d))
+                 for i in range(len(ds))] for j, d in enumerate(ds)], ds, ds
+
     def radical(self) -> tuple[list[tuple[int, ...]], list[int]]:
         """The characters rho with b(rho, .) = 1, as the generators and
         invariant factors of the kernel of rho -> (b(rho, chi_j))_j."""
-        ds = self._orders()
-        return kernel([[self.matrix[i][j] * (d // gcd(ds[i], d))
-                        for i in range(len(ds))] for j, d in enumerate(ds)],
-                      ds, ds)
+        return kernel(*self._pairing())
 
     def push(self, B: Subgroup, rows) -> "AltForm":
         """The form on the dual of B with value b(rows[i], rows[j]) on B's
@@ -237,8 +242,9 @@ def alternating_forms(A: Subgroup) -> list[AltForm]:
 
 
 def is_nondegenerate(b: AltForm) -> bool:
-    """True iff rho -> b(rho, .) is injective on the dual group."""
-    return not b.radical()[0]
+    """True iff rho -> b(rho, .) is injective on the dual group, read off
+    the order of its image: one Smith form, also when b is degenerate."""
+    return injective(*b._pairing())
 
 
 def is_symmetric_type(A: Subgroup) -> bool:

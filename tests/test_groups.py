@@ -1,6 +1,7 @@
 import functools
 import random
 import time
+from collections import Counter
 from itertools import combinations
 from math import prod
 
@@ -25,6 +26,7 @@ from lazytwist.groups import (
     from_table,
     normal_abelian_subgroups,
 )
+from lazytwist.lazy import h2_compute
 from lazytwist.fixtures import (_group_from_elements, builtin_group,
                                 builtin_names, wall_named_elements)
 from tests_helpers import (
@@ -33,12 +35,16 @@ from tests_helpers import (
     brute_force_homs,
     class_preserving_listing,
     cubic_associativity_witness,
+    element_class_walks,
+    element_direct_factors,
+    entrywise_from_table,
     generated_automorphisms,
     generator_pruned_chain,
     generator_pruned_homs,
     is_bijective,
     is_homomorphism,
     lattice_normal_abelian_subgroups,
+    loop_inverses,
     named_group,
     order_only_automorphisms,
     queue_permutations,
@@ -256,6 +262,166 @@ def test_direct_factors(groups):
                       if 1 < len(s) < K.order and Subgroup(K, s).is_normal()]
             assert not any(A & B == {0} and len(A) * len(B) == K.order
                            for A, B in combinations(normal, 2)), (name, F)
+
+
+# the class-mask walks against the element-set oracle: the builtins, the
+# split products (the eight even-search products first) and three groups
+# with hundreds of normal subgroups, each in two labellings
+LATTICE_GROUPS = builtin_names() + SPLIT_GROUPS + [
+    "D8xC2xC2xC2", "D8xD8", "Q8xC2xC2xC2"]
+
+
+def test_class_mask_walks_match_the_element_walk(groups):
+    for name in LATTICE_GROUPS:
+        G = named_group(groups, name)
+        for H in (G, relabelled(G, 5)):
+            full, abelian = element_class_walks(H)
+            masks = H.class_masks()
+            for flag, oracle in ((False, full), (True, abelian)):
+                walk = groups_module._class_subgroups(H, abelian=flag)
+                assert [frozenset(masks.elements(S)) for S in walk] \
+                    == oracle, (name, flag)
+                assert [masks.order(S) for S in walk] \
+                    == [len(S) for S in oracle], (name, flag)
+            assert _direct_factors(H) == element_direct_factors(H), name
+
+
+def test_one_class_precompute_per_h2(groups, monkeypatch):
+    # both walks of one h2 share the class tables; groups whose R5 gate
+    # stays shut (Wr_3, A4xS3) never walk the full lattice
+    built, walks = [], []
+    tables, walk = groups_module._ClassMasks, groups_module._class_subgroups
+
+    class Counted(tables):
+        def __init__(self, G):
+            built.append(G)
+            super().__init__(G)
+
+    def counted_walk(G, abelian=False):
+        walks.append(abelian)
+        return walk(G, abelian)
+
+    monkeypatch.setattr(groups_module, "_ClassMasks", Counted)
+    monkeypatch.setattr(groups_module, "_class_subgroups", counted_walk)
+    report = h2_compute(named_group(groups, "D8xC6"))
+    assert report.exact_order == 2
+    assert len(built) == 1 and sorted(walks) == [False, True]
+    for name in ["Wr_3", "A4xS3"]:
+        del walks[:]
+        h2_compute(named_group(groups, name))
+        assert walks == [True], name
+
+
+def test_from_table_keeps_messages_and_witnesses(groups):
+    # mutated tables give the entry-by-entry checks' message and witness,
+    # and valid ones, the identity anywhere, the same relocated table
+    rng = random.Random(23)
+    cases = []
+    for name, seed in [("S4", 1), ("D8xC2", 2), ("Wr_3", 3)]:
+        G = relabelled(named_group(groups, name), seed)
+        n, gens = G.order, set(G.generating_set())
+        base = [list(row) for row in G.table]
+        for bad in (1.0, "1", True, False, None, n, -1, n + 5):
+            for _ in range(2):
+                t = [list(row) for row in base]
+                i, j = rng.randrange(n), rng.randrange(n)
+                t[i][j] = bad
+                if rng.random() < 0.5:
+                    # a second bad entry further on is never named
+                    t[n - 1][n - 1] = bad
+                cases.append(t)
+        # the identity moved away from 0, alone and with a broken row
+        new_of = list(range(n))
+        rng.shuffle(new_of)
+        moved = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                moved[new_of[a]][new_of[b]] = new_of[base[a][b]]
+        cases.append(moved)
+        # associativity broken by swapping two entries of a row that is
+        # neither the identity's nor a generator's, off the identity's
+        # column
+        for t0, e, ids in ((base, 0, gens), (moved, new_of[0],
+                                             {new_of[g] for g in gens})):
+            for _ in range(3):
+                t = [list(row) for row in t0]
+                x = rng.choice([x for x in range(n) if x != e
+                                and x not in ids])
+                a, b = rng.sample([y for y in range(n) if y != e], 2)
+                t[x][a], t[x][b] = t[x][b], t[x][a]
+                cases.append(t)
+        # a monoid: G with an absorbing element, whose row has no identity
+        cases.append([row + [n] for row in base] + [[n] * (n + 1)])
+    outcomes = Counter()
+    for t in cases:
+        expected = entrywise_from_table(t)
+        if isinstance(expected[0], str):
+            outcomes[expected[0].split(" at ")[0]] += 1
+            with pytest.raises(NotAGroup) as err:
+                from_table(t)
+            assert (str(err.value), err.value.witness) == expected
+            if expected[0] == "associativity fails":
+                assert cubic_associativity_witness(t) is not None
+                if all(t[0][y] == y == t[y][0] for y in range(len(t))):
+                    x, g, y = err.value.witness
+                    assert t[t[x][g]][y] != t[x][t[g][y]]
+        else:
+            outcomes["group"] += 1
+            G = from_table(t, labels=[str(v) for v in range(len(t))])
+            assert G.table == tuple(map(tuple, expected[0]))
+            assert G.labels == tuple(str(v) for v in expected[1])
+    assert set(outcomes) == {"entry out of range", "associativity fails",
+                             "row without identity (no inverse)", "group"}
+
+
+def test_inverses_are_the_first_two_sided_ones(groups):
+    # FiniteGroup takes, per element, the first two-sided inverse, also
+    # where an earlier b has ab = 0 only on one side, and names the first
+    # element that has none
+    rng = random.Random(4)
+    tables = [[[0, 1, 2, 3], [1, 2, 0, 0], [2, 3, 1, 0], [3, 0, 2, 1]],
+              [[0, 1, 2], [1, 2, 1], [2, 1, 2]],
+              [list(row) for row in relabelled(groups("S4"), 6).table]]
+    tables += [random_loop(4 + k % 5, rng) for k in range(40)]
+    seen = set()
+    for t in tables:
+        inverses, missing = loop_inverses(t)
+        if missing is None:
+            assert groups_module.FiniteGroup(t).inverses == inverses
+            seen.add("found")
+            continue
+        with pytest.raises(NotAGroup,
+                           match="element without a two-sided inverse") as err:
+            groups_module.FiniteGroup(t)
+        assert err.value.witness == missing
+        seen.add("missing")
+    assert seen == {"found", "missing"}
+
+
+def test_subgroup_names_the_first_failing_product(groups):
+    # the row-wise closure check names the pair the element loop names
+    rng = random.Random(8)
+    seen = set()
+    for name in ["S4", "D8xC2"]:
+        G = named_group(groups, name)
+        t, inv = G.table, G.inverses
+        for _ in range(60):
+            es = sorted(set(rng.sample(range(G.order), rng.randrange(1, 6)))
+                        | {0})
+            expected = next((
+                f"subgroup not closed under inverse: {a}" if inv[a] not in es
+                else f"subgroup not closed: {a}*{b}"
+                for a in es for b in es
+                if inv[a] not in es or t[a][b] not in es), None)
+            if expected is None:
+                assert Subgroup(G, es).elements == tuple(es)
+                seen.add(True)
+                continue
+            with pytest.raises(NotAGroup) as err:
+                Subgroup(G, es)
+            assert str(err.value) == expected
+            seen.add(False)
+    assert seen == {True, False}
 
 
 def test_normal_subgroups_conjugation_stable(groups):

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import sys
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -13,6 +14,7 @@ from lazytwist.fixtures import builtin_names
 from lazytwist.groups import (
     OrderLimitExceeded,
     VerdictInconsistent,
+    _orbits,
     automorphism_generators,
     automorphism_group,
     class_preserving_auts,
@@ -27,7 +29,6 @@ from lazytwist.lazy import (
     _maximal,
     _orders_structure,
     _pair_orbits,
-    _transport,
     bg_element_order,
     bg_enumerate,
     bg_product,
@@ -57,6 +58,7 @@ from tests_helpers import (
     stack_pair_orbits,
     subset_image_sizes,
     tensor_bg_product,
+    transport,
     whole_group_no_multiplicities,
 )
 
@@ -216,7 +218,7 @@ def test_transport_matches_tensor_apply_map(groups):
         tensors = {}
         for x in bg_enumerate(G, nas=nas):
             for phi in automorphism_group(G):
-                moved = _transport(x, phi, by_elements)
+                moved = transport(x, phi, by_elements)
                 if moved.key() not in tensors:
                     tensors[moved.key()] = moved.canonical_r
                 assert tensors[moved.key()] == x.canonical_r.apply_map(phi), \
@@ -300,6 +302,34 @@ def test_r5_orbits_match_listing(groups):
         assert _aut_orbits(bg, nas, gens) == expected, name
         assert sorted(i for orbit in expected for i in orbit) == \
             list(range(1, len(bg))), name
+
+
+def test_aut_orbits_build_one_dual_matrix_per_socle_and_generator(
+        groups, monkeypatch):
+    # the pairs on one socle share the dual matrix of each generator, and
+    # the orbits stay those along the generators one pair at a time
+    built, dual = [], lazy._dual_matrix
+    monkeypatch.setattr(lazy, "_dual_matrix", lambda A, B, psi: (
+        built.append(A.elements) or dual(A, B, psi)))
+    shared = False
+    for name in SPLIT_GROUPS[:8] + ["C2xC2xD8"]:
+        G = named_group(groups, name)
+        nas = normal_abelian_subgroups(G)
+        bg = bg_enumerate(G, nas=nas)
+        gens, _ = automorphism_generators(G)
+        by_elements = {A.elements: A for A in nas}
+        del built[:]
+        orbits = _aut_orbits(bg, nas, gens)
+        per_socle = Counter(x.subgroup.elements for x in bg[1:])
+        assert set(built) == set(per_socle), name
+        assert max(Counter(built).values()) <= len(gens), name
+        shared |= max(per_socle.values()) > 1
+        # the same orbits, moving each pair with its own dual matrix
+        by_key = {x.key(): i for i, x in enumerate(bg)}
+        assert orbits == _orbits(
+            range(1, len(bg)), gens, lambda i, phi: by_key[transport(
+                bg[i], phi, by_elements).key()]), name
+    assert shared
 
 
 def test_r5_sizes_match_subset_loop(groups, monkeypatch):

@@ -189,6 +189,30 @@ def test_is_nondegenerate(groups):
     assert is_nondegenerate(AltForm.trivial(triv))
 
 
+def test_nondegeneracy_from_one_smith_form(groups, monkeypatch):
+    # every form of every symmetric-type abelian normal subgroup of the
+    # builtins and of the eight even-search products, against the radical
+    # swept over the dual; each answer costs at most one Smith form, also
+    # on a degenerate form
+    calls, smith = [], _smith.smith
+    monkeypatch.setattr(_smith, "smith",
+                        lambda A: calls.append(A) or smith(A))
+    seen = set()
+    for name in builtin_names() + RW_PRODUCTS[:8]:
+        G = named_group(groups, name)
+        for A in normal_abelian_subgroups(G):
+            if not is_symmetric_type(A):
+                continue
+            for b in alternating_forms(A):
+                del calls[:]
+                answer = is_nondegenerate(b)
+                assert len(calls) <= 1
+                assert answer == (len(enumerated_radical(b)) == 1), \
+                    (name, A, b.matrix)
+                seen.add(answer)
+    assert seen == {True, False}
+
+
 def test_radical_against_all_pairings():
     # the radical's generators span every rho with b(rho, sigma) = 1 for
     # all sigma, and their orders multiply to its size

@@ -4,7 +4,10 @@ products and relabellings, the pair-orbit count, and the brute-force
 automorphism, multiplicity, abelian-type and tensor-product checks, the
 CycNum-loop tensor product, Drinfeld element and character sums, the
 Galois-substitution normal form, the closure loops, the whole-group
-multiplicity test, the n^3 associativity check, the n^3 sweep of a
+multiplicity test, the entry-by-entry table checks and inverse search,
+the element-set walk over the subgroups generated by conjugacy classes
+and the direct-factor split on it, R5's pair transport with a dual
+matrix per pair, the n^3 associativity check, the n^3 sweep of a
 product identity over the dual and the per-cell character sum of the
 memoized transform, the order-only listing of
 Aut(G) and the R5 pair orbits along that listing the library replaced,
@@ -30,10 +33,10 @@ from lazytwist._smith import solve_qz
 from lazytwist.fixtures import _group_from_elements
 from lazytwist.groups import (FiniteGroup, OrderLimitExceeded,
                               VerdictInconsistent, _hom_search, _orbit,
-                              _signatures)
+                              _right_generators, _signatures)
 from lazytwist.hopf import GTensor, _counts, form_from_r, socle
 from lazytwist.lazy import (BGElement, _is_abelian_orders, _pair_orbits,
-                            _transport, bg_product)
+                            bg_product)
 from lazytwist.pontryagin import (AltForm, Character, CocycleSearch,
                                   _dual_apply, _dual_matrix, _units,
                                   cocycle_identity_holds)
@@ -252,6 +255,71 @@ def loop_tuple_group(G, degree, tuples, cap=200):
                     if len(elems) > cap:
                         raise OrderLimitExceeded(f"beyond {cap} elements")
     return sorted(elems)
+
+
+def element_class_subgroups(G, classes, admissible=None):
+    """The subgroups generated by classes from `classes`, as frozensets of
+    elements, in the order of the breadth-first walk that grows a subgroup
+    S by one class c not in S at a time: S<c> is the union of the cosets
+    Sx for x in <c>, and with `admissible`, S grows by c only where
+    admissible(S's generators, c)."""
+    t = G.table
+    gens_of = {frozenset({0}): ()}
+    spans = {}
+
+    def grow(S, c):
+        gens = gens_of[S]
+        if c[0] in S or (admissible is not None
+                         and not admissible(gens, c)):
+            return S
+        if c not in spans:
+            spans[c] = _orbit(0, c, lambda x, g: t[x][g])
+        T = set(S)
+        for x in spans[c]:
+            if x not in T:
+                T.update(t[s][x] for s in S)
+        T = frozenset(T)
+        gens_of.setdefault(T, gens + c)
+        return T
+
+    return _orbit(frozenset({0}), classes, grow)
+
+
+def element_class_walks(G):
+    """The oracle's full walk over every non-identity class, and its
+    abelian walk over the classes that commute with themselves, admitting
+    a class where it commutes with the generators so far."""
+    t = G.table
+
+    def commute(xs, ys):
+        return all(t[a][b] == t[b][a] for a in xs for b in ys)
+
+    classes = G.conjugacy_classes()[1:]
+    return (element_class_subgroups(G, classes),
+            element_class_subgroups(
+                G, [c for c in classes if commute(c, c)],
+                lambda gens, c: commute(c, gens)))
+
+
+def element_direct_factors(G):
+    """The direct factors of G, split as `groups._direct_factors` does, on
+    the element sets of the oracle's full walk."""
+    normal = sorted(element_class_walks(G)[0], key=len)
+    by_order = {}
+    for S in normal:
+        by_order.setdefault(len(S), []).append(S)
+    factors, rest = [], frozenset(range(G.order))
+    while len(rest) > 1:
+        for N in normal[1:]:
+            if len(rest) % len(N) or not N <= rest:
+                continue
+            M = next((M for M in by_order.get(len(rest) // len(N), ())
+                      if len(M & N) == 1 and M <= rest), None)
+            if M is not None:
+                break
+        factors.append(tuple(sorted(N)))
+        rest = M
+    return factors
 
 
 def sweep_conjugacy_classes(G):
@@ -560,6 +628,16 @@ def generated_automorphisms(G, maps):
                          lambda im, phi: tuple(phi[x] for x in im)))
 
 
+def transport(x, phi, nas_by_elements):
+    """The pair (phi(A), b pushed along phi|A) for an automorphism phi;
+    phi(A) is looked up among the abelian normal subgroups by elements,
+    and the dual matrix of phi|A is built for this pair alone."""
+    B = nas_by_elements.get(tuple(sorted(phi(a) for a in x.subgroup.elements)))
+    if B is None:
+        raise VerdictInconsistent("automorphism left the pair set")
+    return BGElement(B, x.form.push(B, _dual_matrix(x.subgroup, B, phi)))
+
+
 def listing_pair_orbits(bg, nas, auts):
     """Orbits of the listed automorphisms (image tuples) on the non-trivial
     pairs: each orbit is the first pair left over pushed along every one."""
@@ -569,7 +647,7 @@ def listing_pair_orbits(bg, nas, auts):
     for i, x in enumerate(bg):
         if x.is_trivial() or any(i in orbit for orbit in orbits):
             continue
-        orbit = {by_key.get(_transport(x, im.__getitem__, by_elements).key())
+        orbit = {by_key.get(transport(x, im.__getitem__, by_elements).key())
                  for im in auts}
         if None in orbit:
             raise VerdictInconsistent("automorphism left the pair set")
@@ -625,6 +703,55 @@ def cubic_associativity_witness(table):
                 if table[ab][c] != table[a][table[b][c]]:
                     return (a, b, c)
     return None
+
+
+def entrywise_from_table(table):
+    """`groups.from_table`'s checks entry by entry, in its order: the
+    (message, witness) of the first one that fails, or the table with its
+    identity moved to 0 and the moving permutation."""
+    n = len(table)
+    if n == 0 or any(len(row) != n for row in table):
+        return "table is not square", None
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            if type(v) is not int or not (0 <= v < n):
+                return f"entry out of range at ({i},{j})", (i, j, v)
+    ident = None
+    for e in range(n):
+        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
+            ident = e
+            break
+    if ident is None:
+        return "no two-sided identity", None
+    perm = list(range(n))
+    perm[0], perm[ident] = ident, 0
+    table = [[perm[table[perm[a]][perm[b]]] for b in range(n)]
+             for a in range(n)]
+    for s in _right_generators(table):
+        row_s = table[s]
+        for x in range(n):
+            row_x = table[x]
+            row_xs = table[row_x[s]]
+            for y in range(n):
+                if row_xs[y] != row_x[row_s[y]]:
+                    return "associativity fails", (x, s, y)
+    for a in range(n):
+        if 0 not in table[a]:
+            return "row without identity (no inverse)", a
+    return table, perm
+
+
+def loop_inverses(table):
+    """(inverses, None), each element's first b with ab = 0 = ba, or
+    (None, a) for the first element a that has none."""
+    n, inv = len(table), []
+    for a in range(n):
+        b = next((b for b in range(n)
+                  if table[a][b] == 0 and table[b][a] == 0), None)
+        if b is None:
+            return None, a
+        inv.append(b)
+    return tuple(inv), None
 
 
 def random_loop(n, rng):
