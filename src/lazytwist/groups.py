@@ -34,8 +34,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
+
+from .cyclo import _prime_factors
 
 __all__ = [
     "ORDER_LIMIT_DEFAULT",
@@ -425,6 +427,42 @@ def abelian_structure(A: Subgroup):
         if d2 % d1:
             raise VerdictInconsistent("invariant factor chain broken")
     return picked
+
+
+def _group_structure(count, exponent: int) -> list[int] | None:
+    """Invariant factors d1 | d2 | ... of a finite abelian group of the given
+    exponent with count(q) = #{x : x^q = 1}, or None when no group has these
+    counts.
+
+    For a prime p, count(p^k) / count(p^(k-1)) is p to the number of
+    p-primary cyclic factors of order at least p^k; the t-th largest
+    invariant factor takes p once for each k at which that number exceeds
+    t.  Only these counts are needed, not a Cayley table.
+    """
+    factors: list[int] = []
+    for p in _prime_factors(exponent):
+        pk, below = 1, 1
+        while exponent % p == 0:
+            exponent //= p
+            pk *= p
+            n = count(pk)
+            at_least, q = 0, n // below
+            while q > 1:
+                q //= p
+                at_least += 1
+            if below * p ** at_least != n:
+                return None
+            factors.extend([1] * (at_least - len(factors)))
+            for t in range(at_least):
+                factors[t] *= p
+            below = n
+    return sorted(factors)
+
+
+def _orders_structure(orders: list[int]) -> list[int] | None:
+    """_group_structure of the group with these element orders."""
+    return _group_structure(
+        lambda q: sum(1 for o in orders if q % o == 0), lcm(*orders))
 
 
 class _ClassMasks:

@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 from operator import getitem, mul
 
 from .cyclo import CycNum, from_counts, lift, root_of_unity
 from .groups import FiniteGroup, Subgroup, _orbit
 from .pontryagin import (AltForm, DualAction, _COCYCLE_IDENTITY,
-                         _products_agree, _units, cocycle_identity_holds,
-                         is_nondegenerate)
+                         _products_agree, _space, _units,
+                         cocycle_identity_holds, is_nondegenerate)
 
 __all__ = [
     "DegreeMismatch",
@@ -614,18 +614,17 @@ def form_from_r(A: Subgroup, R: GTensor) -> AltForm:
     hat = _transform(table, R.terms, 2)
     roots = [root_of_unity(L, k) for k in range(L)]
     exponent = {v: k for k, v in enumerate(roots)}
-    basis = A.abelian_structure()
-    unit = _units(len(basis))
-    upper = {}
-    for i, j in itertools.combinations(range(len(basis)), 2):
+    space = _space(A)
+    unit = _units(len(space.ds))
+    entries = []
+    for (i, j), m in zip(space.pairs, space.moduli):
         # b(chi_i, chi_j) = zeta_m^e, m = gcd(d_i, d_j): zeta_L^k, k = e L/m
         k = exponent.get(hat[(unit[i], unit[j])])
-        step = L // gcd(basis[i][1], basis[j][1])
-        if k is None or k % step:
+        if k is None or k % (L // m):
             raise ThetaContractViolated(
                 "pairing value is not a root of unity of the right order")
-        upper[(i, j)] = k // step
-    b = AltForm.from_upper(A, upper)
+        entries.append(k // (L // m))
+    b = AltForm.from_upper(A, entries)
     if any(v != roots[b.value_exponent(*pair)[0]] for pair, v in hat.items()):
         raise ThetaContractViolated("R-matrix is not the bicharacter of a form")
     return b
@@ -639,13 +638,12 @@ def _char_table(A: Subgroup):
     zeta_L^E[s][a] for every dual exponent tuple s (the keys of E, in
     lexicographic order) and every a in A, read off the coordinates c(a)
     of a as E[s][a] = sum s_i c_i(a) L/d_i mod L."""
-    ds = [d for _, d in A.abelian_structure()]
-    L = lcm(*ds)
+    ds, L, _, _, duals = _space(A)
     coords = A.element_coordinates()
     scaled = {a: [c * (L // d) for c, d in zip(coords[a], ds)]
               for a in A.elements}
     return L, {s: {a: sum(map(mul, s, w)) % L for a, w in scaled.items()}
-               for s in itertools.product(*(range(d) for d in ds))}
+               for s in duals}
 
 
 def _transform(table, terms: dict, degree: int, inverse: bool = False) -> dict:

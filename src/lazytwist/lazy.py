@@ -10,7 +10,7 @@ factors, R2 and R4 read [p, p] off the pair orders.  The final block
 alone turns an exact order of 1 or a prime into [] or [p], and refuses a
 structure that does not multiply to the exact order.
 
-Pairs are compared by (socle elements, form matrix): the map
+Pairs are compared by (socle elements, form entries): the map
 (A, b) -> R(A, b) is injective, so this is the same equality as comparing
 bicharacter tensors.  Since R(A, b)^k = R(A, b^k), the order of a pair is
 the order of its form.  The Aut(G) orbits of rule R5 act on the forms,
@@ -49,7 +49,9 @@ from .groups import (
     VerdictInconsistent,
     _check_order,
     _direct_factors,
+    _group_structure,
     _orbits,
+    _orders_structure,
     automorphism_generators,
     class_preserving_auts,
     find_isomorphism,
@@ -64,6 +66,7 @@ from .pontryagin import (
     DualAction,
     RealizableForms,
     _dual_matrix,
+    _space,
     invariant_forms,
     is_nondegenerate,
     is_symmetric_type,
@@ -85,9 +88,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BGElement:
-    """A socle-form pair, compared by (socle elements, form matrix).
+    """A socle-form pair, compared by (socle elements, form entries).
 
-    The form's matrix is written on the socle's own invariant-factor basis,
+    The form's entries are on the socle's own invariant-factor basis,
     which depends only on the socle's elements, so the key is canonical.
     """
 
@@ -106,7 +109,7 @@ class BGElement:
         return r_from_form(self.subgroup, self.form)
 
     def key(self):
-        return (self.subgroup.elements, self.form.matrix)
+        return (self.subgroup.elements, self.form.upper)
 
     def is_trivial(self) -> bool:
         return self.subgroup.order == 1
@@ -136,7 +139,7 @@ def bg_enumerate(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
         out.extend(BGElement(A, b) for b in invariant_forms(
             A, DualAction(G, A)) if is_nondegenerate(b))
     out.sort(key=lambda e: (e.subgroup.order, e.subgroup.elements,
-                            e.form.matrix))
+                            e.form.upper))
     return out
 
 
@@ -347,48 +350,12 @@ class H2Report:
         }
 
 
-def _group_structure(count, exponent: int) -> Optional[list[int]]:
-    """Invariant factors d1 | d2 | ... of a finite abelian group of the given
-    exponent with count(q) = #{x : x^q = 1}, or None when no group has these
-    counts.
-
-    For a prime p, count(p^k) / count(p^(k-1)) is p to the number of
-    p-primary cyclic factors of order at least p^k; the t-th largest
-    invariant factor takes p once for each k at which that number exceeds
-    t.  Only these counts are needed, not a Cayley table.
-    """
-    factors: list[int] = []
-    for p in _prime_factors(exponent):
-        pk, below = 1, 1
-        while exponent % p == 0:
-            exponent //= p
-            pk *= p
-            n = count(pk)
-            at_least, q = 0, n // below
-            while q > 1:
-                q //= p
-                at_least += 1
-            if below * p ** at_least != n:
-                return None
-            factors.extend([1] * (at_least - len(factors)))
-            for t in range(at_least):
-                factors[t] *= p
-            below = n
-    return sorted(factors)
-
-
-def _orders_structure(orders: list[int]) -> Optional[list[int]]:
-    """_group_structure of the group with these element orders."""
-    return _group_structure(
-        lambda q: sum(1 for o in orders if q % o == 0), lcm(*orders))
-
-
-def _alternating_form_group(cyclic_orders) -> tuple[int, list[int]]:
+def _alternating_form_group(A: Subgroup) -> tuple[int, list[int]]:
     """Order and invariant factors of the alternating forms on the dual of
-    (+) Z/d_i, which are (+)_{i<j} Z/gcd(d_i, d_j) (Karpilovsky, Projective
-    Representations of Finite Groups, 1985); the forms of order dividing q
-    number prod gcd(d_i, d_j, q), so none is listed."""
-    gcds = [gcd(a, b) for a, b in itertools.combinations(cyclic_orders, 2)]
+    A = (+) Z/d_i, which are (+)_{i<j} Z/gcd(d_i, d_j) (Karpilovsky,
+    Projective Representations of Finite Groups, 1985); the forms of order
+    dividing q number prod gcd(d_i, d_j, q), so none is listed."""
+    gcds = _space(A).moduli
     return prod(gcds), _group_structure(
         lambda q: prod(gcd(g, q) for g in gcds), lcm(*gcds))
 
@@ -427,7 +394,7 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
         # descended), and k[G] is commutative, so Int(G) = Inn(G): the
         # closed form gives every number, and no pair is listed.
         forms_order, forms_struct = _alternating_form_group(
-            [d for _, d in G.whole_subgroup().abelian_structure()])
+            G.whole_subgroup())
         nas = bg = None
         bg_size, int_mod_inn = forms_order, 1
     else:
@@ -613,7 +580,7 @@ def _aut_orbits(bg, nas, auts) -> list[list[int]]:
                 raise VerdictInconsistent("automorphism left the pair set")
             pushes[A.elements, k] = B, _dual_matrix(A, B, phi)
         B, rows = pushes[A.elements, k]
-        j = by_key.get((B.elements, bg[i].form.push(B, rows).matrix))
+        j = by_key.get((B.elements, bg[i].form.push(B, rows).upper))
         if j is None:
             raise VerdictInconsistent("automorphism left the pair set")
         return j
@@ -646,12 +613,12 @@ def _candidate_image_sizes(G, bg, nas, witnessed):
         inside = set(C.elements).issuperset
         pushed = {i: x.form.push(C, _dual_matrix(x.subgroup, C, lambda a: a))
                   for i, x in enumerate(bg) if inside(x.subgroup.elements)}
-        by_matrix = {b.matrix: i for i, b in pushed.items()}
+        by_upper = {b.upper: i for i, b in pushed.items()}
         for oi, orbit in enumerate(orbits):
             if orbit[0] not in pushed:
                 continue
             for j, b in pushed.items():
-                k = by_matrix.get(pushed[orbit[0]].mul(b).matrix)
+                k = by_upper.get(pushed[orbit[0]].mul(b).upper)
                 if k is None:
                     raise VerdictInconsistent(
                         "partial product left the pair set")

@@ -3,8 +3,9 @@
 Characters and forms are stored by integer exponents over the generators
 returned by abelian_structure; all values are roots of unity, so most of
 the work here is modular integer arithmetic, materialized as CycNum only
-at the edges.  Every condition on a form, and on a cocycle that realizes
-it, is Z-linear in these exponents, so the invariant forms, radicals,
+at the edges.  A form is posed by its upper entries, one per pair of
+`_coordinates`, and every condition on a form, and on a cocycle that
+realizes it, is Z-linear in them, so the invariant forms, radicals,
 descent and the invariant-cocycle decision are kernels and systems over
 Q/Z solved through the Smith normal form (`_smith`); the forms realized on
 a socle are one kernel (`RealizableForms`).  All forms and the invariant
@@ -14,17 +15,19 @@ ones are one span, `_forms`; callers test non-degeneracy.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Optional
 
 from ._smith import (back_substitute, injective, kernel, smith, solve_qz,
                      span)
 from .cyclo import CycNum, root_of_unity
-from .groups import (FiniteGroup, OrderLimitExceeded, Subgroup,
-                     VerdictInconsistent)
+from .groups import (FiniteGroup, NotAbelian, OrderLimitExceeded, Subgroup,
+                     VerdictInconsistent, _orders_structure)
 
 __all__ = [
     "NotInSubgroup",
@@ -57,6 +60,26 @@ class EvenOrder(ValueError):
     pass
 
 
+_Coordinates = namedtuple("_Coordinates", "ds L pairs moduli duals")
+
+
+@lru_cache(maxsize=None)
+def _coordinates(ds: tuple[int, ...]) -> _Coordinates:
+    """The coordinates of forms on the dual of (+) Z/d_i, built once per
+    type: the d_i, their exponent L, the pairs i < j in order with their
+    moduli gcd(d_i, d_j), and the dual's points, exponent tuples in
+    lexicographic order."""
+    pairs = tuple(itertools.combinations(range(len(ds)), 2))
+    return _Coordinates(ds, lcm(*ds), pairs,
+                        tuple(gcd(ds[i], ds[j]) for i, j in pairs),
+                        tuple(itertools.product(*map(range, ds))))
+
+
+def _space(A: Subgroup) -> _Coordinates:
+    """The coordinates on the dual of A, over its invariant factors."""
+    return _coordinates(tuple(d for _, d in A.abelian_structure()))
+
+
 @dataclass(frozen=True)
 class Character:
     """A character of an abelian subgroup, chi(g_i) = zeta_{d_i}^{a_i}."""
@@ -69,12 +92,10 @@ class Character:
         coords = self.group.element_coordinates()
         if a not in coords:
             raise NotInSubgroup(f"element {a} not in the subgroup")
-        basis = self.group.abelian_structure()
-        L = lcm(*(d for _, d in basis))
-        t = 0
-        for (_, d), e, c in zip(basis, self.exponents, coords[a]):
-            t += e * c * (L // d)
-        return t % L, L
+        c = _space(self.group)
+        t = sum(e * x * (c.L // d)
+                for d, e, x in zip(c.ds, self.exponents, coords[a]))
+        return t % c.L, c.L
 
     def kernel(self) -> tuple[int, ...]:
         return tuple(a for a in self.group.elements
@@ -87,39 +108,40 @@ class AltForm:
 
     matrix[i][j] is the exponent e_ij with b(chi_i, chi_j) = zeta_{m_ij}^{e_ij}
     on the dual generators, m_ij = gcd(d_i, d_j); the matrix is skew with
-    zero diagonal, entries reduced mod m_ij.
+    zero diagonal, entries reduced mod m_ij.  `upper` holds the e_ij, i < j,
+    in the order of the pairs of `_coordinates`, where every Z-linear
+    condition on a form is posed.
     """
 
     group: Subgroup
     matrix: tuple[tuple[int, ...], ...]
 
     @staticmethod
-    def from_upper(A: Subgroup, upper: dict[tuple[int, int], int]) -> "AltForm":
-        basis = A.abelian_structure()
-        r = len(basis)
-        mat = [[0] * r for _ in range(r)]
-        for (i, j), e in upper.items():
-            m = gcd(basis[i][1], basis[j][1])
-            mat[i][j] = e % m
-            mat[j][i] = (-e) % m
-        return AltForm(A, tuple(tuple(row) for row in mat))
+    def from_upper(A: Subgroup, entries) -> "AltForm":
+        """The form with upper entries `entries`, one per pair i < j in
+        order, each reduced mod its modulus."""
+        c = _space(A)
+        mat = [[0] * len(c.ds) for _ in c.ds]
+        for (i, j), m, e in zip(c.pairs, c.moduli, entries, strict=True):
+            mat[i][j], mat[j][i] = e % m, -e % m
+        return AltForm(A, tuple(map(tuple, mat)))
 
     @staticmethod
     def trivial(A: Subgroup) -> "AltForm":
-        return AltForm.from_upper(A, {})
+        return AltForm.from_upper(A, [0] * len(_space(A).pairs))
 
-    def _orders(self):
-        return [d for _, d in self.group.abelian_structure()]
+    @cached_property
+    def upper(self) -> tuple[int, ...]:
+        """The entries e_ij, i < j, in pair order."""
+        return tuple(self.matrix[i][j] for i, j in _space(self.group).pairs)
 
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         """(L, ((i, j, e_ij L / m_ij), ...)) over the nonzero upper entries,
         L the exponent of the dual; computed once per form."""
-        ds = self._orders()
-        L = lcm(*ds)
-        return L, tuple((i, j, self.matrix[i][j] * (L // gcd(ds[i], ds[j])))
-                        for i, j in itertools.combinations(range(len(ds)), 2)
-                        if self.matrix[i][j])
+        c = _space(self.group)
+        return c.L, tuple((i, j, e * (c.L // m)) for (i, j), m, e in
+                          zip(c.pairs, c.moduli, self.upper) if e)
 
     def value_exponent(self, rho, sigma) -> tuple[int, int]:
         """b(rho, sigma) as (t, L): zeta_L^t for exponent tuples rho, sigma."""
@@ -128,36 +150,23 @@ class AltForm:
                    for i, j, w in upper) % L, L
 
     def mul(self, other: "AltForm") -> "AltForm":
-        ds = self._orders()
-        r = len(ds)
-        return AltForm.from_upper(self.group, {
-            (i, j): self.matrix[i][j] + other.matrix[i][j]
-            for i in range(r) for j in range(i + 1, r)})
+        return AltForm.from_upper(self.group, [
+            a + b for a, b in zip(self.upper, other.upper, strict=True)])
 
     def inv(self) -> "AltForm":
-        r = len(self._orders())
-        return AltForm.from_upper(self.group, {
-            (i, j): -self.matrix[i][j]
-            for i in range(r) for j in range(i + 1, r)})
+        return AltForm.from_upper(self.group, [-e for e in self.upper])
 
     def order(self) -> int:
-        ds = self._orders()
-        out = 1
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                m = gcd(ds[i], ds[j])
-                e = self.matrix[i][j]
-                o = m // gcd(e, m) if e else 1
-                out = out * o // gcd(out, o)
-        return out
+        return lcm(*(m // gcd(e, m) for e, m in
+                     zip(self.upper, _space(self.group).moduli)))
 
     def is_trivial(self) -> bool:
-        return all(not e for row in self.matrix for e in row)
+        return not any(self.upper)
 
     def _pairing(self):
         """(M, ds, ds): rho -> (b(rho, chi_j))_j as a map of exponents, from
         the dual (+) Z/d_i to (+) Z/d_j."""
-        ds = self._orders()
+        ds = _space(self.group).ds
         return [[self.matrix[i][j] * (d // gcd(ds[i], d))
                  for i in range(len(ds))] for j, d in enumerate(ds)], ds, ds
 
@@ -171,15 +180,14 @@ class AltForm:
         dual generators i, j.  For rows = _dual_matrix(A, B, psi) it is
         (chi, chi') -> b(chi o psi, chi' o psi), of tensor (psi x psi)R(A, b).
         """
-        es = [e for _, e in B.abelian_structure()]
-        upper = {}
-        for i, j in itertools.combinations(range(len(es)), 2):
+        c = _space(B)
+        entries = []
+        for (i, j), m in zip(c.pairs, c.moduli):
             t, L = self.value_exponent(rows[i], rows[j])
-            m = gcd(es[i], es[j])
             if t * m % L:
                 raise VerdictInconsistent("form value order mismatch")
-            upper[(i, j)] = t * m // L
-        return AltForm.from_upper(B, upper)
+            entries.append(t * m // L)
+        return AltForm.from_upper(B, entries)
 
     def descend(self, D: Subgroup) -> "AltForm":
         """The form on the dual of D <= A whose push along D <= A is b, read
@@ -191,7 +199,7 @@ class AltForm:
         and d_j v_j = 0, P_ij the coordinates of c_i over the a_j.
         """
         coords = self.group.element_coordinates()
-        ds = self._orders()
+        ds = _space(self.group).ds
         basis = D.abelian_structure()
         rows = [list(coords[c]) for c, _ in basis] + [
             [d if j == i else 0 for j in range(len(ds))]
@@ -220,14 +228,15 @@ class AltForm:
 FORM_LIMIT = 1 << 20
 
 
-def _forms(A: Subgroup, gens, orders, s) -> list[AltForm]:
-    """The forms whose upper entries in (+)_{i<j} Z/s_ij, s_ij = gcd(d_i,
-    d_j), are the span of `gens` of these orders, sorted by matrix."""
+def _forms(A: Subgroup, gens, orders) -> list[AltForm]:
+    """The forms whose upper entries in (+)_{i<j} Z/gcd(d_i, d_j) are the
+    span of `gens` of these orders, sorted by entries: in the order of
+    their matrices, which begin each row with that row's upper entries."""
     if prod(orders) > FORM_LIMIT:
         raise OrderLimitExceeded("too many alternating forms to enumerate")
-    pairs = list(itertools.combinations(range(len(A.abelian_structure())), 2))
-    return sorted((AltForm.from_upper(A, dict(zip(pairs, x)))
-                   for x in span(gens, orders, s)), key=lambda b: b.matrix)
+    return sorted((AltForm.from_upper(A, x) for x in
+                   span(gens, orders, _space(A).moduli)),
+                  key=lambda b: b.upper)
 
 
 def alternating_forms(A: Subgroup) -> list[AltForm]:
@@ -236,9 +245,8 @@ def alternating_forms(A: Subgroup) -> list[AltForm]:
     These are exactly the admissible skew matrices; the count is the
     product of gcd(d_i, d_j) over i < j.
     """
-    s = [gcd(a, b) for a, b in itertools.combinations(
-        [d for _, d in A.abelian_structure()], 2)]
-    return _forms(A, _units(len(s)), s, s)
+    s = _space(A).moduli
+    return _forms(A, _units(len(s)), s)
 
 
 def is_nondegenerate(b: AltForm) -> bool:
@@ -248,12 +256,14 @@ def is_nondegenerate(b: AltForm) -> bool:
 
 
 def is_symmetric_type(A: Subgroup) -> bool:
-    """True iff A is a square: every invariant factor occurs an even number
-    of times."""
-    ds = [d for _, d in A.abelian_structure()]
-    if len(ds) % 2:
-        return False
-    return all(ds[i] == ds[i + 1] for i in range(0, len(ds), 2))
+    """True iff the abelian A is a square: every invariant factor occurs an
+    even number of times.  The factors are read off A's element orders
+    (`groups._orders_structure`), so no basis is built; a non-abelian A
+    with an abelian group's element orders (Q8 has C4 x C2's) passes."""
+    ds = _orders_structure([A.parent.element_order(a) for a in A.elements])
+    if ds is None or prod(ds) != A.order:
+        raise NotAbelian("element orders of no abelian group of this order")
+    return len(ds) % 2 == 0 and ds[::2] == ds[1::2]
 
 
 def _units(r: int) -> list[tuple[int, ...]]:
@@ -266,7 +276,7 @@ def _dual_matrix(A: Subgroup, B: Subgroup, psi) -> tuple[tuple[int, ...], ...]:
     elements: row i is the image of B's i-th dual generator, in exponents
     over A's dual generators."""
     coords = B.element_coordinates()
-    es = [e for _, e in B.abelian_structure()]
+    es = _space(B).ds
     basis = A.abelian_structure()
     rows = [[0] * len(basis) for _ in es]
     for j, (a, d) in enumerate(basis):
@@ -296,9 +306,7 @@ class DualAction:
             raise NotNormalSubgroup("subgroup of another group")
         if not A.is_normal():
             raise NotNormalSubgroup("dual action needs a normal subgroup")
-        self.G = G
-        self.A = A
-        self._orders = [d for _, d in A.abelian_structure()]
+        self.G, self.A, self.space = G, A, _space(A)
         self._mats: dict[int, tuple] = {}
 
     def _matrix(self, g: int):
@@ -311,39 +319,33 @@ class DualAction:
         return self._mats[g]
 
     def on_exponents(self, g: int, exponents) -> tuple[int, ...]:
-        return _dual_apply(self._matrix(g), exponents, self._orders)
+        return _dual_apply(self._matrix(g), exponents, self.space.ds)
 
     def invariance_map(self):
         """(M, s, t): b is invariant iff M x = 0 mod t for its upper entries
         x in (+) Z/s, s_kl = gcd(d_k, d_l).  Row (g, i, j) is b(P_g e_i,
         P_g e_j) - b(e_i, e_j) in exponents over the dual exponent L, for
         each generator g of G, P_g its matrix on the dual."""
-        ds = self._orders
-        L = lcm(*ds)
-        pairs = list(itertools.combinations(range(len(ds)), 2))
-        s = [gcd(ds[k], ds[l]) for k, l in pairs]
+        c = self.space
         M = []
         for g in self.G.generating_set():
             P = self._matrix(g)
-            for i, j in pairs:
+            for i, j in c.pairs:
                 M.append([(P[i][k] * P[j][l] - P[i][l] * P[j][k]
-                           - ((k, l) == (i, j))) * (L // m)
-                          for (k, l), m in zip(pairs, s)])
-        return M, s, [L] * len(M)
+                           - ((k, l) == (i, j))) * (c.L // m)
+                          for (k, l), m in zip(c.pairs, c.moduli)])
+        return M, c.moduli, [c.L] * len(M)
 
     def is_invariant_form(self, b: AltForm) -> bool:
         M, _, t = self.invariance_map()
-        x = [b.matrix[i][j]
-             for i, j in itertools.combinations(range(len(self._orders)), 2)]
-        return not any(sum(a * v for a, v in zip(row, x)) % L
+        return not any(sum(map(mul, row, b.upper)) % L
                        for row, L in zip(M, t))
 
 
 def invariant_forms(A: Subgroup, action: DualAction) -> list[AltForm]:
     """G-invariant alternating forms on the dual of A, in the order of
     their matrices: the kernel of the invariance map."""
-    M, s, t = action.invariance_map()
-    return _forms(A, *kernel(M, s, t), s)
+    return _forms(A, *kernel(*action.invariance_map()))
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +361,8 @@ def cocycle_from_form_odd(A: Subgroup, b: AltForm) -> dict:
     """
     if A.order % 2 == 0:
         raise EvenOrder("square-root cocycle needs odd order")
-    basis = A.abelian_structure()
-    ds = [d for _, d in basis]
-    L = lcm(*ds)
+    ds, L, _, _, duals = _space(A)
     half = (L + 1) // 2
-    duals = list(itertools.product(*(range(d) for d in ds)))
     roots = [root_of_unity(L, k) for k in range(L)]
     halves = {sigma: tuple(x * half % d for x, d in zip(sigma, ds))
               for sigma in duals}
@@ -400,8 +399,7 @@ def _products_agree(A: Subgroup, c: dict, left, right) -> bool:
     The distinct values are interned by key and their pairwise products
     cached, so the sweep is list lookups rather than field arithmetic.
     """
-    ds = [d for _, d in A.abelian_structure()]
-    duals = list(itertools.product(*(range(d) for d in ds)))
+    ds, _, _, _, duals = _space(A)
     index = {x: i for i, x in enumerate(duals)}
     ids: dict = {}
     vals: list = []
@@ -447,11 +445,9 @@ def _products_agree(A: Subgroup, c: dict, left, right) -> bool:
 def cocycle_identity_holds(A: Subgroup, c: dict) -> bool:
     """Check normalization and the full 2-cocycle identity, with every
     value in k*: a table with a zero value is no cocycle."""
-    ds = [d for _, d in A.abelian_structure()]
-    one = tuple(0 for _ in ds)
+    one, *_ = duals = _space(A).duals
     cn = CycNum.one()
-    if any(c[(one, rho)] != cn or c[(rho, one)] != cn
-           for rho in itertools.product(*(range(d) for d in ds))):
+    if any(c[(one, rho)] != cn or c[(rho, one)] != cn for rho in duals):
         return False
     return _products_agree(A, c, *_COCYCLE_IDENTITY)
 
@@ -496,11 +492,8 @@ class RealizableForms:
     """
 
     def __init__(self, action: DualAction):
-        ds, self.A = action._orders, action.A
-        self.L = L = lcm(*ds)
-        self.pairs = list(itertools.combinations(range(len(ds)), 2))
-        self.moduli = [gcd(ds[i], ds[j]) for i, j in self.pairs]
-        self.duals = duals = list(itertools.product(*(range(d) for d in ds)))
+        self.A, self.space = action.A, action.space
+        ds, L, pairs, moduli, duals = self.space
         index = {rho: k for k, rho in enumerate(duals)}
         self.add = add = [[index[tuple((u + v) % d for u, v, d in
                                        zip(x, y, ds))] for y in duals]
@@ -518,12 +511,12 @@ class RealizableForms:
                 row[k] += sign
             y = tuple((duals[rho][j] * duals[e][i] - duals[grho][j]
                        * duals[ge][i]) * (L // m)
-                      for (i, j), m in zip(self.pairs, self.moduli))
+                      for (i, j), m in zip(pairs, moduli))
             rows[tuple(row[1:]), y] = None
         self.M, self.Y = [list(row) for row, _ in rows], [y for _, y in rows]
         U, self.D, self.V = smith(self.M)
         self.UY = [[sum(u * y[k] for u, y in zip(row, self.Y))
-                    for k in range(len(self.pairs))] for row in U]
+                    for k in range(len(pairs))] for row in U]
         # the rows without a pivot, one per value mod L
         n = len(duals) - 1
         free = {tuple(v % L for v in self.UY[i]): U[i] for i in range(len(U))
@@ -532,14 +525,13 @@ class RealizableForms:
                for u in free.values() for k in range(n)):
             raise VerdictInconsistent("obstruction vector fails its check")
         self.free, self.cocycles = list(free), None
-        self.gens, self.orders = kernel(self.free, self.moduli,
-                                        [L] * len(free))
+        self.gens, self.orders = kernel(self.free, moduli, [L] * len(free))
 
     def realizes(self, b: AltForm) -> bool:
         """Whether b's upper entries are in the kernel; the first yes checks
         one cocycle per generator (`cocycles`), certifying every yes."""
-        if any(sum(a * b.matrix[i][j] for a, (i, j) in zip(row, self.pairs))
-               % self.L for row in self.free):
+        if any(sum(map(mul, row, b.upper)) % self.space.L
+               for row in self.free):
             return False
         if self.cocycles is None:
             self.cocycles = [self.cocycle(x) for x in self.gens]
@@ -547,17 +539,17 @@ class RealizableForms:
 
     def cocycle(self, x) -> tuple[int, list[list[int]]]:
         """(Q, c), c[rho][sigma] mod Q: a checked cocycle of form x."""
-        L, duals, add, n = self.L, self.duals, self.add, range(len(self.duals))
+        _, L, _, _, duals = self.space
+        add, n = self.add, range(len(duals))
         lam = back_substitute(self.M, self.D, self.V, *(
             [sum(a * v for a, v in zip(row, x)) for row in T]
             for T in (self.UY, self.Y)), L)
         Q = lcm(L, *(v.denominator for v in lam))
         ell = [0] + [int(v * Q) for v in lam]
-        w = [v * (L // m) * (Q // L) for v, m in zip(x, self.moduli)]
-        c = [[(sum(wk * rho[j] * sigma[i] for wk, (i, j) in zip(w, self.pairs))
-               + ell[r] + ell[t] - ell[add[r][t]]) % Q
+        b = AltForm.from_upper(self.A, x)
+        c = [[(sum(w * rho[j] * sigma[i] for i, j, w in b._scaled[1])
+               * (Q // L) + ell[r] + ell[t] - ell[add[r][t]]) % Q
               for t, sigma in enumerate(duals)] for r, rho in enumerate(duals)]
-        b = AltForm.from_upper(self.A, dict(zip(self.pairs, x)))
         if any(c[m[r]][m[t]] != c[r][t] for m in self.moves for r in n
                for t in n) or any(
                    (c[t][r] - c[r][t] - b.value_exponent(duals[r], duals[t])[0]
@@ -574,7 +566,8 @@ def invariant_cocycle_search(A: Subgroup, b: AltForm,
     forms = RealizableForms(action)
     if not forms.realizes(b):
         return CocycleSearch(None, "contradiction")
-    Q, c = forms.cocycle([b.matrix[i][j] for i, j in forms.pairs])
+    Q, c = forms.cocycle(b.upper)
+    duals = forms.space.duals
     return CocycleSearch({(rho, sigma): root_of_unity(Q, c[r][t])
-                          for r, rho in enumerate(forms.duals)
-                          for t, sigma in enumerate(forms.duals)}, "witness")
+                          for r, rho in enumerate(duals)
+                          for t, sigma in enumerate(duals)}, "witness")

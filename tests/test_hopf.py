@@ -527,7 +527,7 @@ def test_r_from_form_pullback_coherence_exhaustive():
                     # pull back along restriction to a form on the big dual
                     basis = A.abelian_structure()
                     r = len(basis)
-                    upper = {}
+                    upper = []
                     for i in range(r):
                         ei = tuple(1 if k == i else 0 for k in range(r))
                         chi_i = restrict_character(chars_A, ei, B)
@@ -538,7 +538,7 @@ def test_r_from_form_pullback_coherence_exhaustive():
                             from math import gcd
                             m = gcd(basis[i][1], basis[j][1])
                             assert t * m % L == 0
-                            upper[(i, j)] = t * m // L % m
+                            upper.append(t * m // L % m)
                     pulled = AltForm.from_upper(A, upper)
                     assert r_from_form(B, bp) == r_from_form(A, pulled)
                     # the same push through the dual map of B <= A

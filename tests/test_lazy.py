@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+import lazytwist.groups as groups_module
 from lazytwist import _smith, hopf, lazy, pontryagin
 from lazytwist.cli import _EXPECTED_SUITE, main
 from lazytwist.cyclo import CycNum
@@ -15,6 +16,7 @@ from lazytwist.groups import (
     OrderLimitExceeded,
     VerdictInconsistent,
     _orbits,
+    _orders_structure,
     automorphism_generators,
     automorphism_group,
     class_preserving_auts,
@@ -27,7 +29,6 @@ from lazytwist.lazy import (
     _candidate_image_sizes,
     _is_abelian_orders,
     _maximal,
-    _orders_structure,
     _pair_orbits,
     bg_element_order,
     bg_enumerate,
@@ -45,6 +46,7 @@ from tests_helpers import (
     SPLIT_GROUPS,
     abelian_order_multisets,
     abelian_types,
+    basis_symmetric_type,
     characters,
     convolution_no_multiplicities,
     invariant_orbit_dimension,
@@ -61,6 +63,25 @@ from tests_helpers import (
     transport,
     whole_group_no_multiplicities,
 )
+
+
+def test_bg_enumerate_builds_bases_only_on_symmetric_types(groups,
+                                                           monkeypatch):
+    # the type is read off element orders, so of D8xC6's 28 abelian normal
+    # subgroups only the five non-trivial ones that can carry a
+    # non-degenerate form get an invariant-factor basis, after the trivial
+    # pair's own
+    built, structure = [], groups_module.abelian_structure
+    monkeypatch.setattr(groups_module, "abelian_structure",
+                        lambda A: built.append(A.elements) or structure(A))
+    G = named_group(groups, "D8xC6")
+    nas = normal_abelian_subgroups(G)
+    bg_enumerate(G, nas=nas)
+    monkeypatch.undo()
+    symmetric = [A.elements for A in nas
+                 if A.order > 1 and basis_symmetric_type(A)]
+    assert len(nas) == 28 and len(symmetric) == 5
+    assert built == [(0,)] + symmetric, built
 
 
 def test_bg_sizes(groups):
@@ -168,7 +189,7 @@ def test_bg_product_independent_of_witness(groups):
                     chars_C = characters(C)
                     basis = C.abelian_structure()
                     r = len(basis)
-                    upper = {}
+                    upper = []
                     for i in range(r):
                         ei = tuple(1 if k == i else 0 for k in range(r))
                         for j in range(i + 1, r):
@@ -184,7 +205,7 @@ def test_bg_product_independent_of_witness(groups):
                                 L = L2
                             m = gcd(basis[i][1], basis[j][1])
                             assert t * m % L == 0
-                            upper[(i, j)] = t * m // L % m
+                            upper.append(t * m // L % m)
                     via_c = r_from_form(C, AltForm.from_upper(C, upper))
                     assert via_c == direct.canonical_r
 
@@ -618,7 +639,7 @@ def test_h2_structure_must_multiply_to_exact_order(groups, monkeypatch):
     # as order 1 with structure [3]
     for forged in [(4, [2]), (1, [3])]:
         monkeypatch.setattr(lazy, "_alternating_form_group",
-                            lambda ds, forged=forged: forged)
+                            lambda A, forged=forged: forged)
         with pytest.raises(VerdictInconsistent):
             h2_compute(groups("V4"))
 

@@ -8,8 +8,8 @@ import pytest
 from lazytwist import _smith, pontryagin
 from lazytwist._smith import kernel, solve_qz, span
 from lazytwist.cyclo import CycNum, root_of_unity
-from lazytwist.groups import (OrderLimitExceeded, VerdictInconsistent,
-                              normal_abelian_subgroups)
+from lazytwist.groups import (NotAbelian, OrderLimitExceeded,
+                              VerdictInconsistent, normal_abelian_subgroups)
 from lazytwist.fixtures import builtin_group, builtin_names
 from lazytwist.lazy import bg_enumerate, h2_compute
 from lazytwist.hopf import (_R_AXIOMS, GTensor, NotACocycle, _char_table,
@@ -23,6 +23,7 @@ from lazytwist.pontryagin import (
     EvenOrder,
     RealizableForms,
     _COCYCLE_IDENTITY,
+    _coordinates,
     _dual_matrix,
     _products_agree,
     alternating_forms,
@@ -33,15 +34,18 @@ from lazytwist.pontryagin import (
     is_nondegenerate,
     is_symmetric_type,
 )
-from tests_helpers import (RW_PRODUCTS, all_subgroups, char_mul, char_value,
-                           characters, cocycle_form, cubic_products_agree,
-                           direct_product,
+from tests_helpers import (RW_PRODUCTS, SPLIT_GROUPS, abelian_types,
+                           all_subgroups, basis_symmetric_type, char_mul,
+                           char_value, characters, cocycle_form,
+                           cubic_products_agree, direct_product,
+                           entrywise_inv, entrywise_mul, entrywise_order,
                            enumerated_descend, enumerated_radical,
                            filtered_invariant_forms,
-                           form_value, named_group, on_character, on_form,
+                           form_value, is_skew, named_group, on_character,
+                           on_form,
                            per_pair_cocycle_search,
                            product_alternating_forms, product_group,
-                           union_find_cocycle_search)
+                           relabelled, union_find_cocycle_search)
 
 
 def _klein_in(groups, name="A4"):
@@ -239,6 +243,26 @@ def test_is_symmetric_type(groups):
     z4xz2 = next(s for s in normal_abelian_subgroups(W)
                  if [d for _, d in s.abelian_structure()] == [2, 4])
     assert not is_symmetric_type(z4xz2)
+
+
+def test_symmetric_type_from_element_orders(groups):
+    # the type read off element orders against the invariant-factor basis,
+    # on every abelian type up to order 64 and on every abelian normal
+    # subgroup of the builtins and of the split products
+    for order in range(1, 65):
+        for ds in abelian_types(order):
+            A = product_group(ds).whole_subgroup()
+            assert is_symmetric_type(A) == basis_symmetric_type(A), ds
+    seen = set()
+    for name in builtin_names() + SPLIT_GROUPS:
+        for A in normal_abelian_subgroups(named_group(groups, name)):
+            answer = is_symmetric_type(A)
+            assert answer == basis_symmetric_type(A), (name, A)
+            seen.add(answer)
+    assert seen == {True, False}
+    # element orders that no abelian group of that order has are refused
+    with pytest.raises(NotAbelian):
+        is_symmetric_type(groups("S3").whole_subgroup())
 
 
 def test_nondegenerate_implies_symmetric_type_exhaustive():
@@ -611,7 +635,8 @@ def test_per_socle_decision_matches_per_pair_solver(groups):
             A = run[0].subgroup
             act = DualAction(G, A)
             forms = RealizableForms(act)
-            moves = [{rho: act.on_exponents(g, rho) for rho in forms.duals}
+            moves = [{rho: act.on_exponents(g, rho)
+                      for rho in forms.space.duals}
                      for g in G.generating_set()]
             for x in run:
                 old = per_pair_cocycle_search(A, x.form, act)
@@ -690,3 +715,52 @@ def test_checks_raise_on_a_wrong_smith_form(monkeypatch):
         [[int(i == j) for j in range(len(A[0]))] for i in range(len(A[0]))]))
     with pytest.raises(VerdictInconsistent):
         kernel([[2]], [4], [4])
+
+
+def test_coordinates_of_one_type():
+    # pairs i < j in order, their moduli gcd(d_i, d_j), the exponent and
+    # the dual's points in lexicographic order, built once per type
+    c = _coordinates((2, 4, 4))
+    assert c.pairs == ((0, 1), (0, 2), (1, 2))
+    assert c.moduli == (2, 2, 4) and c.L == 4
+    assert c.duals == tuple(itertools.product(range(2), range(4), range(4)))
+    assert _coordinates((2, 4, 4)) is c
+    assert _coordinates(()) == ((), 1, (), (), ((),))
+
+
+def test_upper_entries_match_the_matrix(groups):
+    # every form of every abelian normal subgroup of the builtins and of the
+    # eight even-search products, in two labellings: each matrix is skew,
+    # from_upper inverts upper, sorting by upper entries sorts by matrices,
+    # and mul, inv and order agree with entrywise matrix arithmetic mod
+    # gcd(d_i, d_j)
+    rng = random.Random(3)
+    for name in builtin_names() + RW_PRODUCTS[:8]:
+        G = named_group(groups, name)
+        for H in (G, relabelled(G, 1)):
+            for A in normal_abelian_subgroups(H):
+                forms = alternating_forms(A)
+                shuffled = rng.sample(forms, len(forms))
+                assert sorted(shuffled, key=lambda b: b.upper) == \
+                    sorted(shuffled, key=lambda b: b.matrix) == forms
+                for b in forms:
+                    assert is_skew(b)
+                    assert AltForm.from_upper(A, b.upper) == b
+                    assert AltForm(A, b.matrix).upper == b.upper
+                    assert b.inv() == entrywise_inv(b)
+                    assert b.order() == entrywise_order(b)
+                    assert b.is_trivial() == (entrywise_order(b) == 1)
+                    for c in forms:
+                        assert b.mul(c) == entrywise_mul(b, c), \
+                            (name, A, b.matrix, c.matrix)
+
+
+def test_from_upper_takes_one_entry_per_pair(groups):
+    # an entry vector too short or too long is refused, on a subgroup with
+    # three pairs and on a cyclic one with none
+    A = product_group((2, 2, 2)).whole_subgroup()
+    assert len(AltForm.from_upper(A, [1, 1, 1]).upper) == 3
+    C4 = groups("C4").whole_subgroup()
+    for S, entries in [(A, [1, 1]), (A, [1, 1, 1, 1]), (C4, [0])]:
+        with pytest.raises(ValueError):
+            AltForm.from_upper(S, entries)

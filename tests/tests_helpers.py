@@ -386,7 +386,7 @@ def cocycle_form(A, c):
     unity of the right order."""
     ds = [d for _, d in A.abelian_structure()]
     units = _units(len(ds))
-    upper = {}
+    upper = []
     for i, j in itertools.combinations(range(len(ds)), 2):
         v = c[(units[j], units[i])] / c[(units[i], units[j])]
         m = gcd(ds[i], ds[j])
@@ -394,7 +394,7 @@ def cocycle_form(A, c):
         if e is None:
             raise VerdictInconsistent(
                 "form value is not a root of unity of the right order")
-        upper[(i, j)] = e
+        upper.append(e)
     return AltForm.from_upper(A, upper)
 
 
@@ -444,7 +444,8 @@ def restrict_character(chars_A, exponents, B):
     out = []
     for g, d in B.abelian_structure():
         t, L = chi.value_exponent(g)
-        assert t * d % L == 0
+        if t * d % L:
+            raise AssertionError("restricted value order mismatch")
         out.append(t * d // L % d)
     return tuple(out)
 
@@ -815,7 +816,8 @@ def tensor_bg_product(x, y, nas):
     R = x.canonical_r.mul(y.canonical_r)
     D = socle(R)
     out = BGElement(D, form_from_r(D, R))
-    assert out.canonical_r == R, "product tensor is not a bicharacter"
+    if out.canonical_r != R:
+        raise AssertionError("product tensor is not a bicharacter")
     return out
 
 
@@ -1013,7 +1015,8 @@ def _subfield_coordinates(n, m, coeffs):
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
-    assert not any(rows[r][phi_m] for r in range(phi_m, phi_n))
+    if any(rows[r][phi_m] for r in range(phi_m, phi_n)):
+        raise AssertionError("x is not in the subfield")
     return {col: rows[r][phi_m] for r, col in enumerate(pivots)
             if rows[r][phi_m]}
 
@@ -1051,6 +1054,52 @@ def on_form(action, g, b):
         action.A, action.A, lambda a: action.G.conjugate(g, a)))
 
 
+def basis_symmetric_type(A):
+    """Whether every invariant factor of A occurs an even number of times,
+    read off its invariant-factor basis (`abelian_structure`)."""
+    ds = [d for _, d in A.abelian_structure()]
+    if len(ds) % 2:
+        return False
+    return all(ds[i] == ds[i + 1] for i in range(0, len(ds), 2))
+
+
+def _entrywise(A, matrices, f):
+    """The form on the dual of A with matrix entries f(x_ij, y_ij, ...) mod
+    gcd(d_i, d_j), from the entries of the given matrices."""
+    ds = [d for _, d in A.abelian_structure()]
+    return AltForm(A, tuple(
+        tuple(f(*es) % gcd(ds[i], ds[j]) for j, es in enumerate(zip(*rows)))
+        for i, rows in enumerate(zip(*matrices))))
+
+
+def entrywise_mul(b, c):
+    """b c by entrywise matrix sums mod gcd(d_i, d_j)."""
+    return _entrywise(b.group, (b.matrix, c.matrix), lambda x, y: x + y)
+
+
+def entrywise_inv(b):
+    """b^-1 by entrywise negation mod gcd(d_i, d_j)."""
+    return _entrywise(b.group, (b.matrix,), lambda x: -x)
+
+
+def is_skew(b):
+    """Whether b's matrix is skew with zero diagonal, entrywise mod
+    gcd(d_i, d_j)."""
+    transpose = tuple(zip(*b.matrix))
+    return not any(row[i] for i, row in enumerate(b.matrix)) and not any(
+        map(any, _entrywise(b.group, (b.matrix, transpose),
+                            lambda x, y: x + y).matrix))
+
+
+def entrywise_order(b):
+    """The least k >= 1 with b^k trivial, by entrywise multiples."""
+    k = 1
+    while any(map(any, _entrywise(b.group, (b.matrix,),
+                                  lambda x: k * x).matrix)):
+        k += 1
+    return k
+
+
 def enumerated_radical(b):
     """The radical of b by sweeping the whole dual: every rho with
     b(rho, chi_j) = 1 on the dual generators."""
@@ -1065,7 +1114,7 @@ def product_alternating_forms(A):
     entries in the itertools.product of the ranges Z/gcd(d_i, d_j)."""
     ds = [d for _, d in A.abelian_structure()]
     pairs = list(itertools.combinations(range(len(ds)), 2))
-    return [AltForm.from_upper(A, dict(zip(pairs, combo)))
+    return [AltForm.from_upper(A, combo)
             for combo in itertools.product(
                 *(range(gcd(ds[i], ds[j])) for i, j in pairs))]
 
