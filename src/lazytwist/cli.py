@@ -8,6 +8,7 @@ to stderr.  Exit codes: 0 ok, 1 expectation mismatch in paper-suite,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -278,8 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser as it was, so one serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_intermixed_args(argv)
     handler, names, _ = _COMMANDS[args.command]
     if len(args.operands) != len(names):

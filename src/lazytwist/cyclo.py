@@ -296,10 +296,13 @@ class CycNum:
         return self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted(self.coeffs.items()))))
+        return hash(self.key())
 
     def key(self):
-        return (self.n, tuple(sorted(self.coeffs.items())))
+        """(n, ((e, numerator, denominator), ...)) in increasing e: equal
+        values have equal keys, and hashing one hashes only integers."""
+        return (self.n, tuple((e, q.numerator, q.denominator)
+                              for e, q in sorted(self.coeffs.items())))
 
     def __repr__(self) -> str:
         if self.is_zero():

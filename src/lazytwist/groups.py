@@ -252,7 +252,8 @@ def from_table(table, labels=None, name=None) -> FiniteGroup:
     # Light's test: the elements s with (x*s)*y = x*(s*y) for all x, y are
     # closed under products, so checking generators of the table suffices.
     # Row (x*s)*. is compared whole with x*(s*.), read off row x by s's row
-    for s in _right_generators(table):
+    gens = _right_generators(table)
+    for s in gens:
         row_s = table[s]
         times_s = itemgetter(*row_s)
         for x, row_x in enumerate(table):
@@ -263,7 +264,9 @@ def from_table(table, labels=None, name=None) -> FiniteGroup:
     for a in points:
         if 0 not in table[a]:
             raise NotAGroup("row without identity (no inverse)", witness=a)
-    return FiniteGroup(table, labels=labels, name=name)
+    G = FiniteGroup(table, labels=labels, name=name)
+    G._generators = gens
+    return G
 
 
 def _perm_compose(p, q):

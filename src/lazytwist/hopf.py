@@ -20,11 +20,15 @@ products.
 Every character sum, forward or inverse and of any degree, goes through
 one routine, `_transform`: character values come from an integer exponent
 table, terms are added leg by leg as exponent counts over one root of
-unity, and each distinct count vector is normalized once.  Products and
-coefficient sums add the same way: the coefficients are lifted to one
-zeta_M as integer exponent counts over one common denominator, products of
-terms convolve those counts into their output cell, and each output cell
-is normalized once, not once per product term.
+unity, and each distinct count vector is normalized once.  A tensor
+built from a table on the dual (`_from_dual`: `twist_from_cocycle`,
+`r_from_form`, the R of `r_matrix`, `tensor_inv`'s inverse) carries that
+table, and every forward transform onto the same subgroup's dual reads it
+(`_on_dual`) instead of summing again; the checks run on it all the same.
+Products and coefficient sums add the same way: the coefficients are
+lifted to one zeta_M as integer exponent counts over one common
+denominator, products of terms convolve those counts into their output
+cell, and each output cell is normalized once, not once per product term.
 """
 
 from __future__ import annotations
@@ -117,12 +121,17 @@ def _check_degree(x: "GTensor", degree: int):
 def _counts(terms: dict, L: int = 1):
     """(M, d, {t: {e: q}}): M the lcm of L and the conductors of the
     coefficients of terms, and each coefficient as integer counts q of the
-    exponents e of zeta_M, all over one common denominator d."""
-    M, raws = lift(terms.values(), L)
+    exponents e of zeta_M, all over one common denominator d.  Each
+    distinct coefficient object is lifted once (the terms keep it alive,
+    so its id is its own), and the terms that share it share its counts,
+    which no caller mutates."""
+    distinct = {id(c): c for c in terms.values()}
+    M, raws = lift(distinct.values(), L)
     d = lcm(*(q.denominator for raw in raws for q in raw.values()))
-    return M, d, {t: {e: q.numerator * (d // q.denominator)
-                      for e, q in raw.items()}
-                  for t, raw in zip(terms, raws)}
+    counts = {i: {e: q.numerator * (d // q.denominator)
+                  for e, q in raw.items()}
+              for i, raw in zip(distinct, raws)}
+    return M, d, {t: counts[id(c)] for t, c in terms.items()}
 
 
 def _sum_by(terms: dict, key) -> dict:
@@ -138,13 +147,19 @@ def _sum_by(terms: dict, key) -> dict:
 
 
 class GTensor:
-    """Sparse element of k[G]^(tensor degree); zero coefficients never stored."""
+    """Sparse element of k[G]^(tensor degree); zero coefficients never stored.
 
-    __slots__ = ("group", "degree", "terms")
+    A tensor built from a table on the dual of an abelian subgroup A
+    (`_from_dual`) carries it as `dual` = (A's elements, table), and every
+    forward transform onto A's dual reads it (`_on_dual`); any other
+    tensor has `dual` None.  Equality and hashing read the terms only."""
+
+    __slots__ = ("group", "degree", "terms", "dual")
 
     def __init__(self, group: FiniteGroup, degree: int, terms: dict):
         self.group = group
         self.degree = degree
+        self.dual = None
         clean = {}
         for tup, c in terms.items():
             if not isinstance(c, CycNum):
@@ -340,12 +355,10 @@ def tensor_inv(x: GTensor) -> GTensor:
     G, degree = x.group, x.degree
     A = _abelian_support(x)
     if A is not None:
-        table = _char_table(A)
-        hat = _transform(table, x.terms, degree)
+        hat = _on_dual(A, x)
         if any(v.is_zero() for v in hat.values()):
             raise NotInvertible("singular element")
-        return GTensor(G, degree, _transform(
-            table, {s: v.inv() for s, v in hat.items()}, degree, inverse=True))
+        return _from_dual(A, {s: v.inv() for s, v in hat.items()}, degree)
     H, order, index = _tuple_group(G, degree, x.terms.keys())
     coeffs = [CycNum.zero()] * len(order)
     for t, c in x.terms.items():
@@ -466,18 +479,17 @@ def _abelian_support(x: GTensor):
 
 
 def _dual_twist(A: Subgroup, F: GTensor):
-    """(table, hat) with hat[(rho, sigma)] = (rho x sigma)(F) on the dual of
-    A when F, supported in k[A] x k[A], is a twist, else None.  F is
-    invertible iff no value of hat is 0, and satisfies the twist equation
-    iff hat satisfies the 2-cocycle identity (not normalized); the identity
-    check refuses a zero value."""
+    """hat[(rho, sigma)] = (rho x sigma)(F) on the dual of A when F,
+    supported in k[A] x k[A], is a twist, else None.  F is invertible iff
+    no value of hat is 0, and satisfies the twist equation iff hat
+    satisfies the 2-cocycle identity (not normalized); the identity check
+    refuses a zero value."""
     if F.degree != 2:
         return None
-    table = _char_table(A)
-    hat = _transform(table, F.terms, 2)
+    hat = _on_dual(A, F)
     if not _products_agree(A, hat, *_COCYCLE_IDENTITY):
         return None
-    return table, hat
+    return hat
 
 
 def is_twist(F: GTensor) -> bool:
@@ -533,20 +545,20 @@ def _r_on_dual(A: Subgroup, F: GTensor):
     the support of F generates: R^(rho, sigma) = F^(sigma, rho) /
     F^(rho, sigma), and the axioms say that R^ is a bicharacter.  R
     returns to the group basis once."""
-    found = _dual_twist(A, F)
-    if found is None:
+    hat = _dual_twist(A, F)
+    if hat is None:
         return None
-    table, hat = found
-    # one quotient per distinct pair of values
-    keys = {pair: v.key() for pair, v in hat.items()}
+    # one quotient per distinct pair of values; hat keeps its values alive,
+    # so each object is keyed once, by its id
+    keys = {id(v): v.key() for v in hat.values()}
     quotients: dict = {}
     r = {}
     for (rho, sigma), v in hat.items():
-        k = (keys[sigma, rho], keys[rho, sigma])
+        k = (keys[id(hat[sigma, rho])], keys[id(v)])
         if k not in quotients:
             quotients[k] = hat[sigma, rho] / v
         r[rho, sigma] = quotients[k]
-    return GTensor(A.parent, 2, _transform(table, r, 2, inverse=True)), \
+    return _from_dual(A, r, 2), \
         tuple(_products_agree(A, r, *axiom) for axiom in _R_AXIOMS)
 
 
@@ -610,11 +622,11 @@ def form_from_r(A: Subgroup, R: GTensor) -> AltForm:
     off the dual generators, then checked at every point of the dual."""
     if R.degree != 2 or not R.supported_in(A):
         raise NotSupported("tensor not supported in the subgroup square")
-    L, _ = table = _char_table(A)
-    hat = _transform(table, R.terms, 2)
+    space = _space(A)
+    L = space.L
+    hat = _on_dual(A, R)
     roots = [root_of_unity(L, k) for k in range(L)]
     exponent = {v: k for k, v in enumerate(roots)}
-    space = _space(A)
     unit = _units(len(space.ds))
     entries = []
     for (i, j), m in zip(space.pairs, space.moduli):
@@ -697,27 +709,47 @@ def _transform(table, terms: dict, degree: int, inverse: bool = False) -> dict:
     return out
 
 
+def _from_dual(A: Subgroup, hat: dict, degree: int) -> GTensor:
+    """The tensor in k[A^d] whose transform on the d-th power of the dual
+    of A is hat, carrying hat (see GTensor).  The transform is a bijection
+    and exact, so hat is what a forward transform would give again."""
+    x = GTensor(A.parent, degree,
+                _transform(_char_table(A), hat, degree, inverse=True))
+    x.dual = (A.elements, hat)
+    return x
+
+
+def _on_dual(A: Subgroup, x: GTensor) -> dict:
+    """{(s1, ..., sd): (chi_s1 x ... x chi_sd)(x)} on the d-th power of the
+    dual of A, for x in k[A^d]: the table x carries when it was built on
+    the dual of A, else the forward transform.  Callers do not mutate it."""
+    if x.dual is not None and x.group is A.parent \
+            and x.dual[0] == A.elements:
+        return x.dual[1]
+    return _transform(_char_table(A), x.terms, x.degree)
+
+
 def twist_from_cocycle(A: Subgroup, c: dict) -> GTensor:
     """F = sum c(rho, sigma) e_rho x e_sigma over the dual of A."""
     if not cocycle_identity_holds(A, c):
         raise NotACocycle("table fails normalization or the cocycle identity")
-    return GTensor(A.parent, 2, _transform(_char_table(A), c, 2, inverse=True))
+    # a copy, so that the caller's table can change without F's
+    return _from_dual(A, dict(c), 2)
 
 
 def cocycle_from_twist(A: Subgroup, F: GTensor) -> dict:
     """c(rho, sigma) = (rho x sigma)(F) for a twist supported in k[A] x k[A]."""
     if F.degree != 2 or not F.supported_in(A):
         raise NotSupported("tensor not supported in the subgroup square")
-    return _transform(_char_table(A), F.terms, 2)
+    return dict(_on_dual(A, F))
 
 
 def r_from_form(A: Subgroup, b: AltForm) -> GTensor:
     """R(A, b) = sum b(sigma, tau) e_sigma x e_tau over the dual of A."""
-    L, E = table = _char_table(A)
+    _, L, _, _, duals = _space(A)
     roots = [root_of_unity(L, k) for k in range(L)]
-    return GTensor(A.parent, 2, _transform(table, {
-        pair: roots[b.value_exponent(*pair)[0]]
-        for pair in itertools.product(E, repeat=2)}, 2, inverse=True))
+    return _from_dual(A, {pair: roots[b.value_exponent(*pair)[0]]
+                          for pair in itertools.product(duals, repeat=2)}, 2)
 
 
 def fourier(A: Subgroup, x: GTensor) -> dict:

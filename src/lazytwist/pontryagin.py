@@ -397,7 +397,10 @@ def _products_agree(A: Subgroup, c: dict, left, right) -> bool:
       values in k*.
 
     The distinct values are interned by key and their pairwise products
-    cached, so the sweep is list lookups rather than field arithmetic.
+    cached, so the sweep is list lookups rather than field arithmetic.  c
+    keeps its values alive, so each of its objects is keyed once, by its
+    id; a product is a temporary whose id may be reused, so it is interned
+    by key alone.
     """
     ds, _, _, _, duals = _space(A)
     index = {x: i for i, x in enumerate(duals)}
@@ -411,7 +414,15 @@ def _products_agree(A: Subgroup, c: dict, left, right) -> bool:
             vals.append(v)
         return ids[k]
 
-    table = [[intern(c[(x, y)]) for y in duals] for x in duals]
+    objects: dict = {}
+
+    def cell(v):
+        i = objects.get(id(v))
+        if i is None:
+            i = objects[id(v)] = intern(v)
+        return i
+
+    table = [[cell(c[(x, y)]) for y in duals] for x in duals]
     if any(v.is_zero() for v in vals):
         return False
     cache: dict = {}

@@ -379,3 +379,25 @@ def test_options_may_follow_the_command(capsys):
         assert code == 0 and after == before, argv
     code, out, err = run_cli(capsys, "h2", "C600", "--max-order", "1024")
     assert code == 0 and json.loads(out)["exact_order"] == 1
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # the parser is built once per process, and no option or operand of
+    # one call is left over for the next: --max-order 1024 lets h2 build
+    # C600, and the default of the call after it does not
+    from lazytwist import cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    calls = [("--pretty", "h2", "A4"), ("h2", "A4"),
+             ("h2", "C600", "--max-order", "1024"), ("h2", "C600"),
+             ("twist-verify", "A4", "A4_twist"), ("group-info", "S3")]
+    first = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 0, 2, 0, 0]
+    assert first[0][1] != first[1][1] == json.dumps(
+        json.loads(first[0][1]), separators=(",", ":")) + "\n"
+    assert [run_cli(capsys, *argv) for argv in calls] == first
+    assert built == [1]

@@ -86,6 +86,41 @@ def test_normal_form_canonical():
         assert d.is_zero() and d.key() == CycNum.zero().key()
 
 
+def test_keys_are_integers_equal_exactly_for_equal_values():
+    # one value by several routes: from_counts with a divisor, rational,
+    # products of roots of unity; its key holds integers only
+    half_z3 = [
+        cyclo.from_counts(6, {2: 3}, 6),              # 3 zeta_6^2 / 6
+        cyclo.from_counts(3, {0: 1, 1: 2, 2: 1}, 2),  # 1 + z + z^2 = 0
+        root_of_unity(4, 1) * root_of_unity(12, 1) * Fraction(1, 2),
+        CycNum.rational(Fraction(1, 2)) * root_of_unity(12, 4),
+    ]
+    half = [cyclo.from_counts(3, {0: 2, 1: 1, 2: 1}, 2),
+            CycNum.rational(Fraction(1, 2)),
+            CycNum.rational(Fraction(2, 4)),
+            root_of_unity(4, 1) * root_of_unity(4, 3) / 2]
+    for same in (half_z3, half):
+        assert len({id(v) for v in same}) == len(same)
+        keys = {v.key() for v in same}
+        assert len(keys) == 1
+        assert len({hash(v) for v in same}) == 1
+        n, terms = keys.pop()
+        assert type(n) is int and all(
+            type(x) is int for term in terms for x in term)
+    assert half_z3[0].key() == (3, ((1, 1, 2),))
+    # unequal values, also with the same coefficients in other places
+    # (1/2 against 2, zeta_3 / 2 against zeta_3^2 / 2), differ in key
+    rng = random.Random(25)
+    values = [half[0], half_z3[0], CycNum.rational(2),
+              root_of_unity(3, 2) * Fraction(1, 2), CycNum.zero(),
+              root_of_unity(6, 1) * Fraction(1, 2)] + [
+        _random_value(rng) for _ in range(80)]
+    for x in values:
+        for y in values:
+            assert (x.key() == y.key()) == (x == y)
+    assert len({v.key() for v in values}) > 40
+
+
 def test_conductor_embedding_independence():
     # the same element reached through different common conductors
     z3 = root_of_unity(3, 1)

@@ -62,6 +62,20 @@ def test_from_table_trivial_and_z2():
     assert G.order == 2 and G.inverses == (0, 1)
 
 
+def test_from_table_hands_its_generators_over(monkeypatch):
+    # Light's test and the group share one greedy generating set
+    right = groups_module._right_generators
+    calls = []
+    monkeypatch.setattr(groups_module, "_right_generators",
+                        lambda table: calls.append(1) or right(table))
+    for name in ("D8", "A4", "C27sd"):
+        table = builtin_group(name).table
+        calls.clear()
+        G = from_table(table)
+        assert G.generating_set() == right(G.table)
+        assert calls == [1], name
+
+
 def test_from_table_identity_relocation():
     # identity sits at index 1 here
     G = from_table([[1, 0], [0, 1]])

@@ -968,6 +968,137 @@ def test_abelian_supports_have_no_order_cap():
     assert tv.socle == A and tv.form == b
 
 
+# -- tables carried from the dual --------------------------------------------
+
+
+def _forward(A, x):
+    from lazytwist import hopf
+
+    return hopf._transform(hopf._char_table(A), x.terms, x.degree)
+
+
+def test_tensors_built_on_a_dual_carry_its_table(groups):
+    # each constructor that inverts a table on the dual of A carries it,
+    # and it is the forward transform of the tensor's terms
+    from lazytwist import hopf
+    from tests_helpers import product_group
+
+    built = []
+    for A, c in _pair_cocycles(groups):
+        F = twist_from_cocycle(A, c)
+        built += [("twist", A, F), ("R", A, r_matrix(F))]
+    V = _klein(groups)
+    built += [("R(A, b)", V, r_from_form(V, b)) for b in alternating_forms(V)]
+    rng = random.Random(25)
+    for H in _abelian_groups()[:3] + [product_group((4, 4))]:
+        for degree in (1, 2):
+            x = GTensor(H, degree, {(0,) * degree: 3})
+            for _ in range(3):
+                t = tuple(rng.randrange(H.order) for _ in range(degree))
+                x = x.add(GTensor(H, degree, {t: _random_value(
+                    rng, H.exponent())}))
+            y = _invert(x)
+            if y is not None:
+                built.append((f"inverse, degree {degree}",
+                              hopf._abelian_support(x), y))
+    kinds = [kind for kind, _, _ in built]
+    assert min(kinds.count(k) for k in ("twist", "R", "inverse, degree 1",
+                                        "inverse, degree 2")) >= 4
+    assert kinds.count("R(A, b)") == 2
+    assert max(A.order for _, A, _ in built) == 16
+    for _, A, x in built:
+        elements, table = x.dual
+        assert elements == A.elements
+        assert table == _forward(A, x)
+    # a tensor not built on a dual carries nothing
+    assert _a4_twist(groups).dual is None
+    assert r_matrix(_a4_twist(groups)).dual is not None
+    assert _a4_twist(groups).mul(GTensor.unit(groups("A4"), 2)).dual is None
+
+
+def test_a_carried_table_is_read_on_its_own_subgroup_only(groups):
+    # on a subgroup with other elements, or on another group with the same
+    # element indices, the tensor is transformed as if it carried nothing
+    from lazytwist import hopf
+    from tests_helpers import product_group
+
+    G = product_group((2, 4))
+    whole = G.whole_subgroup()
+    C4 = next(s for s in normal_abelian_subgroups(G) if s.order == 4
+              and len(s.abelian_structure()) == 1)
+    b = alternating_forms(C4)[0]
+    R = r_from_form(C4, b)
+    assert hopf._on_dual(C4, R) is R.dual[1]
+    on_whole = hopf._on_dual(whole, R)
+    assert on_whole == _forward(whole, R)
+    assert len(on_whole) == 64 != len(R.dual[1])
+    assert cocycle_from_twist(whole, R) == on_whole
+    # a planted table of the wrong values is read on its subgroup only
+    planted = GTensor(G, 2, R.terms)
+    planted.dual = (whole.elements, {p: CycNum.zero() for p in on_whole})
+    assert cocycle_from_twist(whole, planted) == planted.dual[1]
+    assert cocycle_from_twist(C4, planted) == R.dual[1]
+    # same element indices, another group
+    H = product_group((8,))
+    assert H.whole_subgroup().elements == whole.elements
+    assert hopf._on_dual(H.whole_subgroup(), planted) == \
+        _forward(H.whole_subgroup(), planted)
+    # the carried table is the caller's no longer: changing either side
+    # leaves the other as it was
+    V = _klein(groups)
+    c = dict(next(c for A, c in _pair_cocycles(groups) if A == V))
+    F = twist_from_cocycle(V, c)
+    c[next(iter(c))] = CycNum.zero()
+    got = cocycle_from_twist(V, F)
+    assert got == _forward(V, F)
+    got[next(iter(got))] = CycNum.zero()
+    assert cocycle_from_twist(V, F) == _forward(V, F)
+
+
+def test_equality_and_hash_ignore_the_carried_table(groups):
+    V = _klein(groups)
+    for b in alternating_forms(V):
+        R = r_from_form(V, b)
+        plain = GTensor(R.group, 2, R.terms)
+        assert R.dual is not None and plain.dual is None
+        assert R == plain and hash(R) == hash(plain)
+        assert R.key() == plain.key()
+
+
+def test_theta_of_a_realized_cocycle_on_an_order_16_socle(groups,
+                                                         monkeypatch):
+    # D8 x C2^3: the twist of a witnessed invariant cocycle on an order-16
+    # socle is a twist whose theta is the pair back; it reads the tables it
+    # carries, while from its terms alone is_twist and theta each transform
+    # it forward once (theta's R carries its table into form_from_r)
+    from lazytwist import hopf
+    from lazytwist.lazy import bg_enumerate
+
+    G = named_group(groups, "D8xC2xC2xC2")
+    x = next(x for x in bg_enumerate(G) if x.subgroup.order == 16
+             and invariant_cocycle_search(
+                 x.subgroup, x.form, DualAction(G, x.subgroup)).witness)
+    A, b = x.subgroup, x.form
+    c = invariant_cocycle_search(A, b, DualAction(G, A)).witness
+    F = twist_from_cocycle(A, c)
+    plain = GTensor(G, 2, F.terms)
+    forward = []
+    transform = hopf._transform
+    monkeypatch.setattr(hopf, "_transform", lambda *a, inverse=False: (
+        forward.append(a) if not inverse else None) or transform(
+            *a, inverse=inverse))
+    assert is_twist(F) and is_invariant(F)
+    value = theta(F)
+    assert value.socle == A and value.form == b
+    assert is_nondegenerate(b)
+    assert forward == []
+    # the same verdicts from the terms alone
+    assert is_twist(plain)
+    assert theta(plain) == value
+    assert len(forward) == 2
+    assert cocycle_from_twist(A, plain) == c
+
+
 # -- degree checks that survive python -O ------------------------------------
 
 

@@ -464,6 +464,28 @@ def test_generator_sweep_matches_the_cubic_sweep():
     assert len(seen) == 6
 
 
+def test_sweep_on_equal_values_held_by_distinct_objects():
+    # the sweep interns a table's own values by identity: one object per
+    # cell, each rebuilt from its coefficients, decides as the cubic
+    # oracle does, as does one object shared by all the cells of a value
+    rng = random.Random(25)
+    seen = set()
+    for ds in [(2, 2), (4,), (3, 3), (2, 4)]:
+        A, tables = _near_cocycle_tables(ds, rng)
+        for c in tables:
+            apart = {k: CycNum(v.n, v.coeffs) for k, v in c.items()}
+            shared: dict = {}
+            together = {k: shared.setdefault(v, v) for k, v in c.items()}
+            assert len({id(v) for v in apart.values()}) == len(c)
+            assert len({id(v) for v in together.values()}) < len(c)
+            for identity in (_COCYCLE_IDENTITY,) + _R_AXIOMS:
+                holds = cubic_products_agree(A, c, *identity)
+                assert _products_agree(A, apart, *identity) == holds
+                assert _products_agree(A, together, *identity) == holds
+                seen.add(holds)
+    assert seen == {True, False}
+
+
 def test_a_table_with_a_zero_value_is_no_cocycle(groups):
     # on C2, c(1, 1) = 0 and every other value 1 satisfies c(x, y) c(xy, z)
     # = c(y, z) c(x, yz) at every triple, but a cocycle takes values in k*:
