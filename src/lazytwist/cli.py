@@ -2,17 +2,18 @@
 
 All output is JSON on stdout with deterministic key order; diagnostics go
 to stderr.  Exit codes: 0 ok, 1 expectation mismatch in paper-suite,
-2 input error.
+2 input error.  The command line is read by `_read_argv`, one pass over
+argv against the flag table `_FLAGS` and the command table `_COMMANDS`.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 from .groups import (
     OrderLimitExceeded,
@@ -258,39 +259,133 @@ def _usage(command: str) -> str:
     return " ".join([command, *(op.upper() for op in _COMMANDS[command][1])])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lazytwist",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        description="Exact computation of the group of invariant twist\n"
-                    "classes on finite group algebras.",
-        epilog="commands:\n" + "\n".join(
-            f"  {_usage(c):<27} {h}" for c, (_, _, h) in _COMMANDS.items()))
-    parser.add_argument("--max-order", type=int, default=128,
-                        help="bound guarding exponential searches")
-    parser.add_argument("--fixture-dir", default=None,
-                        help="directory searched for named tensor files")
-    parser.add_argument("--pretty", action="store_true",
-                        help="indent JSON output")
-    parser.add_argument("command", choices=_COMMANDS, metavar="command",
-                        help="one of the commands listed below")
-    parser.add_argument("operands", nargs="*", metavar="operand",
-                        help="the command's GROUP and TENSOR")
-    return parser
+def _max_order(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"expected an integer of at least 1, not {text!r}")
+    return n
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parsing leaves the parser as it was, so one serves every call
-    return build_parser()
+# flag -> (attribute, default, conversion of its value or None for a
+# switch, name of its value, help line)
+_FLAGS = {
+    "--max-order": ("max_order", 128, _max_order, "N",
+                    "bound guarding exponential searches (default 128)"),
+    "--fixture-dir": ("fixture_dir", None, str, "DIR",
+                      "directory searched for named tensor files"),
+    "--pretty": ("pretty", False, None, "", "indent JSON output"),
+}
+_NAMES = ("--help", *_FLAGS)
+# a word that reads as a negative number (-5, -.5) is an operand
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+_USAGE = "usage: lazytwist [-h] " + " ".join(
+    f"[{flag} {value}]" if value else f"[{flag}]"
+    for flag, (_, _, _, value, _) in _FLAGS.items()) + " command [operand ...]"
+_HELP = "\n".join([
+    _USAGE, "",
+    "Exact computation of the group of invariant twist",
+    "classes on finite group algebras.", "",
+    "flags (before, between or after the words; a unique prefix will do;",
+    "-- ends them):",
+    f"  {'-h, --help':<27} show this help and exit",
+    *(f"  {(flag + ' ' + value).rstrip():<27} {h}"
+      for flag, (_, _, _, value, h) in _FLAGS.items()),
+    "", "commands:",
+    *(f"  {_usage(c):<27} {h}" for c, (_, _, h) in _COMMANDS.items()),
+    ""])
+
+
+def _refuse(reason: str):
+    sys.stderr.write(f"{_USAGE}\nlazytwist: error: {reason}\n")
+    raise SystemExit(2)
+
+
+def _flag(arg: str):
+    """(flag, value glued to it or None) when arg names a flag, and (None,
+    None) for a word; an unknown flag names itself.  A flag is named in
+    full or by a unique prefix, its value glued by "="; -h is the one short
+    flag, and whatever follows it is glued."""
+    if arg[:1] != "-" or arg == "-":
+        return None, None
+    if arg[:2] == "-h":
+        return "--help", arg[2:] or None
+    if arg[1] == "-":
+        name, eq, glued = arg.partition("=")
+        found = ([name] if name in _NAMES
+                 else [f for f in _NAMES if f.startswith(name)])
+        if len(found) > 1:
+            _refuse(f"ambiguous flag {arg}: {', '.join(found)}")
+        if found:
+            return found[0], glued if eq else None
+    if _NUMBER.match(arg) or " " in arg:
+        return None, None
+    return arg, None
+
+
+def _read_argv(argv) -> SimpleNamespace:
+    """Read argv in one pass against _FLAGS: flags go before, between or
+    after the command and its operands; a flag's value is glued by "=" or
+    is the next word; the last of a repeated flag wins; "--" ends the
+    flags.  -h/--help prints _HELP and exits 0; a refusal prints the
+    usage and the reason to stderr and exits 2."""
+    args = SimpleNamespace(**{attr: default for attr, default, *_
+                              in _FLAGS.values()})
+    words, unknown = [], []
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--":
+            words.extend(rest)
+            break
+        flag, glued = _flag(arg)
+        if flag is None:
+            words.append(arg)
+        elif flag == "--help":
+            if glued is not None:
+                _refuse(f"-h/--help takes no value, got {glued!r}")
+            # a flag named ambiguously is refused even after -h
+            for later in rest:
+                if later == "--":
+                    break
+                _flag(later)
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        elif flag not in _FLAGS:
+            unknown.append(arg)
+        else:
+            attr, _, convert, _, _ = _FLAGS[flag]
+            if convert is None:
+                if glued is not None:
+                    _refuse(f"{flag} takes no value, got {glued!r}")
+                setattr(args, attr, True)
+                continue
+            if glued is None:
+                glued = next(rest, "--")
+                if glued == "--" or _flag(glued)[0] is not None:
+                    _refuse(f"{flag} expects a value")
+            try:
+                setattr(args, attr, convert(glued))
+            except ValueError as exc:
+                _refuse(f"{flag}: {exc}")
+    if not words:
+        _refuse("missing command")
+    args.command, *args.operands = words
+    if args.command not in _COMMANDS:
+        _refuse(f"unknown command {args.command!r}; choose from "
+                + ", ".join(_COMMANDS))
+    if unknown:
+        _refuse(f"unknown flags: {' '.join(unknown)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_intermixed_args(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
     handler, names, _ = _COMMANDS[args.command]
     if len(args.operands) != len(names):
-        parser.error(f"expected {_usage(args.command)}")
+        _refuse(f"expected {_usage(args.command)}")
     vars(args).update(zip(names, args.operands))
     try:
         G = name = None

@@ -335,6 +335,7 @@ class Subgroup:
                 b = next(b for b in self.elements if row[b] not in es)
                 raise NotAGroup(f"subgroup not closed: {a}*{b}")
         self._structure = None
+        self._factors = None
         self._coords = None
 
     @property
@@ -371,6 +372,12 @@ class Subgroup:
         if self._structure is None:
             self._structure = abelian_structure(self)
         return self._structure
+
+    def invariant_factors(self) -> tuple[int, ...]:
+        """The orders d1 | d2 | ... of abelian_structure's generators."""
+        if self._factors is None:
+            self._factors = tuple(d for _, d in self.abelian_structure())
+        return self._factors
 
     def element_coordinates(self):
         """Map element -> exponent tuple over the abelian_structure generators."""

@@ -77,7 +77,7 @@ def _coordinates(ds: tuple[int, ...]) -> _Coordinates:
 
 def _space(A: Subgroup) -> _Coordinates:
     """The coordinates on the dual of A, over its invariant factors."""
-    return _coordinates(tuple(d for _, d in A.abelian_structure()))
+    return _coordinates(A.invariant_factors())
 
 
 @dataclass(frozen=True)

@@ -381,17 +381,10 @@ def test_options_may_follow_the_command(capsys):
     assert code == 0 and json.loads(out)["exact_order"] == 1
 
 
-def test_one_parser_serves_every_call(capsys, monkeypatch):
-    # the parser is built once per process, and no option or operand of
-    # one call is left over for the next: --max-order 1024 lets h2 build
-    # C600, and the default of the call after it does not
-    from lazytwist import cli
-
-    built = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda: built.append(1) or build())
-    cli._parser.cache_clear()
+def test_one_parser_serves_every_call(capsys):
+    # no option or operand of one call is left over for the next:
+    # --max-order 1024 lets h2 build C600, and the default of the call
+    # after it does not
     calls = [("--pretty", "h2", "A4"), ("h2", "A4"),
              ("h2", "C600", "--max-order", "1024"), ("h2", "C600"),
              ("twist-verify", "A4", "A4_twist"), ("group-info", "S3")]
@@ -400,4 +393,137 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     assert first[0][1] != first[1][1] == json.dumps(
         json.loads(first[0][1]), separators=(",", ":")) + "\n"
     assert [run_cli(capsys, *argv) for argv in calls] == first
-    assert built == [1]
+
+
+# argv the reader must read as argparse's parse_intermixed_args did
+_ARGVS = [
+    # flags before, between and after the words
+    "h2 A4", "--pretty h2 A4", "h2 --pretty A4", "h2 A4 --pretty",
+    "--max-order 64 h2 A4", "h2 --max-order 64 A4", "h2 A4 --max-order 64",
+    "--fixture-dir d twist-verify A4 F", "twist-verify A4 --fixture-dir d F",
+    "--pretty --max-order 7 --fixture-dir d bg D8",
+    # "=" forms and unique prefixes
+    "--max-order=64 h2 A4", "--fixture-dir=d h2 A4", "--fixture-dir= h2 A4",
+    "--max 64 h2 A4", "--m=64 h2", "--pre h2 A4", "--p h2", "--fix d h2",
+    "--fixture-dir=a=b h2", "--max-order=+9 h2", "--max-order 1_0 h2",
+    # "--" ends the flags
+    "h2 -- A4", "-- h2 A4", "h2 A4 --", "h2 -- --pretty",
+    "h2 -- --max-order 5", "--pretty h2 -- -x", "--max-order 5 h2 -- A4",
+    # a repeated flag: the last one wins
+    "--max-order 1 --max-order 2 h2", "--pretty --pretty h2",
+    "--fixture-dir a h2 --fixture-dir b",
+    # words that start with "-"
+    "h2 -5", "h2 A4 -5", "h2 -1.5", "h2 -.5", "h2 -", "h2 '-x y'",
+    "--fixture-dir -5 h2", "--fixture-dir '-x y' h2", "--fixture-dir - h2",
+    "--max-order -- h2", "h2 '' ''", "h2 A4 B C",
+    # missing values
+    "h2 --max-order", "h2 A4 --fixture-dir", "--max-order --pretty h2",
+    "--fixture-dir -x h2", "--fixture-dir -h h2", "--fixture-dir --fix h2",
+    "h2 --fixture-dir --", "--fixture-dir -- x h2", "--max-order= h2",
+    "--max-order x h2", "--max-order 6.0 h2", "--max=6' '4 h2",
+    # values a switch refuses
+    "--pretty= h2", "--pretty=x h2", "--help=x", "-hx", "-h=x", "'-h y'",
+    # unknown flags
+    "-x h2 A4", "h2 A4 -x", "-p h2", "--PRETTY h2", "---x h2", "h2 -5x",
+    "--nope h2", "--max-order-x h2", "--=x h2", "--help --=x", "--=x --help",
+    "-x --help",
+    # a missing or unknown command
+    "", "--pretty", "--max-order 5", "bogus A4", "- h2", "-5 h2",
+    "'--pre tty' h2", "'' A4", "H2 A4",
+    # help, wherever it stands
+    "-h", "--help", "--h", "--he", "h2 A4 --help", "bogus --help",
+    "-h --max-order", "-h --max-order x", "--max-order x -h",
+]
+
+
+def _read_both(argv, capsys):
+    """(result, stdout, stderr) of the reference parser and of
+    cli._read_argv; the result is the five values read, or the exit
+    code."""
+    from lazytwist.cli import _read_argv
+    from tests_helpers import build_parser
+
+    parser = build_parser()
+    runs = []
+    for read in (parser.parse_intermixed_args, _read_argv):
+        try:
+            got = vars(read(list(argv)))
+        except SystemExit as exc:
+            got = exc.code
+        runs.append((got, *capsys.readouterr()))
+    return runs
+
+
+def test_reader_matches_the_reference_parser(capsys):
+    import shlex
+
+    for line in _ARGVS:
+        argv = shlex.split(line)
+        (want, _, _), (got, out, err) = _read_both(argv, capsys)
+        if isinstance(want, dict):
+            assert got == want, argv
+            assert out == err == "", argv
+        elif want == 2:
+            assert got == 2, argv
+            usage, error, rest = err.split("\n", 2)
+            assert usage.startswith("usage: lazytwist ") and rest == ""
+            assert error.startswith("lazytwist: error: ") and out == ""
+        else:
+            assert want == got == 0, argv
+            assert out.startswith("usage: lazytwist ") and err == "", argv
+
+
+def test_double_dash_ends_the_flags(capsys):
+    # the first "--" ends the flags and every later word is an operand;
+    # argparse's intermixed parse (Python 3.10 to 3.13) instead drops a
+    # "--" met before the command and reads on for flags, and drops a
+    # second "--" that follows the command with no operand between
+    from lazytwist.cli import _read_argv
+
+    for argv in (["--", "--pretty", "h2"],
+                 ["--pretty", "--", "--max-order", "5", "h2"]):
+        with pytest.raises(SystemExit) as exc:
+            _read_argv(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+    for argv, command, operands in (
+            (["--", "h2", "--pretty"], "h2", ["--pretty"]),
+            (["h2", "--", "--", "A4"], "h2", ["--", "A4"]),
+            (["h2", "A4", "--", "--"], "h2", ["A4", "--"])):
+        args = _read_argv(argv)
+        assert (args.command, args.operands, args.pretty) == (
+            command, operands, False), argv
+
+
+def test_max_order_must_be_at_least_1(capsys):
+    # argparse read any integer; 0 and -5 then failed every command with a
+    # group as "|G| = 12 exceeds bound -5", and paper-suite ignored them
+    for value in ("0", "-5", "-0", "x", ""):
+        for argv in (["--max-order", value, "h2", "A4"],
+                     [f"--max-order={value}", "paper-suite"],
+                     ["h2", "A4", "--max", value]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2 and out == "", argv
+            assert "lazytwist: error: --max-order" in err, argv
+    code, out, _ = run_cli(capsys, "--max-order", "12", "h2", "A4")
+    assert code == 0 and json.loads(out)["exact_order"] == 2
+    code, out, err = run_cli(capsys, "--max-order", "11", "h2", "A4")
+    assert code == 2 and out == "" and "exceeds" in err
+
+
+def test_help_is_one_fixed_text(capsys):
+    from lazytwist.cli import _FLAGS
+
+    texts = set()
+    for argv in (["-h"], ["--help"], ["--he"], ["h2", "A4", "--help"],
+                 ["bogus", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == "", argv
+        texts.add(out)
+    (text,) = texts
+    for flag in _FLAGS:
+        assert f"\n  {flag}" in text, flag

@@ -514,6 +514,17 @@ def test_abelian_structure_is_bijective(groups):
             assert total == s.order
 
 
+def test_invariant_factors_are_built_once(groups):
+    # _space keys its coordinates by the invariant factors, which each
+    # subgroup builds once
+    from lazytwist.pontryagin import _space
+
+    for s in normal_abelian_subgroups(groups("Wall32")):
+        factors = s.invariant_factors()
+        assert factors == tuple(d for _, d in s.abelian_structure())
+        assert _space(s).ds == factors and s.invariant_factors() is factors
+
+
 def test_subgroup_rejects_non_closed(groups):
     A4 = groups("A4")
     three_cycle = next(x for x in range(A4.order) if A4.element_order(x) == 3)

@@ -19,8 +19,10 @@ enumerated lifts, the union-find cocycle search, the per-pair
 invariant-cocycle system and R5's per-subset closure loop), and the
 test-only API moved out of the library: character products, the dual
 action on characters, the form of a cocycle and the homomorphism and
-bijection checks of a map."""
+bijection checks of a map, and the argparse parser that the command
+line's flag reader replaced."""
 
+import argparse
 import itertools
 import random
 from collections import Counter
@@ -30,6 +32,7 @@ from math import gcd, lcm
 from lazytwist.cyclo import (CycNum, _phi, _power_table, _prime_factors,
                              from_counts, lift, root_of_unity)
 from lazytwist._smith import solve_qz
+from lazytwist.cli import _COMMANDS, _usage
 from lazytwist.fixtures import _group_from_elements
 from lazytwist.groups import (FiniteGroup, OrderLimitExceeded,
                               VerdictInconsistent, _hom_search, _orbit,
@@ -1293,3 +1296,26 @@ def subset_image_sizes(bg, nas, orbits, witnessed):
                                           for i in chosen]):
             sizes.add(1 + len(chosen))
     return sizes
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command line as argparse read it, with parse_intermixed_args:
+    the reference for cli._read_argv."""
+    parser = argparse.ArgumentParser(
+        prog="lazytwist",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Exact computation of the group of invariant twist\n"
+                    "classes on finite group algebras.",
+        epilog="commands:\n" + "\n".join(
+            f"  {_usage(c):<27} {h}" for c, (_, _, h) in _COMMANDS.items()))
+    parser.add_argument("--max-order", type=int, default=128,
+                        help="bound guarding exponential searches")
+    parser.add_argument("--fixture-dir", default=None,
+                        help="directory searched for named tensor files")
+    parser.add_argument("--pretty", action="store_true",
+                        help="indent JSON output")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("operands", nargs="*", metavar="operand",
+                        help="the command's GROUP and TENSOR")
+    return parser
