@@ -3,9 +3,9 @@
 `smith` is the Smith normal form with its transforms (Cohen, A Course in
 Computational Algebraic Number Theory, GTM 138, 1993, section 2.4).  Thin
 helpers sit on it: the kernel of a Z-linear map between finite abelian
-groups, from two Smith forms, and solvability over Q/Z for several
-right-hand sides over one Smith form, a solution or an obstruction vector
-each.  Matrices are lists of integer rows; every helper checks its answer.
+groups, from two Smith forms, its injectivity, from one, and the back
+substitution to a solution over Q/Z of a system shown solvable.
+Matrices are lists of integer rows; every helper checks its answer.
 """
 
 from __future__ import annotations
@@ -172,32 +172,6 @@ def span(gens, orders, moduli) -> list[tuple[int, ...]]:
     for g, d in zip(gens, orders):
         out = [tuple((x + c * y) % q for x, y, q in zip(v, g, moduli))
                for v in out for c in range(d)]
-    return out
-
-
-def solve_qz(A, ys):
-    """Solve A x = y over Q/Z, over one Smith form of the integer rows A,
-    for each rational y in ys: (x, None) with x a list of Fractions in
-    [0, 1), or (None, u) with u an integer row vector such that u A = 0 and
-    u.y is not an integer, which proves that no solution exists: Q/Z is
-    divisible, so with U A V = D the system D z = U y is solvable iff
-    (U y)_i is an integer wherever d_i = 0.
-    """
-    n = len(A[0]) if A else 0
-    U, D, V = smith(A)
-    out = []
-    for y in ys:
-        N = lcm(*(Fraction(v).denominator for v in y))
-        Y = [int(Fraction(v) * N) for v in y]
-        Uy = [sum(u * v for u, v in zip(row, Y) if u) for row in U]
-        u = next((U[i] for i, r in enumerate(Uy)
-                  if r % N and (i >= n or D[i][i] == 0)), None)
-        if u is not None and (any(sum(a * row[j] for a, row in zip(u, A) if a)
-                                  for j in range(n))
-                              or not sum(a * v for a, v in zip(u, Y)) % N):
-            raise VerdictInconsistent("obstruction vector fails its check")
-        out.append((None, u) if u is not None
-                   else (back_substitute(A, D, V, Uy, Y, N), None))
     return out
 
 

@@ -155,6 +155,7 @@ class FiniteGroup:
         self._classes = None
         self._masks = None
         self._generators = None
+        self._abelian_normal = None
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -614,14 +615,17 @@ def normal_abelian_subgroups(G: FiniteGroup,
     Each one is generated by the conjugacy classes it holds, so they are
     the subgroups grown from classes that commute with themselves, one
     class at a time, admitting a class only if it commutes with the
-    subgroup so far: each step then stays abelian.
+    subgroup so far: each step then stays abelian.  G keeps them from the
+    first walk, and each call returns a list of its own.
     """
     _check_order(G, limit)
-    masks = G.class_masks()
-    subs = [Subgroup(G, masks.elements(S))
-            for S in _class_subgroups(G, abelian=True)]
-    subs.sort(key=lambda s: (s.order, s.elements))
-    return subs
+    if G._abelian_normal is None:
+        masks = G.class_masks()
+        subs = [Subgroup(G, masks.elements(S))
+                for S in _class_subgroups(G, abelian=True)]
+        subs.sort(key=lambda s: (s.order, s.elements))
+        G._abelian_normal = tuple(subs)
+    return list(G._abelian_normal)
 
 
 def _direct_factors(G: FiniteGroup) -> list[tuple[int, ...]]:

@@ -15,10 +15,9 @@ Pairs are compared by (socle elements, form entries): the map
 bicharacter tensors.  Since R(A, b)^k = R(A, b^k), the order of a pair is
 the order of its form.  The Aut(G) orbits of rule R5 act on the forms,
 by pushing them along homomorphisms of socles (R(B, psi_* b) = (psi x
-psi) R(A, b)), so no verdict builds R(A, b).  R5's partial product is a
-sum of forms pushed to the dual of a maximal abelian normal subgroup C,
-where the pairs with socle in C are the invariant forms, so no verdict
-descends a form or calls `bg_product`.
+psi) R(A, b)), so no verdict builds R(A, b).  The partial product is a
+sum of forms pushed to an abelian normal C holding both socles, looked up
+among the pushed pairs (`_pushed_pairs`), as `bg_product` and R5 do.
 RW decides for every non-trivial pair, odd or even, whether an invariant
 cocycle realizes it, from one kernel per socle (`RealizableForms`); R4
 counts the witnessed pairs, and R5 takes their indices in the pair list.
@@ -62,7 +61,6 @@ from .cyclo import _prime_factors
 from .fixtures import _group_from_elements, symmetric
 from .pontryagin import (
     AltForm,
-    Character,
     DualAction,
     RealizableForms,
     _dual_matrix,
@@ -121,19 +119,22 @@ class BGElement:
         return hash(self.key())
 
 
-def bg_enumerate(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
-                 nas=None) -> list[BGElement]:
+def bg_enumerate(G: FiniteGroup,
+                 limit: int = ORDER_LIMIT_DEFAULT) -> list[BGElement]:
     """All socle-form pairs, sorted by (socle order, socle, form).
 
     The subgroups are distinct and so are the forms on each, so no pair
     repeats.  Only subgroups of symmetric type can carry a non-degenerate
     alternating form, so the rest are pruned before form enumeration.
     """
-    _check_order(G, limit)
-    if nas is None:
-        nas = normal_abelian_subgroups(G, limit)
+    return _pairs_on(G, normal_abelian_subgroups(G, limit))
+
+
+def _pairs_on(G: FiniteGroup, subgroups) -> list[BGElement]:
+    """The pairs with socle among the abelian normal `subgroups`, sorted as
+    in `bg_enumerate`, the trivial pair first."""
     out = [BGElement.trivial(G)]
-    for A in nas:
+    for A in subgroups:
         if A.order == 1 or not is_symmetric_type(A):
             continue
         out.extend(BGElement(A, b) for b in invariant_forms(
@@ -143,26 +144,46 @@ def bg_enumerate(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
     return out
 
 
-def bg_product(x: BGElement, y: BGElement, nas) -> Optional[BGElement]:
-    """Partial product: defined when one abelian normal subgroup C contains
-    both socles.  Both forms are pushed to the dual of C and multiplied
-    there; the product's socle D is the annihilator of its radical, the
-    common kernel of the radical's generators, and the product descends to
-    a non-degenerate form on the dual of D."""
+def _pushed(x: BGElement, C: Subgroup) -> AltForm:
+    """The form of x pushed along the inclusion of its socle in C."""
+    return x.form.push(C, _dual_matrix(x.subgroup, C, lambda a: a))
+
+
+def _pushed_pairs(pairs, C: Subgroup):
+    """(upper_of, product) on the pairs with socle in the abelian normal C:
+    upper_of[i], the upper entries of pairs[i]'s form pushed to C's dual,
+    and product(u, v), the index of the pair whose push is u + v, refusing
+    a miss.  Pushing maps these pairs one to one onto the invariant forms
+    on C's dual (a form descends to the annihilator of its radical), and
+    the partial product onto the sum of forms."""
+    inside, moduli = set(C.elements).issuperset, _space(C).moduli
+    by_upper = {_pushed(x, C).upper: i for i, x in enumerate(pairs)
+                if inside(x.subgroup.elements)}
+
+    def product(u, v):
+        k = by_upper.get(tuple((a + b) % m for a, b, m in zip(u, v, moduli)))
+        if k is None:
+            raise VerdictInconsistent("partial product left the pair set")
+        return k
+
+    return {i: u for u, i in by_upper.items()}, product
+
+
+def bg_product(x: BGElement, y: BGElement) -> Optional[BGElement]:
+    """Partial product: defined when an abelian normal subgroup C holds
+    both socles.  Both forms are pushed to the dual of C and added there,
+    and the product is the pair with socle in C whose push is the sum
+    (`_pushed_pairs`)."""
+    G = x.subgroup.parent
+    nas = normal_abelian_subgroups(G, G.order)
     need = set(x.subgroup.elements) | set(y.subgroup.elements)
     C = next((C for C in nas if need <= set(C.elements)), None)
     if C is None:
         return None
-    b = x.form.push(C, _dual_matrix(x.subgroup, C, lambda a: a)).mul(
-        y.form.push(C, _dual_matrix(y.subgroup, C, lambda a: a)))
-    gens, orders = b.radical()
-    socle = tuple(sorted(set(C.elements).intersection(
-        *(Character(C, rho).kernel() for rho in gens))))
-    D = next((A for A in nas if A.elements == socle), None)
-    if D is None or D.order * prod(orders) != C.order:
-        raise VerdictInconsistent(
-            "product socle is not the annihilator of its radical")
-    return BGElement(D, b.descend(D))
+    inside = set(C.elements).issuperset
+    pairs = _pairs_on(G, [A for A in nas if inside(A.elements)])
+    _, product = _pushed_pairs(pairs, C)
+    return pairs[product(_pushed(x, C).upper, _pushed(y, C).upper)]
 
 
 def bg_element_order(x: BGElement) -> int:
@@ -395,11 +416,10 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
         # closed form gives every number, and no pair is listed.
         forms_order, forms_struct = _alternating_form_group(
             G.whole_subgroup())
-        nas = bg = None
+        bg = None
         bg_size, int_mod_inn = forms_order, 1
     else:
-        nas = normal_abelian_subgroups(G, limit)
-        bg = bg_enumerate(G, limit, nas=nas)
+        bg = bg_enumerate(G, limit)
         bg_size = len(bg)
         _, int_mod_inn = class_preserving_auts(G, limit)
     odd_outer_trivial = G.order % 2 == 1 and int_mod_inn == 1
@@ -448,7 +468,7 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
             # acts trivially on its dual
             r3 = forms_order, forms_struct
         else:
-            maximal = _maximal(nas)
+            maximal = _maximal(normal_abelian_subgroups(G, limit))
             if len(maximal) == 1:
                 # the invariant forms are the kernel of the invariance map,
                 # and its Smith form gives their invariant factors
@@ -492,7 +512,7 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
     # R5: even-order exclusion through multiplicity-freeness
     if exact is None and int_mod_inn == 1 and G.order <= 64 \
             and has_no_multiplicities(G, limit):
-        sizes = _candidate_image_sizes(G, bg, nas, witnessed)
+        sizes = _candidate_image_sizes(G, bg, witnessed)
         if not sizes:
             # under R5's premises the image of the socle-form map is one
             raise VerdictInconsistent("no candidate image for R5")
@@ -561,21 +581,22 @@ def _maximal(nas) -> list[Subgroup]:
     return [A for A, a in zip(nas, sets) if not any(a < b for b in sets)]
 
 
-def _aut_orbits(bg, nas, auts) -> list[list[int]]:
+def _aut_orbits(bg, auts) -> list[list[int]]:
     """The orbits of the group generated by the automorphisms `auts` on the
     non-trivial pairs, as sorted index lists in the order of their least
     pairs.  Each pair (A, b) is moved along one generator phi at a time,
-    to (phi(A), b pushed along phi|A), phi(A) looked up among the abelian
-    normal subgroups by elements; the dual matrix of phi|A is built once
-    per socle and generator, and serves every form on that socle."""
+    to (phi(A), b pushed along phi|A), phi(A) looked up by elements among
+    the socles of `bg`, which automorphisms permute; the dual matrix of
+    phi|A is built once per socle and generator, and serves every form on
+    that socle."""
     by_key = {x.key(): i for i, x in enumerate(bg)}
-    nas_by_elements = {A.elements: A for A in nas}
+    socles = {x.subgroup.elements: x.subgroup for x in bg}
     pushes: dict = {}
 
     def act(i, k):
         A, phi = bg[i].subgroup, auts[k]
         if (A.elements, k) not in pushes:
-            B = nas_by_elements.get(tuple(sorted(map(phi, A.elements))))
+            B = socles.get(tuple(sorted(map(phi, A.elements))))
             if B is None:
                 raise VerdictInconsistent("automorphism left the pair set")
             pushes[A.elements, k] = B, _dual_matrix(A, B, phi)
@@ -589,7 +610,7 @@ def _aut_orbits(bg, nas, auts) -> list[list[int]]:
                    range(len(auts)), act)
 
 
-def _candidate_image_sizes(G, bg, nas, witnessed):
+def _candidate_image_sizes(G, bg, witnessed):
     """Sizes of subsets of the socle-form pairs that could be the image of
     the socle-form map: automorphism-stable, closed under the partial
     product, containing the pairs bg[i] for i in `witnessed`, with element
@@ -597,31 +618,23 @@ def _candidate_image_sizes(G, bg, nas, witnessed):
     product holds each pair's powers, so its inverses too.
 
     Two pairs have a product iff a maximal abelian normal C holds both
-    socles.  Pushing forms to the dual of C maps the pairs with socle in C
-    one to one onto the invariant forms there (a form descends to the
-    annihilator of its radical), and the product onto the sum of forms;
-    so each product is a lookup of a sum among the pushed pairs, and a
-    miss is refused.  The product is Aut(G)-equivariant, so a union of
-    orbits is closed iff it holds the products of one representative of
-    each chosen orbit with every chosen pair; these are tabulated once."""
-    orbits = _aut_orbits(bg, nas, automorphism_generators(G)[0])
+    socles, and each product is a lookup of a sum among the pushed pairs
+    (`_pushed_pairs`, as in `bg_product`); a miss is refused.  The product
+    is Aut(G)-equivariant, so a union of orbits is closed iff it holds the
+    products of one representative of each chosen orbit with every chosen
+    pair; these are tabulated once."""
+    orbits = _aut_orbits(bg, automorphism_generators(G)[0])
     orbit_of = {i: oi for oi, orbit in enumerate(orbits) for i in orbit}
     # reach[o][o']: the orbits of the non-trivial products rep * y, y in
     # orbit o'
     reach = [[set() for _ in orbits] for _ in orbits]
-    for C in _maximal(nas):
-        inside = set(C.elements).issuperset
-        pushed = {i: x.form.push(C, _dual_matrix(x.subgroup, C, lambda a: a))
-                  for i, x in enumerate(bg) if inside(x.subgroup.elements)}
-        by_upper = {b.upper: i for i, b in pushed.items()}
+    for C in _maximal(normal_abelian_subgroups(G, G.order)):
+        upper_of, product = _pushed_pairs(bg, C)
         for oi, orbit in enumerate(orbits):
-            if orbit[0] not in pushed:
+            if orbit[0] not in upper_of:
                 continue
-            for j, b in pushed.items():
-                k = by_upper.get(pushed[orbit[0]].mul(b).upper)
-                if k is None:
-                    raise VerdictInconsistent(
-                        "partial product left the pair set")
+            for j, u in upper_of.items():
+                k = product(upper_of[orbit[0]], u)
                 if j and k:
                     reach[oi][orbit_of[j]].add(orbit_of[k])
     needed = {orbit_of[i] for i in witnessed}

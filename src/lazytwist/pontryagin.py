@@ -5,11 +5,11 @@ returned by abelian_structure; all values are roots of unity, so most of
 the work here is modular integer arithmetic, materialized as CycNum only
 at the edges.  A form is posed by its upper entries, one per pair of
 `_coordinates`, and every condition on a form, and on a cocycle that
-realizes it, is Z-linear in them, so the invariant forms, radicals,
-descent and the invariant-cocycle decision are kernels and systems over
-Q/Z solved through the Smith normal form (`_smith`); the forms realized on
-a socle are one kernel (`RealizableForms`).  All forms and the invariant
-ones are one span, `_forms`; callers test non-degeneracy.
+realizes it, is Z-linear in them, so the invariant forms, non-degeneracy
+and the invariant-cocycle decision are read off Smith normal forms
+(`_smith`); the forms realized on a socle are one kernel
+(`RealizableForms`).  Forms move only by pushing, never by descent.  All
+forms and the invariant ones are one span, `_forms`.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional
 
-from ._smith import (back_substitute, injective, kernel, smith, solve_qz,
-                     span)
+from ._smith import back_substitute, injective, kernel, smith, span
 from .cyclo import CycNum, root_of_unity
 from .groups import (FiniteGroup, NotAbelian, OrderLimitExceeded, Subgroup,
                      VerdictInconsistent, _orders_structure)
@@ -170,11 +168,6 @@ class AltForm:
         return [[self.matrix[i][j] * (d // gcd(ds[i], d))
                  for i in range(len(ds))] for j, d in enumerate(ds)], ds, ds
 
-    def radical(self) -> tuple[list[tuple[int, ...]], list[int]]:
-        """The characters rho with b(rho, .) = 1, as the generators and
-        invariant factors of the kernel of rho -> (b(rho, chi_j))_j."""
-        return kernel(*self._pairing())
-
     def push(self, B: Subgroup, rows) -> "AltForm":
         """The form on the dual of B with value b(rows[i], rows[j]) on B's
         dual generators i, j.  For rows = _dual_matrix(A, B, psi) it is
@@ -188,33 +181,6 @@ class AltForm:
                 raise VerdictInconsistent("form value order mismatch")
             entries.append(t * m // L)
         return AltForm.from_upper(B, entries)
-
-    def descend(self, D: Subgroup) -> "AltForm":
-        """The form on the dual of D <= A whose push along D <= A is b, read
-        off lifts of D's dual generators; b must vanish on D's annihilator.
-
-        A lift of D's k-th dual generator is a character rho of A with
-        rho(c_i) = [i = k] / f_i on D's generators c_i; over Q/Z its values
-        v_j = rho(a_j) on A's generators solve sum_j P_ij v_j = [i = k] / f_i
-        and d_j v_j = 0, P_ij the coordinates of c_i over the a_j.
-        """
-        coords = self.group.element_coordinates()
-        ds = _space(self.group).ds
-        basis = D.abelian_structure()
-        rows = [list(coords[c]) for c, _ in basis] + [
-            [d if j == i else 0 for j in range(len(ds))]
-            for i, d in enumerate(ds)]
-        lifts = solve_qz(rows, [[Fraction(x, f) for x, (_, f) in
-                                 zip(u, basis)] + [0] * len(ds)
-                                for u in _units(len(basis))])
-        if any(v is None for v, _ in lifts):
-            raise VerdictInconsistent("a character of D has no lift")
-        out = self.push(D, [tuple(int(x * d) for x, d in zip(v, ds))
-                            for v, _ in lifts])
-        if out.push(self.group, _dual_matrix(D, self.group, lambda a: a)) \
-                != self:
-            raise VerdictInconsistent("form does not descend to the subgroup")
-        return out
 
     def to_json(self):
         basis = self.group.abelian_structure()

@@ -495,6 +495,18 @@ def test_double_dash_ends_the_flags(capsys):
             command, operands, False), argv
 
 
+def test_paper_suite_honours_max_order(capsys):
+    # a bound below a suite group's order exits 2 with nothing on stdout,
+    # as every other command does; at 81, the largest suite order, the
+    # output is that of the default bound
+    code, out, err = run_cli(capsys, "--max-order", "8", "paper-suite")
+    assert code == 2 and out == "" and "exceeds bound 8" in err
+    code, out, _ = run_cli(capsys, "--max-order", "81", "paper-suite")
+    assert code == 0 and out == run_cli(capsys, "paper-suite")[1]
+    code, out, err = run_cli(capsys, "--max-order", "80", "paper-suite")
+    assert code == 2 and out == "" and "|G| = 81 exceeds bound 80" in err
+
+
 def test_max_order_must_be_at_least_1(capsys):
     # argparse read any integer; 0 and -5 then failed every command with a
     # group as "|G| = 12 exceeds bound -5", and paper-suite ignored them

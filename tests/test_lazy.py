@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 import lazytwist.groups as groups_module
-from lazytwist import _smith, hopf, lazy, pontryagin
+from lazytwist import _smith, hopf, lazy
 from lazytwist.cli import _EXPECTED_SUITE, main
 from lazytwist.cyclo import CycNum
 from lazytwist.fixtures import builtin_names
@@ -49,6 +49,7 @@ from tests_helpers import (
     basis_symmetric_type,
     characters,
     convolution_no_multiplicities,
+    descent_bg_product,
     invariant_orbit_dimension,
     listing_pair_orbits,
     metacyclic,
@@ -76,7 +77,7 @@ def test_bg_enumerate_builds_bases_only_on_symmetric_types(groups,
                         lambda A: built.append(A.elements) or structure(A))
     G = named_group(groups, "D8xC6")
     nas = normal_abelian_subgroups(G)
-    bg_enumerate(G, nas=nas)
+    bg_enumerate(G)
     monkeypatch.undo()
     symmetric = [A.elements for A in nas
                  if A.order > 1 and basis_symmetric_type(A)]
@@ -102,12 +103,12 @@ def test_bg_trivial_element_first(groups):
         assert bg[0].canonical_r == GTensor.unit(groups(name), 2)
 
 
-def tensor_power_order(x, nas):
+def tensor_power_order(x):
     """Order of x by taking tensor powers R(A, b)^k until the unit: the
     reference for bg_element_order, which reads it off the form."""
     acc, k = x, 1
     while not acc.is_trivial():
-        acc = tensor_bg_product(acc, x, nas)
+        acc = tensor_bg_product(acc, x)
         assert acc is not None, "powers on a fixed socle are always defined"
         k += 1
         assert k <= x.subgroup.order ** 2, "runaway element order"
@@ -117,9 +118,8 @@ def tensor_power_order(x, nas):
 def test_bg_element_order_matches_tensor_powers(groups):
     for name in ["A4", "D8", "V4", "S4", "Wr_3", "C27sd", "Wall32", "C3xC9"]:
         G = product_group((3, 9)) if name == "C3xC9" else groups(name)
-        nas = normal_abelian_subgroups(G)
-        for x in bg_enumerate(G, nas=nas):
-            assert bg_element_order(x) == tensor_power_order(x, nas)
+        for x in bg_enumerate(G):
+            assert bg_element_order(x) == tensor_power_order(x)
 
 
 def test_bg_equality_by_canonical_r(groups):
@@ -127,11 +127,10 @@ def test_bg_equality_by_canonical_r(groups):
     # tensors are: R(A, b) determines A as its socle and b on A's dual
     for name in ["A4", "D8", "C27sd", "Wall32", "Wr_3", "V4"]:
         G = groups(name)
-        nas = normal_abelian_subgroups(G)
-        pairs = bg_enumerate(G, nas=nas)
+        pairs = bg_enumerate(G)
         if name == "C27sd":
             pairs += [p for x in pairs for y in pairs
-                      if (p := bg_product(x, y, nas)) is not None]
+                      if (p := bg_product(x, y)) is not None]
         for x in pairs:
             for y in pairs:
                 assert (x.key() == y.key()) == (x.canonical_r == y.canonical_r)
@@ -139,18 +138,16 @@ def test_bg_equality_by_canonical_r(groups):
 
 def test_bg_product_identity_and_square(groups):
     G = groups("A4")
-    nas = normal_abelian_subgroups(G)
     bg = bg_enumerate(G)
     triv, x = bg
-    assert bg_product(x, triv, nas) == x
+    assert bg_product(x, triv) == x
     # b has order two on a 2-group socle
-    assert bg_product(x, x, nas).is_trivial()
+    assert bg_product(x, x).is_trivial()
     assert bg_element_order(x) == 2
 
 
 def test_bg_product_undefined_across_disjoint_socles(groups):
     G = groups("C27sd")
-    nas = normal_abelian_subgroups(G)
     bg = bg_enumerate(G)
     by_subgroup = {}
     for x in bg[1:]:
@@ -158,10 +155,10 @@ def test_bg_product_undefined_across_disjoint_socles(groups):
     reps = [v[0] for v in by_subgroup.values()]
     assert len(reps) == 4
     # distinct E_i never share an abelian normal overgroup
-    assert bg_product(reps[0], reps[1], nas) is None
+    assert bg_product(reps[0], reps[1]) is None
     # same E_i: defined, with order-3 powers
     same = by_subgroup[reps[0].subgroup.elements]
-    assert bg_product(same[0], same[1], nas) is not None
+    assert bg_product(same[0], same[1]) is not None
     assert bg_element_order(reps[0]) == 3
 
 
@@ -181,7 +178,7 @@ def test_bg_product_independent_of_witness(groups):
                 witnesses = [C for C in nas
                              if set(x.subgroup.elements) | set(y.subgroup.elements)
                              <= set(C.elements)]
-                direct = bg_product(x, y, nas)
+                direct = bg_product(x, y)
                 if not witnesses:
                     assert direct is None
                     continue
@@ -211,22 +208,27 @@ def test_bg_product_independent_of_witness(groups):
 
 
 def test_bg_product_matches_tensor_product(groups):
-    # the form path against tensors multiplied in k[G] x k[G], their socle
-    # and the form read back there: defined in the same places, same pairs
-    for name in ["A4", "D8", "V4", "S4", "Wr_3", "C27sd", "Wall32", "D8xC2",
-                 "Q8xC2xC2", "D8xS3"]:
+    # the lookup of a pushed sum against the product by descent (the
+    # radical and the lifts swept over the dual) and against tensors
+    # multiplied in k[G] x k[G], their socle and the form read back there:
+    # defined in the same places, same pairs, on every ordered pair of
+    # pairs
+    for name in builtin_names() + SPLIT_GROUPS[:8] + [
+            "D8xQ8", "C2xC2xD8", "C27sdxC3"]:
         G = named_group(groups, name)
-        nas = normal_abelian_subgroups(G)
-        bg = bg_enumerate(G, nas=nas)
+        bg = bg_enumerate(G)
         defined = 0
         for x in bg:
             for y in bg:
-                direct = bg_product(x, y, nas)
-                oracle = tensor_bg_product(x, y, nas)
-                assert (direct is None) == (oracle is None), name
+                direct = bg_product(x, y)
+                descent = descent_bg_product(x, y)
+                oracle = tensor_bg_product(x, y)
+                assert (direct is None) == (descent is None) == \
+                    (oracle is None), name
                 if direct is not None:
                     defined += 1
-                    assert direct.key() == oracle.key(), name
+                    assert direct.key() == descent.key() == oracle.key(), \
+                        name
         assert defined >= 2 * len(bg) - 1, name
 
 
@@ -234,10 +236,9 @@ def test_transport_matches_tensor_apply_map(groups):
     # R(phi(A), b pushed along phi) = (phi x phi) R(A, b)
     for name in ["A4", "S4", "D8xC2", "Wall32"]:
         G = named_group(groups, name)
-        nas = normal_abelian_subgroups(G)
-        by_elements = {A.elements: A for A in nas}
+        by_elements = {A.elements: A for A in normal_abelian_subgroups(G)}
         tensors = {}
-        for x in bg_enumerate(G, nas=nas):
+        for x in bg_enumerate(G):
             for phi in automorphism_group(G):
                 moved = transport(x, phi, by_elements)
                 if moved.key() not in tensors:
@@ -316,11 +317,11 @@ def test_r5_orbits_match_listing(groups):
     # automorphism of the order-only listing
     for name in SPLIT_GROUPS[:8] + ["C2xC2xD8", "D8xQ8"]:
         G = named_group(groups, name)
-        nas = normal_abelian_subgroups(G)
-        bg = bg_enumerate(G, nas=nas)
+        bg = bg_enumerate(G)
         gens, _ = automorphism_generators(G)
-        expected = listing_pair_orbits(bg, nas, order_only_automorphisms(G))
-        assert _aut_orbits(bg, nas, gens) == expected, name
+        expected = listing_pair_orbits(bg, normal_abelian_subgroups(G),
+                                       order_only_automorphisms(G))
+        assert _aut_orbits(bg, gens) == expected, name
         assert sorted(i for orbit in expected for i in orbit) == \
             list(range(1, len(bg))), name
 
@@ -335,12 +336,11 @@ def test_aut_orbits_build_one_dual_matrix_per_socle_and_generator(
     shared = False
     for name in SPLIT_GROUPS[:8] + ["C2xC2xD8"]:
         G = named_group(groups, name)
-        nas = normal_abelian_subgroups(G)
-        bg = bg_enumerate(G, nas=nas)
+        bg = bg_enumerate(G)
         gens, _ = automorphism_generators(G)
-        by_elements = {A.elements: A for A in nas}
+        by_elements = {A.elements: A for A in normal_abelian_subgroups(G)}
         del built[:]
-        orbits = _aut_orbits(bg, nas, gens)
+        orbits = _aut_orbits(bg, gens)
         per_socle = Counter(x.subgroup.elements for x in bg[1:])
         assert set(built) == set(per_socle), name
         assert max(Counter(built).values()) <= len(gens), name
@@ -356,25 +356,24 @@ def test_aut_orbits_build_one_dual_matrix_per_socle_and_generator(
 def test_r5_sizes_match_subset_loop(groups, monkeypatch):
     # the closure checked on one representative per orbit gives the sizes
     # of the loop over every pair of every chosen subset, with the
-    # witnessed pairs RW finds and with none, visiting the maximal abelian
-    # normal subgroups in either order: on C2xC2xD8 the last alone gives
-    # too few products
+    # products by descent, with the witnessed pairs RW finds and with
+    # none, visiting the maximal abelian normal subgroups in either order:
+    # on C2xC2xD8 the last alone gives too few products
     maximal = lazy._maximal
     for name in ["D8", "D8xC2", "D8xC4", "D8xC6", "Wr_2xC2", "Q8xC2xC2",
                  "D8xS3", "C2xC2xD8", "D8xQ8"]:
         G = named_group(groups, name)
-        nas = normal_abelian_subgroups(G)
-        bg = bg_enumerate(G, nas=nas)
-        orbits = _aut_orbits(bg, nas, automorphism_generators(G)[0])
+        bg = bg_enumerate(G)
+        orbits = _aut_orbits(bg, automorphism_generators(G)[0])
         witnessed = [i for i, x in enumerate(bg) if i and
                      invariant_cocycle_search(x.subgroup, x.form, DualAction(
                          G, x.subgroup)).witness]
         for pairs in (witnessed, []):
-            expected = subset_image_sizes(bg, nas, orbits, pairs)
+            expected = subset_image_sizes(bg, orbits, pairs)
             for step in (1, -1):
                 monkeypatch.setattr(
                     lazy, "_maximal", lambda nas, s=step: maximal(nas)[::s])
-                assert _candidate_image_sizes(G, bg, nas, pairs) == \
+                assert _candidate_image_sizes(G, bg, pairs) == \
                     expected, (name, pairs, step)
 
 
@@ -391,11 +390,10 @@ def test_pairs_in_a_maximal_subgroup_are_its_invariant_forms(groups):
     for name in ["D8xC2", "C2xC2xD8", "D8xD8", "D8xQ8", "Q8xC2xC2",
                  "A4xC2xC2"]:
         G = named_group(groups, name)
-        nas = normal_abelian_subgroups(G)
-        bg = bg_enumerate(G, nas=nas)
+        bg = bg_enumerate(G)
         reps = [bg[orbit[0]] for orbit in _aut_orbits(
-            bg, nas, automorphism_generators(G)[0])]
-        for C in _maximal(nas):
+            bg, automorphism_generators(G)[0])]
+        for C in _maximal(normal_abelian_subgroups(G)):
             forms = {x: pushed(x, C) for x in bg
                      if set(x.subgroup.elements) <= set(C.elements)}
             matrices = {b.matrix for b in forms.values()}
@@ -404,7 +402,7 @@ def test_pairs_in_a_maximal_subgroup_are_its_invariant_forms(groups):
                 C, DualAction(G, C))}, (name, C.elements)
             for x in (x for x in reps if x in forms):
                 for y in forms:
-                    product = bg_product(x, y, nas)
+                    product = bg_product(x, y)
                     assert product is not None, (name, C.elements)
                     assert pushed(product, C).matrix == \
                         forms[x].mul(forms[y]).matrix, (name, C.elements)
@@ -415,15 +413,42 @@ def test_r5_refuses_a_product_outside_the_pair_set(groups, monkeypatch):
     # pairs; with it dropped from the pair list, R5's table misses, and the
     # miss is refused, also under -O
     G = named_group(groups, "D8xC2")
-    nas = normal_abelian_subgroups(G)
-    bg = bg_enumerate(G, nas=nas)
-    assert any(bg_product(x, y, nas) == bg[1] for x in bg[2:]
-               for y in bg[2:])
+    bg = bg_enumerate(G)
+    assert any(bg_product(x, y) == bg[1] for x in bg[2:] for y in bg[2:])
     monkeypatch.setattr(lazy, "bg_enumerate",
-                        lambda G, limit, nas: bg[:1] + bg[2:])
+                        lambda G, limit: bg[:1] + bg[2:])
     with pytest.raises(VerdictInconsistent,
                        match="partial product left the pair set"):
         h2_compute(G)
+
+
+def test_abelian_normal_subgroups_walked_once_per_group(groups,
+                                                         monkeypatch):
+    # G keeps its abelian normal subgroups: h2, the pair listing and
+    # several partial products walk its class masks once, and a caller
+    # that changes the list it was given changes no later answer
+    walks, walk = [], groups_module._class_subgroups
+    monkeypatch.setattr(groups_module, "_class_subgroups",
+                        lambda H, abelian=False: walks.append((H, abelian))
+                        or walk(H, abelian))
+    for name in ["D8xC2", "Q8xC2xC2", "C27sd"]:
+        G = groups_module.FiniteGroup(named_group(groups, name).table,
+                                      name=name)
+        report = h2_compute(G).to_json()
+        bg = bg_enumerate(G)
+        products = [bg_product(x, y) for x in bg[:4] for y in bg[-4:]]
+        assert any(p is not None and not p.is_trivial() for p in products)
+        assert walks.count((G, True)) == 1, name
+        nas = normal_abelian_subgroups(G)
+        kept = [A.elements for A in nas]
+        nas.reverse()
+        del nas[1:]
+        assert [A.elements for A in normal_abelian_subgroups(G)] == kept
+        assert h2_compute(G).to_json() == report, name
+        assert bg_enumerate(G) == bg, name
+        assert [bg_product(x, y) for x in bg[:4] for y in bg[-4:]] == \
+            products, name
+        assert walks.count((G, True)) == 1, name
 
 
 def test_has_no_multiplicities(groups):
@@ -618,19 +643,18 @@ def test_no_verdict_builds_a_cycnum(verdict_cases, monkeypatch):
 
 
 def test_no_verdict_descends_a_form(verdict_cases, monkeypatch):
-    # R5 reads each partial product as a sum of pushed forms, so every
-    # report comes out the same with the pair product, descent and the
-    # Q/Z solver refused
+    # R5 tabulates the partial products on each maximal abelian normal
+    # subgroup, so every report comes out the same with the pair-by-pair
+    # product refused; the library holds no descent and no Q/Z solver
     cases, reports = verdict_cases
 
     def refuse(*args, **kwargs):
-        raise RuntimeError("a verdict descended a form")
+        raise RuntimeError("a verdict called the pair product")
 
     monkeypatch.setattr(lazy, "bg_product", refuse)
-    monkeypatch.setattr(AltForm, "descend", refuse)
-    monkeypatch.setattr(pontryagin, "solve_qz", refuse)
-    monkeypatch.setattr(_smith, "solve_qz", refuse)
     assert [h2_compute(G).to_json() for G in cases] == reports
+    assert not hasattr(AltForm, "descend") and not hasattr(
+        AltForm, "radical") and not hasattr(_smith, "solve_qz")
 
 
 def test_h2_structure_must_multiply_to_exact_order(groups, monkeypatch):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lazytwist import _smith
-from lazytwist._smith import kernel, smith, solve_qz, span
+from lazytwist._smith import kernel, smith, span
+from tests_helpers import solve_qz
 
 
 def matrices(rows, cols, entries):

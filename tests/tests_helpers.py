@@ -19,8 +19,9 @@ enumerated lifts, the union-find cocycle search, the per-pair
 invariant-cocycle system and R5's per-subset closure loop), and the
 test-only API moved out of the library: character products, the dual
 action on characters, the form of a cocycle and the homomorphism and
-bijection checks of a map, and the argparse parser that the command
-line's flag reader replaced."""
+bijection checks of a map, the argparse parser that the command line's
+flag reader replaced, the solver over Q/Z, and the partial product by
+radical and descent that the lookup of a pushed sum replaced."""
 
 import argparse
 import itertools
@@ -31,15 +32,16 @@ from math import gcd, lcm
 
 from lazytwist.cyclo import (CycNum, _phi, _power_table, _prime_factors,
                              from_counts, lift, root_of_unity)
-from lazytwist._smith import solve_qz
+from lazytwist import _smith
+from lazytwist._smith import back_substitute
 from lazytwist.cli import _COMMANDS, _usage
 from lazytwist.fixtures import _group_from_elements
 from lazytwist.groups import (FiniteGroup, OrderLimitExceeded,
                               VerdictInconsistent, _hom_search, _orbit,
-                              _right_generators, _signatures)
+                              _right_generators, _signatures,
+                              normal_abelian_subgroups)
 from lazytwist.hopf import GTensor, _counts, form_from_r, socle
-from lazytwist.lazy import (BGElement, _is_abelian_orders, _pair_orbits,
-                            bg_product)
+from lazytwist.lazy import BGElement, _is_abelian_orders, _pair_orbits
 from lazytwist.pontryagin import (AltForm, Character, CocycleSearch,
                                   _dual_apply, _dual_matrix, _units,
                                   cocycle_identity_holds)
@@ -809,12 +811,20 @@ def loop_drinfeld_element(R):
     return GTensor(G, 1, out)
 
 
-def tensor_bg_product(x, y, nas):
+def _common_overgroup(x, y):
+    """The least abelian normal subgroup that holds the socles of both
+    pairs, or None."""
+    G = x.subgroup.parent
+    need = set(x.subgroup.elements) | set(y.subgroup.elements)
+    return next((C for C in normal_abelian_subgroups(G, G.order)
+                 if need <= set(C.elements)), None)
+
+
+def tensor_bg_product(x, y):
     """Partial product of socle-form pairs through group-algebra tensors:
     R(A, b) R(A', b') in k[G] x k[G], its socle, and the form read back on
     that socle.  None when no abelian normal subgroup holds both socles."""
-    need = set(x.subgroup.elements) | set(y.subgroup.elements)
-    if not any(need <= set(C.elements) for C in nas):
+    if _common_overgroup(x, y) is None:
         return None
     R = x.canonical_r.mul(y.canonical_r)
     D = socle(R)
@@ -1147,6 +1157,56 @@ def enumerated_descend(b, D):
     return out
 
 
+def descent_bg_product(x, y):
+    """The partial product by descent, as the library computed it before
+    the lookup of a pushed sum: both forms pushed to the dual of the least
+    abelian normal C holding both socles and added there, the product's
+    socle D the annihilator of the sum's radical swept over the dual, and
+    the sum descended to D through enumerated lifts.  None when no such C
+    exists."""
+    C = _common_overgroup(x, y)
+    if C is None:
+        return None
+    b = x.form.push(C, _dual_matrix(x.subgroup, C, lambda a: a)).mul(
+        y.form.push(C, _dual_matrix(y.subgroup, C, lambda a: a)))
+    radical = enumerated_radical(b)
+    socle = tuple(sorted(set(C.elements).intersection(
+        *(Character(C, rho).kernel() for rho in radical))))
+    G = C.parent
+    D = next((A for A in normal_abelian_subgroups(G, G.order)
+              if A.elements == socle), None)
+    if D is None or D.order * len(radical) != C.order:
+        raise VerdictInconsistent(
+            "product socle is not the annihilator of its radical")
+    return BGElement(D, enumerated_descend(b, D))
+
+
+def solve_qz(A, ys):
+    """Solve A x = y over Q/Z, over one Smith form of the integer rows A,
+    for each rational y in ys: (x, None) with x a list of Fractions in
+    [0, 1), or (None, u) with u an integer row vector such that u A = 0 and
+    u.y is not an integer, which proves that no solution exists: Q/Z is
+    divisible, so with U A V = D the system D z = U y is solvable iff
+    (U y)_i is an integer wherever d_i = 0.
+    """
+    n = len(A[0]) if A else 0
+    U, D, V = _smith.smith(A)
+    out = []
+    for y in ys:
+        N = lcm(*(Fraction(v).denominator for v in y))
+        Y = [int(Fraction(v) * N) for v in y]
+        Uy = [sum(u * v for u, v in zip(row, Y) if u) for row in U]
+        u = next((U[i] for i, r in enumerate(Uy)
+                  if r % N and (i >= n or D[i][i] == 0)), None)
+        if u is not None and (any(sum(a * row[j] for a, row in zip(u, A) if a)
+                                  for j in range(n))
+                              or not sum(a * v for a, v in zip(u, Y)) % N):
+            raise VerdictInconsistent("obstruction vector fails its check")
+        out.append((None, u) if u is not None
+                   else (back_substitute(A, D, V, Uy, Y, N), None))
+    return out
+
+
 def union_find_cocycle_search(A, b, action, assignment_cap=1 << 20):
     """The bounded invariant-cocycle search: values are roots of unity of
     order dividing twice the dual exponent; normalization, invariance and
@@ -1276,11 +1336,14 @@ def per_pair_cocycle_search(A, b, action):
     return CocycleSearch(table, "witness")
 
 
-def subset_image_sizes(bg, nas, orbits, witnessed):
+def subset_image_sizes(bg, orbits, witnessed):
     """R5's candidate image sizes by checking, for each union of orbits
     holding the pairs bg[i], i in `witnessed`, the inverse and the partial
-    product of every chosen pair with every chosen pair."""
+    product by descent of every chosen pair with every chosen pair, from a
+    table of the products of all pairs."""
     by_key = {x.key(): i for i, x in enumerate(bg)}
+    product = {(i, j): descent_bg_product(x, y)
+               for i, x in enumerate(bg) for j, y in enumerate(bg)}
     sizes = set()
     for pick in itertools.product((False, True), repeat=len(orbits)):
         chosen = {j for take, orbit in zip(pick, orbits) if take
@@ -1291,7 +1354,7 @@ def subset_image_sizes(bg, nas, orbits, witnessed):
                in chosen for i in chosen) and all(
                    p is None or by_key[p.key()] in chosen | {0}
                    for i in chosen for j in chosen
-                   for p in [bg_product(bg[i], bg[j], nas)]) and \
+                   for p in [product[i, j]]) and \
                 _is_abelian_orders([1] + [bg[i].form.order()
                                           for i in chosen]):
             sizes.add(1 + len(chosen))
