@@ -4,10 +4,11 @@ A GTensor is a sparse element of k[G]^(tensor d) for d = 1, 2, 3 with
 cyclotomic coefficients on tuples of element indices.
 
 One abelian test, `_abelian_support`, picks the path for `tensor_inv`,
-`is_twist` and `r_matrix`: whether the elements in the support of x
-commute, so that they generate an abelian subgroup A and x lies in
-k[A^d].  The Fourier transform k[A^d] -> k^(dual of A)^d is an algebra
-isomorphism (Movshev 1993; Etingof-Gelaki 1998), so on the dual x is
+`is_twist` and `r_matrix`: whether x was built on the dual of an abelian
+A, or else whether the elements in the support of x commute, so that
+they generate an abelian subgroup A; either way x lies in k[A^d].  The
+Fourier transform k[A^d] -> k^(dual of A)^d is an algebra isomorphism
+(Movshev 1993; Etingof-Gelaki 1998), so on the dual x is
 inverted pointwise, and on the table F^(rho, sigma) = (rho x sigma)(F) of
 a degree-2 F, F is invertible iff no value is 0, satisfies the twist
 equation iff F^ is a 2-cocycle (not normalized), R^(rho, sigma) =
@@ -21,10 +22,15 @@ Every character sum, forward or inverse and of any degree, goes through
 one routine, `_transform`: character values come from an integer exponent
 table, terms are added leg by leg as exponent counts over one root of
 unity, and each distinct count vector is normalized once.  A tensor
-built from a table on the dual (`_from_dual`: `twist_from_cocycle`,
-`r_from_form`, the R of `r_matrix`, `tensor_inv`'s inverse) carries that
-table, and every forward transform onto the same subgroup's dual reads it
-(`_on_dual`) instead of summing again; the checks run on it all the same.
+built from a table on the dual of an abelian A (`_from_dual`:
+`twist_from_cocycle`, `r_from_form`, the R of `r_matrix`, the Drinfeld
+element of such an R, `tensor_inv`'s inverse) is that table: its
+group-basis terms are the inverse transform, computed on the first read
+of `terms` and kept.  Every forward transform onto A's dual reads the
+table (`_on_dual`) instead of summing again, the checks run on it all
+the same, and `tensor_inv`, `is_twist` and `r_matrix` take A as the
+abelian subgroup of their path, `is_invariant` (A normal) and
+`drinfeld_element` work on the table, so none of them reads the terms.
 Products and coefficient sums add the same way: the coefficients are
 lifted to one zeta_M as integer exponent counts over one common
 denominator, products of terms convolve those counts into their output
@@ -150,16 +156,18 @@ class GTensor:
     """Sparse element of k[G]^(tensor degree); zero coefficients never stored.
 
     A tensor built from a table on the dual of an abelian subgroup A
-    (`_from_dual`) carries it as `dual` = (A's elements, table), and every
-    forward transform onto A's dual reads it (`_on_dual`); any other
-    tensor has `dual` None.  Equality and hashing read the terms only."""
+    (`_from_dual`) is that table: it carries it as `dual` = (A's elements,
+    table), and A itself, and its `terms` are the table's inverse
+    transform, computed when first read and then kept.  Every forward
+    transform onto A's dual reads the table (`_on_dual`); any other tensor
+    has `dual` None.  Equality and hashing read the terms only."""
 
-    __slots__ = ("group", "degree", "terms", "dual")
+    __slots__ = ("group", "degree", "terms", "dual", "_subgroup")
 
     def __init__(self, group: FiniteGroup, degree: int, terms: dict):
         self.group = group
         self.degree = degree
-        self.dual = None
+        self.dual = self._subgroup = None
         clean = {}
         for tup, c in terms.items():
             if not isinstance(c, CycNum):
@@ -169,6 +177,17 @@ class GTensor:
                     raise DegreeMismatch(f"term {tup} in degree {degree}")
                 clean[tuple(tup)] = c
         self.terms = clean
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the terms of a tensor built on a
+        # dual, read for the first time
+        if name != "terms" or self._subgroup is None:
+            raise AttributeError(name)
+        A = self._subgroup
+        self.terms = {t: c for t, c in _transform(
+            _char_table(A), self.dual[1], self.degree, inverse=True).items()
+            if not c.is_zero()}
+        return self.terms
 
     # -- constructors ------------------------------------------------------
 
@@ -183,6 +202,9 @@ class GTensor:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
+        if self._subgroup is not None:
+            # the transform is a bijection: zero iff every value is
+            return all(v.is_zero() for v in self.dual[1].values())
         return not self.terms
 
     def __eq__(self, other) -> bool:
@@ -469,8 +491,13 @@ def _twist_inverse(F: GTensor):
 
 
 def _abelian_support(x: GTensor):
-    """The subgroup A generated by the support of x when that subgroup is
-    abelian (its generators commute), else None; x then lies in k[A^d]."""
+    """An abelian subgroup A with x in k[A^d], else None: the A whose dual
+    x was built on, or the subgroup generated by the support of x when
+    that subgroup is abelian (its generators commute).  Invertibility,
+    the twist equation and the R-matrix axioms read the same on the dual
+    of any abelian A that holds the support."""
+    if x._subgroup is not None:
+        return x._subgroup
     G, support = x.group, x.support_elements()
     t = G.table
     if any(t[a][b] != t[b][a] for a in support for b in support):
@@ -500,9 +527,33 @@ def is_twist(F: GTensor) -> bool:
 
 
 def is_invariant(F: GTensor) -> bool:
-    """Commutes with Delta(g) for the group generators (hence for all g)."""
-    return all(F.conjugate_diagonal(g) == F
-               for g in F.group.generating_set())
+    """Commutes with Delta(g) for the group generators (hence for all g).
+
+    Conjugation by g x ... x g sends e_rho to e_(g.rho) in k[A] for a
+    normal abelian A, so a tensor built on A's dual is invariant iff its
+    table is: F^(g.rho, g.sigma, ...) = F^(rho, sigma, ...).  Otherwise
+    each term is looked up at its conjugate, a bijection on tuples."""
+    G, A = F.group, F._subgroup
+    if A is not None and A.is_normal():
+        action, hat = DualAction(G, A), F.dual[1]
+        # hat keeps its values alive, so each object is keyed once, by its id
+        distinct = {id(v): v for v in hat.values()}
+        keys = {i: v.key() for i, v in distinct.items()}
+        key = {p: keys[id(v)] for p, v in hat.items()}
+        duals = _space(A).duals
+        for g in G.generating_set():
+            image = {s: action.on_exponents(g, s) for s in duals}
+            if any(key[tuple(map(image.__getitem__, p))] != k
+                   for p, k in key.items()):
+                return False
+        return True
+    terms, table, inv = F.terms, G.table, G.inverses
+    for g in G.generating_set():
+        conj = [table[row][inv[g]] for row in table[g]]
+        if any(terms.get(tuple(map(conj.__getitem__, t))) != c
+               for t, c in terms.items()):
+            return False
+    return True
 
 
 def is_normalized(F: GTensor) -> bool:
@@ -578,8 +629,19 @@ def r_matrix(F: GTensor) -> GTensor:
 
 
 def drinfeld_element(R: GTensor) -> GTensor:
-    """u_R = sum S(t_i) s_i over the terms s_i x t_i of R."""
+    """u_R = sum S(t_i) s_i over the terms s_i x t_i of R.
+
+    For R built on the dual of A, R = sum R^(sigma, tau) e_sigma x e_tau,
+    and S(e_tau) = e_(tau^-1), e_sigma e_tau = delta_(sigma tau) e_sigma
+    give u_R = sum_sigma R^(sigma, sigma^-1) e_sigma, built on the same
+    dual."""
     _check_degree(R, 2)
+    A = R._subgroup
+    if A is not None:
+        ds, _, _, _, duals = _space(A)
+        hat = R.dual[1]
+        return _from_dual(A, {(s,): hat[s, tuple(-x % d for x, d in zip(
+            s, ds))] for s in duals}, 1)
     G = R.group
     return GTensor(G, 1, _sum_by(
         R.terms, lambda st: (G.table[G.inverses[st[1]]][st[0]],)))
@@ -711,11 +773,12 @@ def _transform(table, terms: dict, degree: int, inverse: bool = False) -> dict:
 
 def _from_dual(A: Subgroup, hat: dict, degree: int) -> GTensor:
     """The tensor in k[A^d] whose transform on the d-th power of the dual
-    of A is hat, carrying hat (see GTensor).  The transform is a bijection
-    and exact, so hat is what a forward transform would give again."""
-    x = GTensor(A.parent, degree,
-                _transform(_char_table(A), hat, degree, inverse=True))
-    x.dual = (A.elements, hat)
+    of A is hat, carrying hat (see GTensor); its terms are built when first
+    read.  The transform is a bijection and exact, so hat is what a
+    forward transform would give again."""
+    x = GTensor.__new__(GTensor)
+    x.group, x.degree = A.parent, degree
+    x.dual, x._subgroup = (A.elements, hat), A
     return x
 
 

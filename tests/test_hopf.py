@@ -977,16 +977,19 @@ def _forward(A, x):
     return hopf._transform(hopf._char_table(A), x.terms, x.degree)
 
 
-def test_tensors_built_on_a_dual_carry_its_table(groups):
-    # each constructor that inverts a table on the dual of A carries it,
-    # and it is the forward transform of the tensor's terms
+def _built_on_a_dual(groups):
+    """(kind, A, x) for tensors x built on the dual of A by each constructor
+    that does so: twists, their R-matrices and Drinfeld elements, R(A, b),
+    and inverses of degree 1 and 2."""
     from lazytwist import hopf
     from tests_helpers import product_group
 
     built = []
     for A, c in _pair_cocycles(groups):
         F = twist_from_cocycle(A, c)
-        built += [("twist", A, F), ("R", A, r_matrix(F))]
+        R = r_matrix(F)
+        built += [("twist", A, F), ("R", A, R),
+                  ("Drinfeld element", A, drinfeld_element(R))]
     V = _klein(groups)
     built += [("R(A, b)", V, r_from_form(V, b)) for b in alternating_forms(V)]
     rng = random.Random(25)
@@ -1001,6 +1004,13 @@ def test_tensors_built_on_a_dual_carry_its_table(groups):
             if y is not None:
                 built.append((f"inverse, degree {degree}",
                               hopf._abelian_support(x), y))
+    return built
+
+
+def test_tensors_built_on_a_dual_carry_its_table(groups):
+    # each constructor that inverts a table on the dual of A carries it,
+    # and it is the forward transform of the tensor's terms
+    built = _built_on_a_dual(groups)
     kinds = [kind for kind, _, _ in built]
     assert min(kinds.count(k) for k in ("twist", "R", "inverse, degree 1",
                                         "inverse, degree 2")) >= 4
@@ -1014,6 +1024,32 @@ def test_tensors_built_on_a_dual_carry_its_table(groups):
     assert _a4_twist(groups).dual is None
     assert r_matrix(_a4_twist(groups)).dual is not None
     assert _a4_twist(groups).mul(GTensor.unit(groups("A4"), 2)).dual is None
+
+
+def test_terms_built_on_first_read_are_the_inverse_transform(groups,
+                                                             monkeypatch):
+    # a tensor built on a dual transforms its table back to the group basis
+    # when its terms are first read, once, and keeps them
+    from lazytwist import hopf
+
+    built = _built_on_a_dual(groups)
+    assert {kind for kind, _, _ in built} == {
+        "twist", "R", "Drinfeld element", "R(A, b)", "inverse, degree 1",
+        "inverse, degree 2"}
+    calls = []
+    transform = hopf._transform
+    monkeypatch.setattr(hopf, "_transform", lambda *a, inverse=False: (
+        calls.append(inverse) or transform(*a, inverse=inverse)))
+    for _, A, x in built:
+        _, table = x.dual
+        want = GTensor(A.parent, x.degree, transform(
+            hopf._char_table(A), table, x.degree, inverse=True))
+        del calls[:]
+        assert x.terms == want.terms and x.terms is x.terms
+        assert x == want and hash(x) == hash(want)
+        assert x.to_json() == want.to_json() and repr(x) == repr(want)
+        assert x.support_elements() == want.support_elements()
+        assert calls == [True]
 
 
 def test_a_carried_table_is_read_on_its_own_subgroup_only(groups):
@@ -1097,6 +1133,121 @@ def test_theta_of_a_realized_cocycle_on_an_order_16_socle(groups,
     assert theta(plain) == value
     assert len(forward) == 2
     assert cocycle_from_twist(A, plain) == c
+
+
+def _carried_twists(groups):
+    """Twists built on the dual of every abelian normal A of A4, D8, Q8, S4
+    and Wall32: for the trivial cocycle and each invariant-cocycle-search
+    witness beta_b on A, F(c) and F(c d(lambda)) for a random lambda on
+    A's dual with lambda(1) = 1; the coboundary mostly breaks invariance."""
+    from lazytwist.lazy import bg_enumerate
+
+    rng = random.Random(28)
+    out = []
+    for name in ["A4", "D8", "Q8", "S4", "Wall32"]:
+        G = groups(name)
+        witnessed = [(x.subgroup, invariant_cocycle_search(
+            x.subgroup, x.form, DualAction(G, x.subgroup)).witness)
+            for x in bg_enumerate(G)]
+        for A in normal_abelian_subgroups(G):
+            one, *rest = duals = [x.exponents for x in characters(A)]
+            ds = A.invariant_factors()
+            cocycles = [{(x, y): CycNum.one() for x in duals for y in duals}]
+            cocycles += [c for B, c in witnessed if B == A and c is not None]
+            lam = {x: root_of_unity(4, rng.randrange(4)) * rng.randrange(1, 4)
+                   for x in rest}
+            lam[one] = CycNum.one()
+            for c in cocycles:
+                out.append(twist_from_cocycle(A, c))
+                out.append(twist_from_cocycle(A, {
+                    (x, y): v * lam[x] * lam[y] / lam[tuple(
+                        (p + q) % d for p, q, d in zip(x, y, ds))]
+                    for (x, y), v in c.items()}))
+    return out
+
+
+def test_is_invariant_on_the_table_matches_the_terms(groups, monkeypatch):
+    # a twist built on the dual of a normal A is decided on its table, and
+    # agrees with the lookup of each term at its conjugate; an inverse built
+    # on a non-normal abelian support is decided on its terms
+    from lazytwist import hopf
+
+    twists = _carried_twists(groups)
+    assert all(F._subgroup.is_normal() for F in twists)
+    S3, A4 = groups("S3"), groups("A4")
+    t = next(x for x in range(S3.order) if S3.element_order(x) == 2)
+    c3 = next(x for x in range(A4.order) if A4.element_order(x) == 3)
+    inverses = [tensor_inv(GTensor(S3, 2, {(0, 0): 2, (t, 0): 1})),
+                tensor_inv(GTensor(S3, 1, {(0,): 3, (t,): 1})),
+                tensor_inv(GTensor(A4, 2, {(0, 0): 2, (c3, c3): 1}))]
+    assert not any(x._subgroup.is_normal() for x in inverses)
+    transform = hopf._transform
+    inverse_transforms = []
+    monkeypatch.setattr(hopf, "_transform", lambda *a, inverse=False: (
+        inverse_transforms.append(a[2]) if inverse else None) or transform(
+            *a, inverse=inverse))
+    on_table = [is_invariant(F) for F in twists]
+    assert inverse_transforms == []
+    on_terms = [is_invariant(x) for x in inverses]
+    assert inverse_transforms == [x.degree for x in inverses]
+    plain = [GTensor(x.group, x.degree, x.terms) for x in twists + inverses]
+    assert [is_invariant(x) for x in plain] == on_table + on_terms
+    assert on_table.count(True) >= 30 and on_table.count(False) >= 10
+    assert on_terms == [False] * 3
+    # the term path builds no conjugated tensor
+    monkeypatch.setattr(GTensor, "conjugate_diagonal", None)
+    assert [is_invariant(x) for x in plain] == on_table + on_terms
+
+
+def test_drinfeld_element_on_the_table_matches_the_loop(groups):
+    from lazytwist.lazy import bg_enumerate
+    from tests_helpers import loop_drinfeld_element
+
+    Rs = [r_from_form(x.subgroup, x.form)
+          for name in ["A4", "D8xC2", "C27sd", "Wall32"]
+          for x in bg_enumerate(named_group(groups, name))]
+    Rs += [r_matrix(twist_from_cocycle(A, c))
+           for A, c in _pair_cocycles(groups)]
+    assert len(Rs) >= 30 and all(R.dual is not None for R in Rs)
+    # R^(sigma, sigma^-1) = R^(sigma, sigma) = 1 on a bicharacter of an
+    # alternating form: twists and inverses built on a dual tell the two
+    # apart
+    others = [x for kind, _, x in _built_on_a_dual(groups)
+              if x.degree == 2 and kind != "R"]
+    units = []
+    for R in Rs + others:
+        u = drinfeld_element(R)
+        assert u.dual is not None and u.degree == 1
+        want = loop_drinfeld_element(GTensor(R.group, 2, R.terms))
+        assert u == want and u.key() == want.key()
+        units.append(u == GTensor.unit(R.group, 1))
+    assert all(units[:len(Rs)]) and not all(units)
+
+
+def test_drinfeld_element_of_a_carried_twist_builds_no_terms(groups,
+                                                             monkeypatch):
+    # from a cocycle to the Drinfeld element of its twist's R, everything
+    # is read on the dual: no transform runs and neither F nor R builds its
+    # terms, until they are read, once each
+    from lazytwist import hopf
+    from tests_helpers import loop_drinfeld_element
+
+    calls = []
+    transform = hopf._transform
+    monkeypatch.setattr(hopf, "_transform", lambda *a, inverse=False: (
+        calls.append((a[2], inverse)) or transform(*a, inverse=inverse)))
+    cases = _pair_cocycles(groups)
+    assert len(cases) >= 10
+    for A, c in cases:
+        del calls[:]
+        F = twist_from_cocycle(A, c)
+        R = r_matrix(F)
+        u = drinfeld_element(R)
+        assert calls == []
+        F.terms, F.terms, R.terms
+        assert calls == [(2, True), (2, True)]
+        assert u == loop_drinfeld_element(GTensor(R.group, 2, R.terms))
+        assert calls == [(2, True), (2, True), (1, True)]
 
 
 # -- degree checks that survive python -O ------------------------------------
