@@ -289,10 +289,13 @@ class CycNum:
         return acc
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CycNum.rational(other)
-        if not isinstance(other, CycNum):
-            return NotImplemented
+        # the tensor code compares CycNums: that test comes before the
+        # instance check against Fraction's ABC, which costs far more
+        if type(other) is not CycNum:
+            if isinstance(other, (int, Fraction)):
+                other = CycNum.rational(other)
+            elif not isinstance(other, CycNum):
+                return NotImplemented
         return self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:

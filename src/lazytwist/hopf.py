@@ -13,10 +13,12 @@ inverted pointwise, and on the table F^(rho, sigma) = (rho x sigma)(F) of
 a degree-2 F, F is invertible iff no value is 0, satisfies the twist
 equation iff F^ is a 2-cocycle (not normalized), R^(rho, sigma) =
 F^(sigma, rho) / F^(rho, sigma), and the R-matrix axioms say R^ is a
-bicharacter; R comes back to the group basis once.  Otherwise all three
-keep to tensors in k[G]^(tensor 3): a dense solve inside the span of the
-support, under its 200-element cap, `delta2_left`/`delta2_right` and
-products.
+bicharacter.  `r_matrix` reads R^ as an integer exponent matrix K,
+R^(rho, sigma) = zeta_L^(rho^T K sigma), checked at every point in one
+sweep, and `theta` reads the socle, the annihilator of K's radical, and
+the form on it off K, with no transform.  Otherwise all three keep to
+tensors in k[G]^(tensor 3): a dense solve inside the span of the support,
+under its 200-element cap, `delta2_left`/`delta2_right` and products.
 
 Every character sum, forward or inverse and of any degree, goes through
 one routine, `_transform`: character values come from an integer exponent
@@ -41,14 +43,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 from operator import getitem, mul
 
 from .cyclo import CycNum, from_counts, lift, root_of_unity
 from .groups import FiniteGroup, Subgroup, _orbit
 from .pontryagin import (AltForm, DualAction, _COCYCLE_IDENTITY,
-                         _products_agree, _space, _units,
-                         cocycle_identity_holds, is_nondegenerate)
+                         _dual_apply, _dual_matrix, _products_agree, _space,
+                         _units, cocycle_identity_holds, is_nondegenerate)
 
 __all__ = [
     "DegreeMismatch",
@@ -591,17 +594,79 @@ def _r_on_tensors(F: GTensor):
                _coproduct_leg(R, 1) == R13.mul(R.embed((0, 1), 3)))
 
 
+@lru_cache(maxsize=None)
+def _roots(L: int):
+    """(zeta_L^k for k < L, the map back from each to k), built once per L;
+    no caller mutates them."""
+    roots = tuple(root_of_unity(L, k) for k in range(L))
+    return roots, {v: k for k, v in enumerate(roots)}
+
+
+def _bicharacter(A: Subgroup, value):
+    """The alternating form beta on the dual of A with beta(chi_i, chi_j) =
+    value((chi_i, chi_j)) on the dual generators i < j, when each value is
+    zeta_L^k of order dividing gcd(d_i, d_j), L the exponent of A; else
+    None.  beta(rho, sigma) = zeta_L^(rho^T K sigma) for the skew exponent
+    matrix K with K_ij = k, well defined on exponents mod d_i as K_ij d_i =
+    0 mod L."""
+    c = _space(A)
+    exponent, unit = _roots(c.L)[1], _units(len(c.ds))
+    entries = []
+    for (i, j), m in zip(c.pairs, c.moduli):
+        k = exponent.get(value((unit[i], unit[j])))
+        if k is None or k * m % c.L:
+            return None
+        entries.append(k * m // c.L)
+    return AltForm.from_upper(A, entries)
+
+
+def _exponent_rows(b: AltForm, points) -> dict:
+    """{rho: w} over the given points rho of the dual b is a form on, with
+    b(rho, sigma) = zeta_L^(w . sigma): w_j = sum_i rho_i K_ij for the
+    skew exponent matrix K of b over the exponent L of its group."""
+    unit = _units(len(_space(b.group).ds))
+    cols = [[b.value_exponent(u, v)[0] for u in unit] for v in unit]
+    return {rho: [sum(map(mul, rho, col)) for col in cols] for rho in points}
+
+
 def _r_on_dual(A: Subgroup, F: GTensor):
     """(R, axioms) as _r_on_tensors, read on the dual of the abelian A that
     the support of F generates: R^(rho, sigma) = F^(sigma, rho) /
-    F^(rho, sigma), and the axioms say that R^ is a bicharacter.  R
-    returns to the group basis once."""
+    F^(rho, sigma), and the axioms say that R^ is a bicharacter.
+
+    The quotients at the pairs of dual generators give the form beta
+    (`_bicharacter`), and F^(sigma, rho) = beta(rho, sigma) F^(rho, sigma)
+    is checked at every point, one product per distinct value object and
+    exponent, compared by key.  When both hold, R^ = beta, so both axioms
+    hold by construction: rho^T K sigma is bilinear, so beta(rho sigma,
+    tau) = beta(rho, tau) beta(sigma, tau), and beta(rho, sigma tau) =
+    beta(rho, sigma) beta(rho, tau).  Conversely a bicharacter R^ has
+    values at the generators of order dividing gcd(d_i, d_j), so it is such
+    a beta; otherwise the quotient at every point is swept for the axioms,
+    and the first that fails is reported."""
     hat = _dual_twist(A, F)
     if hat is None:
         return None
-    # one quotient per distinct pair of values; hat keeps its values alive,
-    # so each object is keyed once, by its id
-    keys = {id(v): v.key() for v in hat.values()}
+    # hat keeps its values alive, so each object is keyed once, by its id
+    distinct = {id(v): v for v in hat.values()}
+    keys = {i: v.key() for i, v in distinct.items()}
+    c = _space(A)
+    beta = _bicharacter(A, lambda p: hat[p[::-1]] / hat[p])
+    if beta is not None:
+        roots, w = _roots(c.L)[0], _exponent_rows(beta, c.duals)
+        products: dict = {}
+        r = {}
+        for (rho, sigma), v in hat.items():
+            e = sum(map(mul, w[rho], sigma)) % c.L
+            k = (id(v), e)
+            if k not in products:
+                products[k] = (roots[e] * v).key() if e else keys[id(v)]
+            if products[k] != keys[id(hat[sigma, rho])]:
+                break
+            r[rho, sigma] = roots[e]
+        else:
+            return _from_dual(A, r, 2), (True, True)
+    # one quotient per distinct pair of values
     quotients: dict = {}
     r = {}
     for (rho, sigma), v in hat.items():
@@ -663,20 +728,77 @@ class ThetaValue:
 
 
 def theta(F: GTensor) -> ThetaValue:
-    """Socle and braiding form of an invariant twist, contract-checked."""
+    """Socle and braiding form of an invariant twist, contract-checked.
+
+    When R is built on the dual of an abelian A, R^ is the bicharacter of
+    the alternating form beta read off its values at the dual generators
+    (`_r_on_dual`, `_bicharacter`), and no transform runs: the socle is
+    read off beta (`_beta_socle`) and the form through the restriction
+    from A's dual onto the socle's (`_restricted_form`).  Otherwise the
+    socle is the span of R's terms and the form is `form_from_r`."""
     R = r_matrix(F)
-    A = socle(R)
-    if not A.is_normal():
+    A = R._subgroup
+    if A is None:
+        S = socle(R)
+    else:
+        beta = _bicharacter(A, R.dual[1].__getitem__)
+        if beta is None:
+            raise ThetaContractViolated(
+                "pairing value is not a root of unity of the right order")
+        S = _beta_socle(beta)
+    if not S.is_normal():
         raise ThetaContractViolated("socle is not normal")
-    if not A.is_abelian():
+    if not S.is_abelian():
         raise ThetaContractViolated("socle is not abelian")
-    b = form_from_r(A, R)
+    b = form_from_r(S, R) if A is None else _restricted_form(beta, S)
     if not is_nondegenerate(b):
         raise ThetaContractViolated("braiding form degenerate on the socle")
-    action = DualAction(A.parent, A)
+    action = DualAction(S.parent, S)
     if not action.is_invariant_form(b):
         raise ThetaContractViolated("braiding form is not conjugation-invariant")
-    return ThetaValue(A, b)
+    return ThetaValue(S, b)
+
+
+def _beta_socle(beta: AltForm) -> Subgroup:
+    """The socle of R = R(A, beta), read off beta.
+
+    sigma -> beta(sigma, tau) is a character of A's dual, evaluation at one
+    a_tau in A, so R = sum_tau (sum_sigma beta(sigma, tau) e_sigma) x e_tau
+    = sum_tau a_tau x e_tau.  The support of either leg is the image of
+    tau -> a_tau, the annihilator of beta's radical (left and right
+    radicals coincide, as beta(rho, rho) = 1).  It is generated by the
+    inverses of the a_tau at the dual generators chi_k: chi_j(a_k^-1) =
+    beta(chi_k, chi_j), so their coordinates are the columns of beta's
+    pairing matrix."""
+    A = beta.group
+    M, ds, _ = beta._pairing()
+    element = {c: a for a, c in A.element_coordinates().items()}
+    G = A.parent
+    S = G.closure(element[tuple(row[k] for row in M)] for k in range(len(ds)))
+    # A itself, with its structure built, when beta is non-degenerate
+    return A if len(S) == A.order else Subgroup(G, S)
+
+
+def _restricted_form(beta: AltForm, S: Subgroup) -> AltForm:
+    """The form b on the dual of S = `_beta_socle(beta)` with b(rho|S,
+    sigma|S) = beta(rho, sigma): the restriction from A's dual onto S's
+    (`_dual_matrix`) is onto and has beta's radical for kernel, so beta is
+    read at lifts of S's dual generators (`AltForm.push`, which checks each
+    entry's order), and then checked at every point of S's dual, all in
+    exponents."""
+    A, c = beta.group, _space(S)
+    _, L, _, _, duals = _space(A)
+    restrict = _dual_matrix(S, A, lambda a: a)
+    lifts: dict = {}
+    for rho in duals:
+        lifts.setdefault(_dual_apply(restrict, rho, c.ds), rho)
+    b = beta.push(S, [lifts[u] for u in _units(len(c.ds))])
+    scale = L // c.L
+    w, u = _exponent_rows(beta, lifts.values()), _exponent_rows(b, lifts)
+    if any((sum(map(mul, w[rho], sigma)) - scale * sum(map(mul, u[x], y)))
+           % L for x, rho in lifts.items() for y, sigma in lifts.items()):
+        raise ThetaContractViolated("R-matrix is not the bicharacter of a form")
+    return b
 
 
 def form_from_r(A: Subgroup, R: GTensor) -> AltForm:
@@ -684,21 +806,12 @@ def form_from_r(A: Subgroup, R: GTensor) -> AltForm:
     off the dual generators, then checked at every point of the dual."""
     if R.degree != 2 or not R.supported_in(A):
         raise NotSupported("tensor not supported in the subgroup square")
-    space = _space(A)
-    L = space.L
     hat = _on_dual(A, R)
-    roots = [root_of_unity(L, k) for k in range(L)]
-    exponent = {v: k for k, v in enumerate(roots)}
-    unit = _units(len(space.ds))
-    entries = []
-    for (i, j), m in zip(space.pairs, space.moduli):
-        # b(chi_i, chi_j) = zeta_m^e, m = gcd(d_i, d_j): zeta_L^k, k = e L/m
-        k = exponent.get(hat[(unit[i], unit[j])])
-        if k is None or k % (L // m):
-            raise ThetaContractViolated(
-                "pairing value is not a root of unity of the right order")
-        entries.append(k // (L // m))
-    b = AltForm.from_upper(A, entries)
+    b = _bicharacter(A, hat.__getitem__)
+    if b is None:
+        raise ThetaContractViolated(
+            "pairing value is not a root of unity of the right order")
+    roots = _roots(_space(A).L)[0]
     if any(v != roots[b.value_exponent(*pair)[0]] for pair, v in hat.items()):
         raise ThetaContractViolated("R-matrix is not the bicharacter of a form")
     return b
@@ -810,7 +923,7 @@ def cocycle_from_twist(A: Subgroup, F: GTensor) -> dict:
 def r_from_form(A: Subgroup, b: AltForm) -> GTensor:
     """R(A, b) = sum b(sigma, tau) e_sigma x e_tau over the dual of A."""
     _, L, _, _, duals = _space(A)
-    roots = [root_of_unity(L, k) for k in range(L)]
+    roots = _roots(L)[0]
     return _from_dual(A, {pair: roots[b.value_exponent(*pair)[0]]
                           for pair in itertools.product(duals, repeat=2)}, 2)
 

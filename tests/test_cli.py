@@ -33,12 +33,30 @@ def test_twist_verify_fixture(capsys):
                                "normalized": True}
 
 
+# twist-theta's stdout on the shipped twists, byte for byte; CI compares
+# the same strings under python -O
+THETA_STDOUT = {
+    ("A4", "A4_twist"):
+        '{"group":"A4","socle":[0,1,10,11],"socle_order":4,"form":'
+        '{"subgroup":[0,1,10,11],"generators":[10,1],"orders":[2,2],'
+        '"matrix":[[0,1],[1,0]]}}\n',
+    ("Wall32", "Wall_F"):
+        '{"group":"Wall32","socle":[0],"socle_order":1,"form":'
+        '{"subgroup":[0],"generators":[],"orders":[],"matrix":[]}}\n',
+}
+
+
 def test_twist_theta_fixture(capsys):
-    code, out, _ = run_cli(capsys, "twist-theta", "A4", "A4_twist")
-    assert code == 0
-    rep = json.loads(out)
+    for (group, tensor), want in THETA_STDOUT.items():
+        code, out, err = run_cli(capsys, "twist-theta", group, tensor)
+        assert (code, out, err) == (0, want, "")
+    rep = json.loads(THETA_STDOUT["A4", "A4_twist"])
     assert rep["socle_order"] == 4
     assert rep["form"]["matrix"] == [[0, 1], [1, 0]]
+    # the Wall normalizer element is no invariant twist
+    code, out, err = run_cli(capsys, "twist-theta", "Wall32", "Wall_a")
+    assert (code, out) == (2, "")
+    assert err == "error: twist does not commute with coproducts\n"
 
 
 def test_liecheck_s3(capsys):
@@ -122,6 +140,7 @@ def test_twist_commands_survive_optimize(capsys):
             proc = run_cli_process(cmd, group, tensor, optimize=True)
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout == out, (cmd, tensor)
+        assert out == THETA_STDOUT[group, tensor]
 
 
 def test_malformed_tensor_files_exit_2(tmp_path):

@@ -121,6 +121,33 @@ def test_keys_are_integers_equal_exactly_for_equal_values():
     assert len({v.key() for v in values}) > 40
 
 
+def test_equality_with_rationals_and_foreign_types():
+    # ints and Fractions compare as the rationals they are, either side of
+    # ==; other types are left to the other operand
+    half, z3 = CycNum.rational(Fraction(1, 2)), root_of_unity(3, 1)
+    assert CycNum.rational(3) == 3 and 3 == CycNum.rational(3)
+    assert half == Fraction(1, 2) and Fraction(2, 4) == half
+    assert CycNum.one() == True and CycNum.zero() == 0  # noqa: E712
+    assert z3 != 1 and 1 != z3 and half != 2 and half != Fraction(1, 3)
+    for other in ("1", 1.0, 0.5, None, [1], (1, {0: 1})):
+        assert CycNum.one().__eq__(other) is NotImplemented
+        assert half.__eq__(other) is NotImplemented
+        assert (CycNum.one() == other) is False
+        assert (CycNum.one() != other) is True
+    # equal values hash alike, whatever route built them
+    values = [half, cyclo.from_counts(3, {0: 2, 1: 1, 2: 1}, 2),
+              root_of_unity(4, 1) * root_of_unity(4, 3) / 2, z3,
+              root_of_unity(6, 2), root_of_unity(3, 4), z3 * z3 * z3,
+              CycNum.one(), CycNum.rational(Fraction(3, 3))]
+    for x in values:
+        for y in values:
+            assert (x == y) == (y == x) == (x.key() == y.key())
+            if x == y:
+                assert hash(x) == hash(y)
+    # three values, each reached three ways
+    assert sum(x == y for x in values for y in values) == 3 * 3 ** 2
+
+
 def test_conductor_embedding_independence():
     # the same element reached through different common conductors
     z3 = root_of_unity(3, 1)

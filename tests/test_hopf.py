@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from lazytwist.hopf import (
     delta2_left,
     delta2_right,
     drinfeld_element,
+    form_from_r,
     fourier,
     gauge,
     is_invariant,
@@ -882,21 +884,28 @@ def test_tensor_inv_of_legs_that_do_not_commute(groups):
 # -- twist checks on the dual of an abelian support --------------------------
 
 
+def _dual_path_corpus(groups):
+    """Tensors with an abelian support: the A4 and Wall twists, a multiple
+    and a square, two invariant non-twists (a table that is no cocycle, and
+    the A4 twist with its value at the trivial pair set to 0), and the
+    twists of `_pair_cocycles`."""
+    F = _a4_twist(groups)
+    V = _klein(groups)
+    # e_1 x e_1 is central, so the twist with a hole stays invariant
+    e1 = idempotent(V, characters(V)[0])
+    one = characters(V)[0].exponents
+    hole = F.add(e1.outer(e1).scale(-cocycle_from_twist(V, F)[(one, one)]))
+    return [F, _wall_f(groups), F.scale(3), F.mul(F), _non_cocycle(groups),
+            hole] + [twist_from_cocycle(A, c)
+                     for A, c in _pair_cocycles(groups)]
+
+
 def test_twist_checks_on_the_dual_match_the_tensor_path(groups, monkeypatch):
     from lazytwist import hopf
     from lazytwist.hopf import NotATwist, NotInvariant, ThetaContractViolated
     from tests_helpers import flat_fourier_invert
 
-    F = _a4_twist(groups)
-    V = _klein(groups)
-    # the A4 twist with its Fourier value at the trivial pair set to 0;
-    # e_1 x e_1 is central, so it stays invariant
-    e1 = idempotent(V, characters(V)[0])
-    one = characters(V)[0].exponents
-    hole = F.add(e1.outer(e1).scale(-cocycle_from_twist(V, F)[(one, one)]))
-    corpus = [F, _wall_f(groups), F.scale(3), F.mul(F), _non_cocycle(groups),
-              hole] + [twist_from_cocycle(A, c)
-                       for A, c in _pair_cocycles(groups)]
+    corpus = _dual_path_corpus(groups)
     assert all(hopf._abelian_support(x) is not None for x in corpus)
 
     def outcome(x):
@@ -1106,7 +1115,7 @@ def test_theta_of_a_realized_cocycle_on_an_order_16_socle(groups,
     # D8 x C2^3: the twist of a witnessed invariant cocycle on an order-16
     # socle is a twist whose theta is the pair back; it reads the tables it
     # carries, while from its terms alone is_twist and theta each transform
-    # it forward once (theta's R carries its table into form_from_r)
+    # it forward once (theta reads the socle and form off R's exponents)
     from lazytwist import hopf
     from lazytwist.lazy import bg_enumerate
 
@@ -1248,6 +1257,183 @@ def test_drinfeld_element_of_a_carried_twist_builds_no_terms(groups,
         assert calls == [(2, True), (2, True)]
         assert u == loop_drinfeld_element(GTensor(R.group, 2, R.terms))
         assert calls == [(2, True), (2, True), (1, True)]
+
+
+# -- R as an exponent matrix, and theta read off it --------------------------
+
+
+def _degenerate_twists():
+    """Twists on the whole of C2^3, C2 x C4 and C4 x C4 for every form,
+    realized by invariant-cocycle-search witnesses: a degenerate form gives
+    a socle strictly between 1 and the support's span."""
+    from tests_helpers import product_group
+
+    out = []
+    for ds in [(2, 2, 2), (2, 4), (4, 4)]:
+        G = product_group(ds)
+        A = G.whole_subgroup()
+        for b in alternating_forms(A):
+            c = invariant_cocycle_search(A, b, DualAction(G, A)).witness
+            out.append(twist_from_cocycle(A, c))
+    return out
+
+
+def _in_two_labellings(corpus, seed):
+    """The corpus, then each tensor's terms moved to its group relabelled
+    by `relabelled(G, seed)`: tensors that carry no table."""
+    from tests_helpers import relabelling, relabelled
+
+    moved = {}
+    out = list(corpus)
+    for x in corpus:
+        G = x.group
+        if id(G) not in moved:
+            moved[id(G)] = relabelled(G, seed), relabelling(G.order, seed)
+        H, new_of = moved[id(G)]
+        out.append(GTensor(H, x.degree, {tuple(new_of[a] for a in t): c
+                                         for t, c in x.terms.items()}))
+    return out
+
+
+def _r_corpus(groups):
+    return _in_two_labellings(_dual_path_corpus(groups) + _carried_twists(
+        groups) + _degenerate_twists(), 29)
+
+
+def _outcome(fn, x):
+    from lazytwist.hopf import NotATwist, NotInvariant, ThetaContractViolated
+
+    try:
+        return fn(x)
+    except (NotATwist, NotInvariant, ThetaContractViolated) as e:
+        return type(e), str(e)
+
+
+def test_r_matrix_exponents_match_the_quotient_sweep(groups, monkeypatch):
+    # R^ read as the bicharacter of an exponent matrix is the table of
+    # quotients the axiom sweep checks, with the same verdict, on tensors
+    # built on a dual and on the same terms under another labelling
+    from lazytwist import hopf
+    from lazytwist.hopf import NotATwist, NotInvariant
+
+    corpus = _r_corpus(groups)
+
+    def table(x):
+        R = r_matrix(x)
+        return R._subgroup, R.dual[1]
+
+    exponents = [_outcome(table, x) for x in corpus]
+    built = [t for t in exponents if type(t[0]) is not type]
+    # each R of the exponent path has a root of unity of _roots as a value
+    for A, hat in built:
+        roots = hopf._roots(hopf._space(A).L)[0]
+        assert set(map(id, hat.values())) <= set(map(id, roots))
+    assert len(built) >= 60
+    assert sum(t[0] is NotInvariant for t in exponents) >= 20
+    assert sum(t[0] is NotATwist for t in exponents) == 4
+    assert {A.order for A, _ in built} >= {1, 4, 8, 9, 16}
+    # the quotient and axiom sweep, with the exponent path refused
+    monkeypatch.setattr(hopf, "_bicharacter", lambda A, value: None)
+    assert [_outcome(table, x) for x in corpus] == exponents
+
+
+def _doctored_twist(ds, point, value):
+    """The tensor on the whole of (+) C_d whose table is 1 but for `value`
+    at `point`: its R^ is antisymmetric and no bicharacter."""
+    from lazytwist import hopf
+    from tests_helpers import product_group
+
+    A = product_group(ds).whole_subgroup()
+    hat = {(rho, sigma): CycNum.one()
+           for rho in itertools.product(*map(range, ds))
+           for sigma in itertools.product(*map(range, ds))}
+    hat[point] = value
+    return hopf._from_dual(A, hat, 2)
+
+
+def test_r_that_is_no_bicharacter_fails_as_the_sweep_says(monkeypatch):
+    # a table that is no cocycle, let through the twist check: its R^ is
+    # antisymmetric, as every quotient F^(sigma, rho) / F^(rho, sigma) is,
+    # but no bicharacter, off the generators (C3 x C3) and at the
+    # generators, with a value of the wrong order (C2 x C2, C2 x C4) or of
+    # no root of unity (C2 x C4)
+    from lazytwist import hopf
+    from lazytwist.hopf import ThetaContractViolated
+
+    monkeypatch.setattr(hopf, "_dual_twist",
+                        lambda A, F: hopf._on_dual(A, F))
+    cases = [
+        ((3, 3), ((1, 1), (1, 2)), root_of_unity(3, 1)),
+        ((2, 2), ((0, 1), (1, 0)), root_of_unity(4, 1)),
+        ((2, 4), ((1, 0), (0, 1)), CycNum.rational(2)),
+        ((2, 4), ((1, 0), (0, 1)), root_of_unity(4, 1)),
+        ((2, 4), ((1, 1), (1, 2)), root_of_unity(4, 1)),
+    ]
+    twists = [_doctored_twist(*case) for case in cases]
+    assert all(is_invariant(F) for F in twists)
+
+    def raised(fn, F):
+        with pytest.raises(ThetaContractViolated) as e:
+            fn(F)
+        return str(e.value)
+
+    by_exponents = [raised(r_matrix, F) for F in twists]
+    assert by_exponents == [raised(theta, F) for F in twists]
+    assert set(by_exponents) <= {"R-matrix axiom (Delta x id) failed",
+                                 "R-matrix axiom (id x Delta) failed"}
+    # read as an R, the table of zeta_4 at the generator pair of C2 x C4
+    # has a value of order 4 where gcd(2, 4) = 2 allows 2
+    with pytest.raises(ThetaContractViolated, match="^pairing value is not"
+                       " a root of unity of the right order$"):
+        form_from_r(twists[3]._subgroup, twists[3])
+    monkeypatch.setattr(hopf, "_bicharacter", lambda A, value: None)
+    assert [raised(r_matrix, F) for F in twists] == by_exponents
+
+
+def test_theta_reads_the_socle_and_form_that_r_terms_give(groups,
+                                                         monkeypatch):
+    # theta on the exponent matrix gives what socle(R) and form_from_r read
+    # off R's terms, with the same verdict, wherever the socle sits in the
+    # span of the support
+    from lazytwist import hopf
+
+    corpus = _r_corpus(groups)
+
+    def pair(x):
+        value = theta(x)
+        return value.socle, value.form
+
+    exponents = [_outcome(pair, x) for x in corpus]
+    r_of = hopf.r_matrix
+    monkeypatch.setattr(hopf, "r_matrix", lambda F: (
+        lambda R: GTensor(R.group, 2, R.terms))(r_of(F)))
+    assert [_outcome(pair, x) for x in corpus] == exponents
+    spans = [(S.order, hopf._abelian_support(x).order)
+             for x, (S, _) in zip(corpus, exponents) if type(S) is not type]
+    assert len(spans) >= 60
+    assert {(1, 8), (4, 4), (9, 9), (16, 16), (4, 8), (4, 16)} <= set(spans)
+
+
+def test_theta_runs_one_forward_transform_at_most(groups, monkeypatch):
+    # theta of a twist built on a dual runs no transform; from terms alone
+    # it runs the forward transform onto the support's span once
+    from lazytwist import hopf
+
+    calls = []
+    transform = hopf._transform
+    monkeypatch.setattr(hopf, "_transform", lambda *a, inverse=False: (
+        calls.append((a[2], inverse)) or transform(*a, inverse=inverse)))
+    carried = [twist_from_cocycle(A, c) for A, c in _pair_cocycles(groups)]
+    carried += _degenerate_twists()
+    del calls[:]
+    for F in carried:
+        theta(F)
+    assert calls == []
+    for name, group in [("A4_twist", "A4"), ("Wall_F", "Wall32")]:
+        F = packaged_tensor(name, groups(group))
+        del calls[:]
+        theta(F)
+        assert calls == [(2, False)]
 
 
 # -- degree checks that survive python -O ------------------------------------
