@@ -327,7 +327,8 @@ class Subgroup:
         self.parent = parent
         self.elements = tuple(sorted(set(elements) | {0}))
         t = parent.table
-        es = set(self.elements)
+        # one set per subgroup, for membership tests
+        self._members = es = frozenset(self.elements)
         for a in self.elements:
             if parent.inverses[a] not in es:
                 raise NotAGroup(f"subgroup not closed under inverse: {a}")
@@ -344,7 +345,7 @@ class Subgroup:
         return len(self.elements)
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
+        return x in self._members
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and other.parent is self.parent
@@ -364,7 +365,7 @@ class Subgroup:
     def is_normal(self) -> bool:
         """Closed under conjugation by G's generators: each maps the
         finite subgroup into itself injectively, hence onto it."""
-        es = set(self.elements)
+        es = self._members
         return all(self.parent.conjugate(g, a) in es
                    for g in self.parent.generating_set()
                    for a in self.elements)

@@ -4,11 +4,12 @@ bg_enumerate lists the socle-form pairs (abelian normal subgroup with a
 conjugation-invariant non-degenerate alternating form on its dual);
 h2_compute assembles certified rules into an exact order/structure verdict,
 bounds, or an honest "undetermined"; an abelian group is answered from its
-invariant factors alone, with no pair listed.  Each rule gives an order,
-and a structure only where it says more: R0 and R3 read invariant
-factors, R2 and R4 read [p, p] off the pair orders.  The final block
-alone turns an exact order of 1 or a prime into [] or [p], and refuses a
-structure that does not multiply to the exact order.
+invariant factors alone, read off its element orders, with no pair listed
+and no basis built.  Each rule gives an order, and a structure only where
+it says more: R0 and R3 read invariant factors, R2 and R4 read [p, p] off
+the pair orders.  The final block alone turns an exact order of 1 or a
+prime into [] or [p], and refuses a structure that does not multiply to
+the exact order.
 
 Pairs are compared by (socle elements, form entries): the map
 (A, b) -> R(A, b) is injective, so this is the same equality as comparing
@@ -18,9 +19,12 @@ by pushing them along homomorphisms of socles (R(B, psi_* b) = (psi x
 psi) R(A, b)), so no verdict builds R(A, b).  The partial product is a
 sum of forms pushed to an abelian normal C holding both socles, looked up
 among the pushed pairs (`_pushed_pairs`), as `bg_product` and R5 do.
-RW decides for every non-trivial pair, odd or even, whether an invariant
-cocycle realizes it, from one kernel per socle (`RealizableForms`); R4
-counts the witnessed pairs, and R5 takes their indices in the pair list.
+The form spaces read only the dual as a G-module, so the pair listing,
+RW and R3 compute them once per dual-action type (`_DualTypes`, one
+table per call), not once per subgroup.  RW decides for every non-trivial
+pair, odd or even, whether an invariant cocycle realizes it, from one
+kernel per type (`RealizableForms`); R4 counts the witnessed pairs, and
+R5 takes their indices in the pair list.
 R5's premise, that G is multiplicity-free, is decided on the orbit sums
 of diagonal conjugation on G x G, by Gelfand's lemma where every orbit is
 closed under inversion and by multiplying them otherwise.
@@ -56,17 +60,13 @@ from .groups import (
     find_isomorphism,
     normal_abelian_subgroups,
 )
-from ._smith import kernel
 from .cyclo import _prime_factors
 from .fixtures import _group_from_elements, symmetric
 from .pontryagin import (
     AltForm,
-    DualAction,
-    RealizableForms,
+    _DualTypes,
     _dual_matrix,
     _space,
-    invariant_forms,
-    is_nondegenerate,
     is_symmetric_type,
 )
 from .hopf import r_from_form
@@ -132,13 +132,15 @@ def bg_enumerate(G: FiniteGroup,
 
 def _pairs_on(G: FiniteGroup, subgroups) -> list[BGElement]:
     """The pairs with socle among the abelian normal `subgroups`, sorted as
-    in `bg_enumerate`, the trivial pair first."""
-    out = [BGElement.trivial(G)]
+    in `bg_enumerate`, the trivial pair first.  The invariant
+    non-degenerate forms are listed once per dual-action type
+    (`_DualTypes`), and each socle of a type wraps their upper entries."""
+    types, out = _DualTypes(G), [BGElement.trivial(G)]
     for A in subgroups:
         if A.order == 1 or not is_symmetric_type(A):
             continue
-        out.extend(BGElement(A, b) for b in invariant_forms(
-            A, DualAction(G, A)) if is_nondegenerate(b))
+        out.extend(BGElement(A, AltForm.from_upper(A, u))
+                   for u in types[A].nondegenerate)
     out.sort(key=lambda e: (e.subgroup.order, e.subgroup.elements,
                             e.form.upper))
     return out
@@ -371,12 +373,12 @@ class H2Report:
         }
 
 
-def _alternating_form_group(A: Subgroup) -> tuple[int, list[int]]:
+def _alternating_form_group(ds) -> tuple[int, list[int]]:
     """Order and invariant factors of the alternating forms on the dual of
-    A = (+) Z/d_i, which are (+)_{i<j} Z/gcd(d_i, d_j) (Karpilovsky,
+    (+) Z/d_i, which are (+)_{i<j} Z/gcd(d_i, d_j) (Karpilovsky,
     Projective Representations of Finite Groups, 1985); the forms of order
     dividing q number prod gcd(d_i, d_j, q), so none is listed."""
-    gcds = _space(A).moduli
+    gcds = [gcd(a, b) for a, b in itertools.combinations(ds, 2)]
     return prod(gcds), _group_structure(
         lambda q: prod(gcd(g, q) for g in gcds), lcm(*gcds))
 
@@ -409,13 +411,21 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
     name = name or G.name or f"order-{G.order}"
     certs: list[dict] = []
     abelian = G.is_abelian()
+    # the form spaces of RW and R3, once per dual-action type
+    types = _DualTypes(G)
     if abelian:
         # Every subgroup is normal and G acts trivially on its dual, so each
         # alternating form b on the dual is one pair (radical(b)^perp, b
         # descended), and k[G] is commutative, so Int(G) = Inn(G): the
-        # closed form gives every number, and no pair is listed.
+        # closed form gives every number, and no pair is listed.  The
+        # invariant factors are read off the element orders, checked by
+        # rebuilding the orders from them, so no basis is built.
+        orders = [G.element_order(a) for a in range(G.order)]
+        if not _is_abelian_orders(orders):
+            raise VerdictInconsistent(
+                "element orders of no abelian group on abelian input")
         forms_order, forms_struct = _alternating_form_group(
-            G.whole_subgroup())
+            _orders_structure(orders))
         bg = None
         bg_size, int_mod_inn = forms_order, 1
     else:
@@ -472,8 +482,7 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
             if len(maximal) == 1:
                 # the invariant forms are the kernel of the invariance map,
                 # and its Smith form gives their invariant factors
-                _, factors = kernel(
-                    *DualAction(G, maximal[0]).invariance_map())
+                factors = types[maximal[0]].form_factors
                 r3 = prod(factors), factors
         if r3 is not None:
             conclude(*r3, "R3",
@@ -483,12 +492,7 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
     # RW: explicit invariant-cocycle witnesses realize socle-form pairs
     witnessed: list[int] = []
     if exact is None:
-        # bg is sorted by socle, so each socle's pairs are one run
-        for _, run in itertools.groupby(range(1, bg_size),
-                                        lambda i: bg[i].subgroup.elements):
-            run = list(run)
-            forms = RealizableForms(DualAction(G, bg[run[0]].subgroup))
-            witnessed += [i for i in run if forms.realizes(bg[i].form)]
+        witnessed = _witnessed(bg, types)
         if witnessed:
             certs.append({
                 "rule": "RW",
@@ -565,6 +569,20 @@ def h2_compute(G: FiniteGroup, limit: int = ORDER_LIMIT_DEFAULT,
     return H2Report(group=name, int_mod_inn=int_mod_inn, bg_size=bg_size,
                     order_lower=lower, order_upper=upper, exact_order=exact,
                     structure=structure, status=status, certificates=certs)
+
+
+def _witnessed(bg, types: _DualTypes) -> list[int]:
+    """The indices of the non-trivial pairs of `bg` that an invariant
+    cocycle realizes, each socle's forms decided by its dual-action type's
+    kernel (`RealizableForms`)."""
+    witnessed: list[int] = []
+    # bg is sorted by socle, so each socle's pairs are one run
+    for _, run in itertools.groupby(range(1, len(bg)),
+                                    lambda i: bg[i].subgroup.elements):
+        run = list(run)
+        forms = types[bg[run[0]].subgroup].realizable
+        witnessed += [i for i in run if forms.realizes(bg[i].form)]
+    return witnessed
 
 
 def _symmetric_degree(order: int) -> Optional[int]:

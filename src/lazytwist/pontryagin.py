@@ -8,8 +8,11 @@ at the edges.  A form is posed by its upper entries, one per pair of
 realizes it, is Z-linear in them, so the invariant forms, non-degeneracy
 and the invariant-cocycle decision are read off Smith normal forms
 (`_smith`); the forms realized on a socle are one kernel
-(`RealizableForms`).  Forms move only by pushing, never by descent.  All
-forms and the invariant ones are one span, `_forms`.
+(`RealizableForms`).  These conditions read only the dual as a G-module,
+its invariant factors and the distinct matrices of G's generators on it,
+not which subgroup it is the dual of, so they are posed once per
+dual-action type (`_DualTypes`).  Forms move only by pushing, never by
+descent.  All forms and the invariant ones are one span, `_forms`.
 """
 
 from __future__ import annotations
@@ -274,6 +277,7 @@ class DualAction:
             raise NotNormalSubgroup("dual action needs a normal subgroup")
         self.G, self.A, self.space = G, A, _space(A)
         self._mats: dict[int, tuple] = {}
+        self._moving: Optional[tuple] = None
 
     def _matrix(self, g: int):
         """The dual matrix of a -> g^-1 a g, built when g is first asked
@@ -287,15 +291,25 @@ class DualAction:
     def on_exponents(self, g: int, exponents) -> tuple[int, ...]:
         return _dual_apply(self._matrix(g), exponents, self.space.ds)
 
+    def matrices(self) -> tuple:
+        """The distinct dual matrices of G's generators other than the
+        identity, sorted.  G acts on the dual through the group they
+        generate, so every invariance condition reads these alone, and
+        with the invariant factors they fix the dual module's type."""
+        if self._moving is None:
+            one = tuple(_units(len(self.space.ds)))
+            self._moving = tuple(sorted({
+                self._matrix(g) for g in self.G.generating_set()} - {one}))
+        return self._moving
+
     def invariance_map(self):
         """(M, s, t): b is invariant iff M x = 0 mod t for its upper entries
-        x in (+) Z/s, s_kl = gcd(d_k, d_l).  Row (g, i, j) is b(P_g e_i,
-        P_g e_j) - b(e_i, e_j) in exponents over the dual exponent L, for
-        each generator g of G, P_g its matrix on the dual."""
+        x in (+) Z/s, s_kl = gcd(d_k, d_l).  Row (P, i, j) is b(P e_i,
+        P e_j) - b(e_i, e_j) in exponents over the dual exponent L, for
+        each of the distinct matrices P of `matrices`."""
         c = self.space
         M = []
-        for g in self.G.generating_set():
-            P = self._matrix(g)
+        for P in self.matrices():
             for i, j in c.pairs:
                 M.append([(P[i][k] * P[j][l] - P[i][l] * P[j][k]
                            - ((k, l) == (i, j))) * (c.L // m)
@@ -451,18 +465,22 @@ def _is_cocycle(c, add, Q) -> bool:
 
 class RealizableForms:
     """The forms b on the dual X of a normal abelian subgroup A that a
-    G-invariant normalized 2-cocycle on X realizes, decided once per socle.
+    G-invariant normalized 2-cocycle on X realizes, decided once per
+    dual-action type: the conditions read only A's invariant factors and
+    the distinct matrices P of `DualAction.matrices`, in exponents over
+    A's basis, so every socle of one type (`_DualTypes`) shares them.
 
     H^2(X, k*) is the group of alternating forms of X (Karpilovsky,
     Projective Representations of Finite Groups, 1985): every normalized
     cocycle with form b is c = beta_b d(lambda), lambda(1) = 1, beta_b(rho,
-    sigma) = prod_{i<j} b(chi_i, chi_j)^(rho_j sigma_i).  For a generator g,
+    sigma) = prod_{i<j} b(chi_i, chi_j)^(rho_j sigma_i).  For a matrix g,
     f = c(g., g.)/c is a normalized cocycle, and f = 1 once f = 1 on X x
     {dual generators}.  So invariance is M lambda = Y x / L over Q/Z, one
     row per (g, rho, e = chi_i), x b's upper entries: M does not depend on
     b, and Y_ij(rho, g, e) = (rho_j e_i - (g rho)_j (g e)_i) L / gcd(d_i,
-    d_j).  With one Smith form U M V = D, b is realized iff (U Y x)_i = 0
-    mod L on each row i without a pivot (u M = 0 is checked for each): the
+    d_j); with no matrix, one zero row stands for the empty system.  With
+    one Smith form U M V = D, b is realized iff (U Y x)_i = 0 mod L on
+    each row i without a pivot (u M = 0 is checked for each): the
     realized forms are a kernel, `gens` of `orders`.  The checks of a
     cocycle (identity, invariance, form) are Z-linear in its exponents mod
     Q, so a checked cocycle per generator certifies every realized form.
@@ -475,9 +493,10 @@ class RealizableForms:
         self.add = add = [[index[tuple((u + v) % d for u, v, d in
                                        zip(x, y, ds))] for y in duals]
                           for x in duals]
-        self.moves = [[index[action.on_exponents(g, rho)] for rho in duals]
-                      for g in action.G.generating_set()]
-        rows = {}
+        self.moves = [[index[_dual_apply(P, rho, ds)] for rho in duals]
+                      for P in action.matrices()]
+        rows = {} if self.moves else {
+            ((0,) * (len(duals) - 1), (0,) * len(pairs)): None}
         for move, e, rho in itertools.product(
                 self.moves, [index[u] for u in _units(len(ds))],
                 range(len(duals))):
@@ -534,6 +553,52 @@ class RealizableForms:
                 or not _is_cocycle(c, add, Q):
             raise VerdictInconsistent("invariant cocycle fails its check")
         return Q, c
+
+
+class _FormSpaces:
+    """The form spaces of one dual-action type, posed on its first socle's
+    action and each computed when first asked for.  Every socle of the
+    type has the same conditions in exponents over its own basis, so it
+    reads them as upper entries there."""
+
+    def __init__(self, action: DualAction):
+        self.action = action
+
+    @cached_property
+    def nondegenerate(self) -> list[tuple[int, ...]]:
+        """The upper entries of the invariant non-degenerate forms, in the
+        order of their matrices."""
+        return [b.upper for b in invariant_forms(self.action.A, self.action)
+                if is_nondegenerate(b)]
+
+    @cached_property
+    def realizable(self) -> RealizableForms:
+        return RealizableForms(self.action)
+
+    @cached_property
+    def form_factors(self) -> list[int]:
+        """The invariant factors of the group of invariant forms, read off
+        the Smith form of the invariance map's kernel."""
+        return kernel(*self.action.invariance_map())[1]
+
+
+class _DualTypes:
+    """The duals of one group's normal abelian subgroups as G-modules, keyed
+    by type: the invariant factors and `DualAction.matrices`.  Each type's
+    form spaces (`_FormSpaces`) are computed at most once, however many
+    subgroups share it.  A table lives for one verdict or listing and is
+    never kept on the group, so each call runs every check anew."""
+
+    def __init__(self, G: FiniteGroup):
+        self.G = G
+        self._types: dict = {}
+
+    def __getitem__(self, A: Subgroup) -> _FormSpaces:
+        action = DualAction(self.G, A)
+        key = action.space.ds, action.matrices()
+        if key not in self._types:
+            self._types[key] = _FormSpaces(action)
+        return self._types[key]
 
 
 def invariant_cocycle_search(A: Subgroup, b: AltForm,

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 import lazytwist.groups as groups_module
-from lazytwist import _smith, hopf, lazy
+from lazytwist import _smith, hopf, lazy, pontryagin
 from lazytwist.cli import _EXPECTED_SUITE, main
 from lazytwist.cyclo import CycNum
 from lazytwist.fixtures import builtin_names
@@ -39,8 +39,8 @@ from lazytwist.lazy import (
 )
 from lazytwist._smith import kernel
 from lazytwist.pontryagin import (AltForm, DualAction, _dual_matrix,
-                                  alternating_forms, invariant_cocycle_search,
-                                  invariant_forms)
+                                  _DualTypes, alternating_forms,
+                                  invariant_cocycle_search, invariant_forms)
 from tests_helpers import (
     RW_PRODUCTS,
     SPLIT_GROUPS,
@@ -55,6 +55,8 @@ from tests_helpers import (
     metacyclic,
     named_group,
     order_only_automorphisms,
+    per_socle_witnessed,
+    per_subgroup_pairs,
     product_group,
     relabelled,
     relabelling,
@@ -284,7 +286,10 @@ def test_h2_cliff_groups_pinned(groups, capsys):
     # reports recorded through the tensor partial product (D8xD8,
     # C2xC2xD8) or while R5 listed all 3072 automorphisms (D8xQ8), pinned
     # as an independent record of rule R5 on groups with many pairs or
-    # automorphisms
+    # automorphisms; and reports recorded while every subgroup had its own
+    # invariance kernel and every socle its own RealizableForms (D8xC2^4,
+    # 500 socles of symmetric type in 8 dual-action types, and D8xD8xC2),
+    # pinned where the types are shared most
     tail = [
         {"rule": "RW", "ref": "explicit invariant cocycles on the socle "
                               "realize {} non-trivial socle-form pair(s) as "
@@ -296,20 +301,65 @@ def test_h2_cliff_groups_pinned(groups, capsys):
                               "abelian class group; the only automorphism-"
                               "stable candidate image has this size"},
     ]
-    for name, bg_size, order, structure, witnessed in [
-            ("D8xD8", 18, 2, [2], 1), ("C2xC2xD8", 24, 8, None, 7),
-            ("D8xQ8", 6, 2, [2], 1)]:
-        certificates = [dict(c) for c in tail]
+    for name, bg_size, bounds, structure, witnessed in [
+            ("D8xD8", 18, [2, 2], [2], 1), ("C2xC2xD8", 24, [8, 8], None, 7),
+            ("D8xQ8", 6, [2, 2], [2], 1),
+            ("D8xC2xC2xC2xC2", 3072, [1024, 3072], None, 1023),
+            ("D8xD8xC2", 72, [8, 72], None, 7)]:
+        exact = bounds[0] == bounds[1]
+        certificates = [dict(c) for c in tail[:3 if exact else 2]]
         certificates[0]["ref"] = certificates[0]["ref"].format(witnessed)
         expected = {"group": name, "int_mod_inn": 1, "bg_size": bg_size,
-                    "order_bounds": [order, order], "exact_order": order,
-                    "structure": structure, "status": "exact",
+                    "order_bounds": bounds,
+                    "exact_order": bounds[0] if exact else None,
+                    "structure": structure,
+                    "status": "exact" if exact else "undetermined",
                     "certificates": certificates}
         G = named_group(groups, name)
         spec = json.dumps({"table": [list(r) for r in G.table], "name": name})
         assert main(["h2", spec]) == 0
         assert capsys.readouterr().out == \
             json.dumps(expected, separators=(",", ":")) + "\n"
+
+
+def test_dual_types_match_the_per_subgroup_loop(groups):
+    # the pair list and RW's witnessed indices, with form spaces computed
+    # once per dual-action type, equal those of one invariance kernel per
+    # subgroup and one RealizableForms per socle, each posed on every
+    # generator's matrix; D8xC2's five C2 x C2 socles have three actions,
+    # which decide differently whether their one form is witnessed
+    for name in ["D8xC2", "D8xC4", "Q8xC2xC2", "C27sd", "D8xC2xC2xC2"]:
+        base = named_group(groups, name)
+        for seed in [1, 2]:
+            G = relabelled(base, seed)
+            bg, expected = bg_enumerate(G), per_subgroup_pairs(G)
+            assert [x.key() for x in bg] == [x.key() for x in expected], \
+                (name, seed)
+            assert lazy._witnessed(bg, _DualTypes(G)) == \
+                per_socle_witnessed(G, expected), (name, seed)
+
+
+def test_realizable_forms_built_once_per_dual_action_type(groups,
+                                                          monkeypatch):
+    # h2 builds one RealizableForms per dual-action type, not per socle:
+    # Q8xC2xC2's seven socles are central, so G acts trivially on each
+    # dual, and D8xC2's five socles have three actions
+    built = []
+
+    class Counted(pontryagin.RealizableForms):
+        def __init__(self, action):
+            built.append(action.A.elements)
+            super().__init__(action)
+
+    monkeypatch.setattr(pontryagin, "RealizableForms", Counted)
+    for name, socles, kernels in [("Q8xC2xC2", 7, 1), ("D8xC2", 5, 3)]:
+        G = named_group(groups, name)
+        built.clear()
+        rep = h2_compute(G)
+        assert len({x.subgroup.elements
+                    for x in bg_enumerate(G)[1:]}) == socles, name
+        assert len(built) == kernels, name
+        assert rep.to_json()["certificates"][0]["rule"] == "RW", name
 
 
 def test_r5_orbits_match_listing(groups):
@@ -542,9 +592,11 @@ def test_h2_abelian_lists_no_pairs(monkeypatch):
     # on abelian input every number comes from the invariant factors: the
     # pair, form and automorphism listings are never called, and C2^6 and
     # C2^7 (2^15 and 2^21 forms) answer through R0
+    # R0 reads the invariant factors off element orders, so no basis and
+    # no commutativity sweep of a subgroup runs either
     refused = ["normal_abelian_subgroups", "bg_enumerate",
                "class_preserving_auts", "alternating_forms",
-               "invariant_forms"]
+               "invariant_forms", "abelian_structure"]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a listing ran on abelian input")
@@ -554,6 +606,7 @@ def test_h2_abelian_lists_no_pairs(monkeypatch):
             for attr in refused:
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.setattr(groups_module.Subgroup, "is_abelian", refuse)
     for ds, exact, structure in [((2,) * 6, 2 ** 15, [2] * 15),
                                  ((2,) * 7, 2 ** 21, [2] * 21),
                                  ((4, 4, 4), 64, [4, 4, 4]),
@@ -565,6 +618,33 @@ def test_h2_abelian_lists_no_pairs(monkeypatch):
                 rep.status) == (exact, 1, exact, exact, exact, structure,
                                 "exact"), ds
         assert [c["rule"] for c in rep.certificates] == rules, ds
+
+
+def test_r0_reads_invariant_factors_off_element_orders(monkeypatch):
+    # the factors R0 reads equal those of a basis of the whole group, in
+    # two labellings
+    seen = []
+    form_group = lazy._alternating_form_group
+    monkeypatch.setattr(lazy, "_alternating_form_group",
+                        lambda ds: seen.append(list(ds)) or form_group(ds))
+    for ds in [(2, 2, 2, 2), (2, 4, 4), (6, 6), (3, 9), (3, 3, 3)]:
+        for seed in [1, 2]:
+            G = relabelled(product_group(ds), seed)
+            seen.clear()
+            h2_compute(G)
+            assert seen == [list(G.whole_subgroup().invariant_factors())], \
+                (ds, seed)
+
+
+def test_r0_refuses_forged_element_order_factors(monkeypatch):
+    # factors that do not rebuild the element orders are refused, also
+    # under -O: C4 x C4 read as C2 x C8, C16, C2 x C2 x C4 or no group
+    G = product_group((4, 4))
+    for forged in [[2, 8], [16], [2, 2, 4], None]:
+        monkeypatch.setattr(lazy, "_orders_structure",
+                            lambda orders, forged=forged: forged)
+        with pytest.raises(VerdictInconsistent, match="element orders"):
+            h2_compute(G)
 
 
 def test_h2_cyclic_trivial(groups):

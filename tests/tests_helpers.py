@@ -16,7 +16,9 @@ the listing of the class-preserving automorphisms, random loops, the
 enumerations that integer linear algebra replaced (the filtered
 alternating forms, the radical over the whole dual, descent through
 enumerated lifts, the union-find cocycle search, the per-pair
-invariant-cocycle system and R5's per-subset closure loop), and the
+invariant-cocycle system and R5's per-subset closure loop), the
+per-subgroup pair listing and per-socle RW decision that the dual-action
+types replaced, and the
 test-only API moved out of the library: character products, the dual
 action on characters, the form of a cocycle and the homomorphism and
 bijection checks of a map, the argparse parser that the command line's
@@ -43,8 +45,10 @@ from lazytwist.groups import (FiniteGroup, OrderLimitExceeded,
 from lazytwist.hopf import GTensor, _counts, form_from_r, socle
 from lazytwist.lazy import BGElement, _is_abelian_orders, _pair_orbits
 from lazytwist.pontryagin import (AltForm, Character, CocycleSearch,
-                                  _dual_apply, _dual_matrix, _units,
-                                  cocycle_identity_holds)
+                                  DualAction, RealizableForms, _dual_apply,
+                                  _dual_matrix, _units,
+                                  cocycle_identity_holds, invariant_forms,
+                                  is_nondegenerate, is_symmetric_type)
 
 
 def abelian_types(order):
@@ -1140,6 +1144,41 @@ def filtered_invariant_forms(A, action, only_nondegenerate=False):
     return [b for b in product_alternating_forms(A)
             if all(on_form(action, g, b) == b for g in gens)
             and (not only_nondegenerate or len(enumerated_radical(b)) == 1)]
+
+
+class EveryGeneratorAction(DualAction):
+    """The dual action with one matrix per generator of G, identities and
+    repeats included, as the invariance conditions were posed before they
+    read the distinct matrices."""
+
+    def matrices(self):
+        return tuple(self._matrix(g) for g in self.G.generating_set())
+
+
+def per_subgroup_pairs(G):
+    """The pair listing before dual-action types: one invariance kernel per
+    abelian normal subgroup of symmetric type and one non-degeneracy Smith
+    form per invariant form, sorted as `bg_enumerate` sorts."""
+    out = [BGElement.trivial(G)]
+    for A in normal_abelian_subgroups(G):
+        if A.order > 1 and is_symmetric_type(A):
+            out.extend(BGElement(A, b) for b in invariant_forms(
+                A, EveryGeneratorAction(G, A)) if is_nondegenerate(b))
+    out.sort(key=lambda e: (e.subgroup.order, e.subgroup.elements,
+                            e.form.upper))
+    return out
+
+
+def per_socle_witnessed(G, bg):
+    """RW's witnessed indices before dual-action types: one
+    `RealizableForms` per socle of the pairs `bg`."""
+    witnessed = []
+    for _, run in itertools.groupby(range(1, len(bg)),
+                                    lambda i: bg[i].subgroup.elements):
+        run = list(run)
+        forms = RealizableForms(EveryGeneratorAction(G, bg[run[0]].subgroup))
+        witnessed += [i for i in run if forms.realizes(bg[i].form)]
+    return witnessed
 
 
 def enumerated_descend(b, D):
